@@ -16,6 +16,7 @@ from .data import (
     split_holdout,
 )
 from .errors import (
+    ConfigError,
     DatasetError,
     DivergenceError,
     FitError,
@@ -55,6 +56,7 @@ __all__ = [
     "SchemaError",
     "ParseError",
     "FitError",
+    "ConfigError",
     "ShapeError",
     "DivergenceError",
     "SpaceError",

@@ -25,6 +25,10 @@ class FitError(TabkitError):
     """A transform or model could not be fitted on the given training data."""
 
 
+class ConfigError(FitError, ValueError):
+    """A hyperparameter is out of range; a run records it like any failed fit."""
+
+
 class ShapeError(TabkitError):
     """Input shape does not match what was seen at fit time."""
 

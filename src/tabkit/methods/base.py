@@ -82,6 +82,7 @@ class Method:
         self.class_count = info.class_count or 0
         self.pipeline = FeaturePipeline(config.pipeline, seed=config.seed)
         self._fitted = False
+        self._check_config()
 
     def fit(self, dataset: Dataset, info: DatasetInfo) -> float:
         """Fit pipeline and model on train (+val for early stopping); returns
@@ -121,6 +122,10 @@ class Method:
             raise FitError(f"{type(self).__name__} is not fitted")
 
     # ---- subclass hooks -------------------------------------------------
+    def _check_config(self):
+        """Raise ConfigError for an out-of-range hyperparameter. Runs in the
+        constructor, so a bad configuration fails before any data is read."""
+
     def _fit(self, x_train, y_train, x_val, y_val):
         raise NotImplementedError
 

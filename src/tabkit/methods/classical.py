@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import TaskType
-from ..errors import FitError
+from ..errors import ConfigError, FitError
 from .base import Method, Prediction
 
 CLASSIFICATION_TASKS = (TaskType.BINCLASS, TaskType.MULTICLASS)
@@ -49,15 +49,16 @@ class DummyMethod(Method):
 class KNNMethod(Method):
     """k-nearest neighbors in the encoded feature space (euclidean)."""
 
+    def _check_config(self):
+        self._k = int(self.config.model.get("n_neighbors", 5))
+        if self._k < 1:
+            raise ConfigError(f"n_neighbors must be >= 1, got {self._k}")
+
     def _fit(self, x_train, y_train, x_val, y_val):
-        k = int(self.config.model.get("n_neighbors", 5))
-        if k < 1:
-            raise ValueError(f"n_neighbors must be >= 1, got {k}")
-        if k > len(x_train):
-            raise ValueError(
-                f"n_neighbors = {k} exceeds the {len(x_train)} training rows"
+        if self._k > len(x_train):
+            raise ConfigError(
+                f"n_neighbors = {self._k} exceeds the {len(x_train)} training rows"
             )
-        self._k = k
         self._x = x_train
         self._y = y_train
 
@@ -182,10 +183,13 @@ class _GradientDescentClassifier(Method):
     task_types = CLASSIFICATION_TASKS
     DEFAULT_L2 = 1e-4
 
+    def _check_config(self):
+        self._l2 = float(self.config.model.get("l2", self.DEFAULT_L2))
+        if self._l2 < 0:
+            raise ConfigError(f"l2 must be >= 0, got {self._l2}")
+
     def _fit(self, x_train, y_train, x_val, y_val):
-        l2 = float(self.config.model.get("l2", self.DEFAULT_L2))
-        if l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {l2}")
+        l2 = self._l2
         d = x_train.shape[1]
         weights = np.zeros((d, self.class_count))
         bias = np.zeros(self.class_count)

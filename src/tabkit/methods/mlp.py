@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import TaskType
-from ..errors import DivergenceError
+from ..errors import ConfigError, DivergenceError
 from .base import Method, Prediction
 from .classical import _softmax
 
@@ -26,6 +26,11 @@ DEFAULT_WEIGHT_DECAY = 1e-5
 DEFAULT_MAX_EPOCH = 200
 DEFAULT_BATCH_SIZE = 256
 DEFAULT_PATIENCE = 20
+
+
+def _check_dropout(dropout: float):
+    if not 0.0 <= dropout < 1.0:
+        raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
 
 
 class MLPNetwork:
@@ -44,8 +49,7 @@ class MLPNetwork:
         classification: bool,
         rng: np.random.Generator,
     ):
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {dropout}")
+        _check_dropout(dropout)
         self.dropout = dropout
         self.classification = classification
         dims = [d_in, *[int(w) for w in d_layers], d_out]
@@ -126,6 +130,9 @@ class MLPMethod(Method):
     """Reference neural baseline over the encoded feature matrix."""
 
     is_deep = True
+
+    def _check_config(self):
+        _check_dropout(float(self.config.model.get("dropout", DEFAULT_DROPOUT)))
 
     def _fit(self, x_train, y_train, x_val, y_val):
         model_cfg = self.config.model

@@ -1,9 +1,42 @@
 """Tree-based methods: CART, random forest, and gradient-boosted trees.
 
-One array-based tree builder serves all three: greedy binary splits on
-midpoint thresholds, Gini impurity for classification and squared error for
-regression, ties broken toward the lowest feature index then the lowest
-threshold.
+All three fit greedy binary trees: splits on midpoint thresholds, Gini
+impurity for classification and squared error for regression, ties broken
+toward the lowest feature index then the lowest threshold.
+
+One exact engine, :class:`_Grower`, grows a set of independent trees together:
+CART's single tree, a forest's trees, or one boosting stage's per-class trees.
+
+* Presort once. Each tree owns a ``(features + 1, sample size)`` buffer of row
+  ids. Row ``j`` of it holds the tree's sample sorted by feature ``j`` (a
+  stable sort, so tied values keep sample order); the last row holds the
+  sample in sample order. Boosting sorts once per fit and reuses that order in
+  every stage.
+* Partition in place. A node owns the slice ``[lo, hi)`` of its tree's buffer.
+  A split stably moves the rows that go left to the front of the slice in
+  every buffer row, so each child's slice is again sorted per feature, with no
+  copy and no new sort.
+* Lock-step growth. Each step takes pending nodes from every tree still
+  growing, and their split gains come from a few vectorized kernel calls over
+  nodes of similar size, padded at the end; one call's block never exceeds
+  the fit's root block (sample size x features). A forest that samples
+  features takes, per tree, its next node in preorder that draws a feature
+  subset, plus the leaves pushed after it, which draw none. Its growth is not
+  depth-wise: each tree's generator yields the subsets in depth-first
+  preorder, so visiting nodes in another order would draw other subsets and
+  fit other trees. Trees that draw nothing (CART, boosting, a forest using
+  every feature) take all their pending nodes, a level per step. Nodes are
+  numbered in preorder once the trees are grown.
+* Feature subsets are drawn ahead in bulk: ``_feature_subsets`` replays
+  ``Generator.choice(d, k, replace=False)`` call for call.
+* Classification gains accumulate squared per-class prefix counts one class at
+  a time, with no (rows, features, classes) block; the counts are integers, so
+  the sums are exact.
+
+Every floating-point operation that decides a split or a leaf value is the one
+a per-node sort-and-scan performs, in the same order, so the fitted arrays do
+not depend on how nodes are batched. Boosting updates its training scores
+from the leaf each row reached while growing, where prediction sends it too.
 """
 
 from __future__ import annotations
@@ -12,72 +45,30 @@ import math
 
 import numpy as np
 
-from ..data import TaskType
+from ..errors import ConfigError
 from .base import Method, Prediction
 from .classical import _softmax
 
-
-def _split_gains(x_sorted, y_sorted, classification, n_classes):
-    """Gain of every (position, feature) split of the sorted node data."""
-    n, f = x_sorted.shape
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
-    if classification:
-        # y_sorted differs per feature ordering; build per-feature cumulative
-        # class counts from the per-feature sorted labels
-        counts = np.zeros((n, f, n_classes))
-        cols = np.arange(f)
-        counts[np.arange(n)[:, None], cols, y_sorted.astype(np.int64)] = 1.0
-        left = np.cumsum(counts, axis=0)[:-1]
-        total = left[-1] + counts[-1]
-        right = total - left
-        child = (
-            n_left - (left ** 2).sum(axis=2) / n_left
-            + n_right - (right ** 2).sum(axis=2) / n_right
-        )
-        parent = n - float((total[0] ** 2).sum()) / n
-    else:
-        csum = np.cumsum(y_sorted, axis=0)[:-1]
-        csum2 = np.cumsum(y_sorted ** 2, axis=0)[:-1]
-        total = csum[-1] + y_sorted[-1]
-        total2 = csum2[-1] + y_sorted[-1] ** 2
-        child = (
-            csum2 - csum ** 2 / n_left
-            + (total2 - csum2) - (total - csum) ** 2 / n_right
-        )
-        parent = float(total2[0]) - float(total[0]) ** 2 / n
-    return parent - child
+# a split must gain more than this; smaller gains are rounding noise
+_MIN_GAIN = 1e-12
 
 
 class _Tree:
     """Flat-array decision tree; feature[i] == -1 marks a leaf."""
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[np.ndarray] = []
-
-    def _add_node(self, value) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.feature) - 1
+    def __init__(self, feature, threshold, left, right, value):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.value = value
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def finalize(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.stack(self.value)
-        return self
+    def state(self) -> tuple:
+        return (self.feature, self.threshold, self.left, self.right, self.value)
 
     def predict_values(self, x: np.ndarray) -> np.ndarray:
         node = np.zeros(x.shape[0], dtype=np.int64)
@@ -92,11 +83,408 @@ class _Tree:
         return self.value[node]
 
 
-def _leaf_value(y, classification, n_classes):
-    if classification:
-        counts = np.bincount(y.astype(np.int64), minlength=n_classes)
-        return counts / counts.sum()
-    return np.array([y.mean()])
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` over the (start, length) pairs."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _presort(xt: np.ndarray, sample: np.ndarray) -> np.ndarray:
+    """A tree's ``(features + 1, len(sample))`` row buffer: the sample sorted
+    stably by each feature of ``xt`` (features x rows), then in sample order."""
+    order = np.argsort(xt[:, sample], axis=1, kind="stable")
+    ids = np.int32 if xt.shape[1] <= np.iinfo(np.int32).max else np.intp
+    return np.vstack([sample[order], sample]).astype(ids)
+
+
+def _feature_subsets(rng, d: int, k: int, count: int) -> np.ndarray:
+    """The next ``count`` draws of ``rng.choice(d, size=k, replace=False)``,
+    each sorted, leaving ``rng`` where those calls would leave it."""
+    if d > 10000 and k > d // 50:
+        # here choice partially shuffles all d indices instead
+        return np.sort([rng.choice(d, size=k, replace=False)
+                        for _ in range(count)], axis=1)
+    # choice's Floyd sampler draws one bounded integer per pick (bounds
+    # d - k .. d - 1), then shuffles the k picks (bounds k - 1 .. 1);
+    # integers() with those bounds consumes the generator identically
+    bounds = np.concatenate([np.arange(d - k, d), np.arange(k - 1, 0, -1)])
+    draws = rng.integers(0, np.tile(bounds, count), endpoint=True)
+    draws = draws.reshape(count, 2 * k - 1)
+    chosen = np.zeros((count, d), dtype=bool)
+    rows = np.arange(count)
+    for col, top in enumerate(range(d - k, d)):
+        pick = draws[:, col]
+        # Floyd: a pick already taken is replaced by the bound itself
+        pick = np.where(chosen[rows, pick], top, pick)
+        chosen[rows, pick] = True
+    return np.nonzero(chosen)[1].reshape(count, k)
+
+
+def _subset_stream(rng, d: int, k: int):
+    """``_feature_subsets`` one at a time, drawn ahead in doubling batches;
+    draws never taken only advance ``rng``, which nothing reads afterwards."""
+    count = 8
+    while True:
+        yield from _feature_subsets(rng, d, k, count)
+        count *= 2
+
+
+class _Grower:
+    """Grows one tree per buffer, all on the same training matrix.
+
+    ``xt`` is the training matrix transposed (features x rows); ``y`` holds
+    one target row shared by every tree or one row per tree; ``buffers`` is
+    (trees, features + 1, sample size) from :func:`_presort` and is
+    partitioned in place.
+    """
+
+    def __init__(self, xt, y, buffers, *, classification, n_classes, max_depth,
+                 min_leaf, max_features=None, rngs=None):
+        # n: rows in each tree's sample; n_rows: rows of the training matrix
+        n_trees, width, self.n = buffers.shape
+        self.d = width - 1
+        self.n_rows = xt.shape[1]
+        self.xt = np.ascontiguousarray(xt).ravel()
+        y = np.atleast_2d(y).astype(np.int32 if classification else np.float64)
+        self.y = np.ascontiguousarray(y).ravel()
+        self.y_offset = (np.arange(n_trees) if len(y) > 1
+                         else np.zeros(n_trees, dtype=np.intp)) * self.n_rows
+        self.buffers = buffers
+        self.flat = buffers.reshape(-1)
+        self.classification = classification
+        self.n_classes = n_classes
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.sample_features = max_features is not None and max_features < self.d
+        self.k = max_features if self.sample_features else self.d
+        if self.sample_features:
+            self._subsets = [_subset_stream(rng, self.d, self.k) for rng in rngs]
+        # no kernel call pads more (nodes x features x positions) than this
+        self.block = self.n * self.d
+        # node records in the order grown: tree, lo, size, depth, parent record
+        # (-1 for a root), side (0 left, 1 right), split feature (-1 for a
+        # leaf); then threshold and value
+        cap = 16 * n_trees
+        self._nodes = np.empty((cap, 7), dtype=np.int32)
+        self._threshold = np.empty(cap)
+        self._value = np.empty((cap, n_classes if classification else 1))
+
+    # ---- growth -----------------------------------------------------------
+    def grow(self) -> list[_Tree]:
+        n_trees = len(self.buffers)
+        # pending nodes in push order, one row each, in the first six record
+        # columns
+        pending = np.zeros((n_trees, 6), dtype=np.intp)
+        pending[:, 0] = np.arange(n_trees)
+        pending[:, 2] = self.n
+        pending[:, 4] = -1
+        done = 0
+        while len(pending):
+            if self.sample_features:
+                # per tree, the next node in preorder that draws a feature
+                # subset, and the leaves pushed after it, which draw none
+                tree, size, depth = pending[:, 0], pending[:, 2], pending[:, 3]
+                draws = np.flatnonzero(
+                    (depth < self.max_depth) & (size >= 2 * self.min_leaf))
+                last_draw = np.full(n_trees, -1)
+                np.maximum.at(last_draw, tree[draws], draws)
+                now = np.arange(len(pending)) >= last_draw[tree]
+                step, pending = pending[now], pending[~now]
+            else:
+                # nothing is drawn, so order is free: a whole level per step
+                step, pending = pending, pending[:0]
+            t, lo, size, depth = step[:, :4].T
+            end = done + len(step)
+            self._reserve(end)
+            self._nodes[done:end, :6] = step
+            self._value[done:end] = self._values(t, lo, size)
+            feature, threshold = self._nodes[done:end, 6], self._threshold[done:end]
+            feature[:], threshold[:] = -1, 0.0
+            if self.d:
+                cand = np.flatnonzero(
+                    (depth < self.max_depth) & (size >= 2 * self.min_leaf))
+                f, thr, n_left, ok = self._best_splits(
+                    t[cand], lo[cand], size[cand])
+                s, n_left = cand[ok], n_left[ok]
+                feature[s], threshold[s] = f[ok], thr[ok]
+                self._partition(t[s], lo[s], size[s], n_left, f[ok], thr[ok],
+                                depth[s])
+                # right children, then left ones: each tree's left child is
+                # its last pushed, so preorder takes it next
+                kids = np.concatenate([step[s], step[s]])
+                kids[:len(s), 1] += n_left
+                kids[:len(s), 2] -= n_left
+                kids[len(s):, 2] = n_left
+                kids[:, 3] += 1
+                kids[:, 4] = np.tile(done + s, 2)
+                kids[:, 5] = np.repeat([1, 0], len(s))
+                pending = np.concatenate([pending, kids])
+            done = end
+        # only the rows in sample order outlive growth, for row_values
+        self._sample_rows = self.buffers[:, self.d].copy()
+        del self.buffers, self.flat
+        return self._assemble(done)
+
+    def _reserve(self, count: int):
+        """Grow the record arrays, doubling, to hold ``count`` nodes."""
+        if count <= len(self._nodes):
+            return
+        cap = max(count, 2 * len(self._nodes))
+        for name in ("_nodes", "_threshold", "_value"):
+            old = getattr(self, name)
+            new = np.empty((cap, *old.shape[1:]), dtype=old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
+
+    def _assemble(self, total: int) -> list[_Tree]:
+        """Number each tree's nodes in preorder and scatter the records into
+        tree-major arrays."""
+        tree, lo, size, depth, parent, side, feature = self._nodes[:total].T
+        threshold, value = self._threshold[:total], self._value[:total]
+        leaf = feature < 0
+        self._leaves = (tree[leaf], lo[leaf], size[leaf], value[leaf, 0])
+        count = np.bincount(tree, minlength=len(self._sample_rows))
+        start = np.cumsum(count) - count
+        by_depth = np.argsort(depth, kind="stable")
+        bounds = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2))
+        levels = [by_depth[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        # subtree sizes, deepest level first
+        subtree = np.ones(total, dtype=np.intp)
+        for at in levels[:0:-1]:
+            np.add.at(subtree, parent[at], subtree[at])
+        is_left = (parent >= 0) & (side == 0)
+        is_right = (parent >= 0) & (side == 1)
+        left_size = np.zeros(total, dtype=np.intp)
+        left_size[parent[is_left]] = subtree[is_left]
+        del subtree
+        # preorder: a left child follows its parent, a right child follows
+        # its parent's left subtree
+        pre = np.zeros(total, dtype=np.intp)
+        for at in levels[1:]:
+            up = parent[at]
+            pre[at] = pre[up] + 1 + side[at] * left_size[up]
+        del levels, by_depth, left_size
+        at = start[tree] + pre
+        feat = np.empty(total, dtype=np.int64)
+        feat[at] = feature
+        thr = np.empty(total)
+        thr[at] = threshold
+        val = np.empty_like(value)
+        val[at] = value
+        left = np.full(total, -1, dtype=np.int64)
+        left[at[parent[is_left]]] = pre[is_left]
+        right = np.full(total, -1, dtype=np.int64)
+        right[at[parent[is_right]]] = pre[is_right]
+        del self._nodes, self._threshold, self._value
+        return [
+            _Tree(feat[a:b], thr[a:b], left[a:b], right[a:b], val[a:b])
+            for a, b in zip(start.tolist(), (start + count).tolist())
+        ]
+
+    def row_values(self) -> np.ndarray:
+        """(trees, rows): the value of the leaf each training row reached.
+        Meant for trees grown on every row once (no bootstrap)."""
+        tree, lo, size, value = self._leaves
+        rows = np.take(self._sample_rows, _ranges(tree * self.n + lo, size))
+        out = np.empty((len(self._sample_rows), self.n_rows))
+        out[np.repeat(tree, size), rows] = np.repeat(value, size)
+        return out
+
+    # ---- per-step work ----------------------------------------------------
+    def _values(self, t, lo, size) -> np.ndarray:
+        """Leaf value of each node: class frequencies, or the mean target."""
+        rows = np.take(self.flat,
+                       _ranges((t * (self.d + 1) + self.d) * self.n + lo, size))
+        labels = np.take(self.y, np.repeat(self.y_offset[t], size) + rows)
+        if self.classification:
+            c = self.n_classes
+            seg = np.repeat(np.arange(len(t)), size)
+            counts = np.bincount(seg * c + labels, minlength=len(t) * c)
+            counts = counts.reshape(len(t), c)
+            return counts / counts.sum(axis=1, keepdims=True)
+        # one pairwise sum per node, over its rows in sample order, so each
+        # mean rounds as numpy's mean of that node's targets does
+        ends = np.cumsum(size).tolist()
+        sums = [np.add.reduce(labels[a:b]) for a, b in zip([0, *ends], ends)]
+        return (np.array(sums, dtype=np.float64) / size)[:, None]
+
+    def _best_splits(self, t, lo, size):
+        """Best split of each node: feature, threshold, left row count, and
+        whether the split is taken."""
+        m = len(t)
+        feature = np.empty(m, dtype=np.int64)
+        threshold = np.empty(m)
+        n_left = np.empty(m, dtype=np.intp)
+        ok = np.zeros(m, dtype=bool)
+        if not m:
+            return feature, threshold, n_left, ok
+        if self.sample_features:
+            feats = np.array([next(self._subsets[i]) for i in t.tolist()])
+        else:
+            feats = np.broadcast_to(np.arange(self.d), (m, self.d))
+        # nodes of similar size share a kernel call, largest first
+        order = np.argsort(-size, kind="stable")
+        sizes = size[order].tolist()
+        first = 0
+        while first < m:
+            width, stop, filled = sizes[first], first + 1, sizes[first]
+            # padding stays below the real work and the block below the cap
+            while (stop < m and (stop + 1 - first) * width * self.k <= self.block
+                   and (stop + 1 - first) * width < 2 * (filled + sizes[stop])):
+                filled += sizes[stop]
+                stop += 1
+            sel = order[first:stop]
+            (feature[sel], threshold[sel], n_left[sel],
+             ok[sel]) = self._kernel(t[sel], lo[sel], size[sel], feats[sel])
+            first = stop
+        return feature, threshold, n_left, ok
+
+    def _kernel(self, t, lo, size, feats):
+        m, span = len(t), int(size.max())
+        node, last = np.arange(m), size - 1
+        # padded slots repeat the node's last row: never a valid split
+        # position, never left of a threshold
+        slot = np.minimum(np.arange(span), last[:, None])
+        first = (t[:, None] * (self.d + 1) + feats) * self.n + lo[:, None]
+        rows = np.take(self.flat, first[:, :, None] + slot[:, None, :])
+        xs = np.take(self.xt, (feats * self.n_rows)[:, :, None] + rows)
+        valid = xs[:, :, :-1] < xs[:, :, 1:]
+        del xs
+        if self.min_leaf > 1:
+            at = np.arange(1, span)
+            valid &= ((at >= self.min_leaf)
+                      & (at <= size[:, None] - self.min_leaf))[:, None, :]
+        ys = np.take(self.y, self.y_offset[t][:, None, None] + rows)
+        del rows
+        n_left = np.arange(1, span, dtype=np.float64)
+        # clipped past a node's end, where no position is valid anyway
+        n_right = np.maximum(size[:, None] - n_left, 1.0)[:, None, :]
+        gains = (self._gini_gains if self.classification
+                 else self._variance_gains)(ys, node, last, n_left, n_right)
+        del ys
+        np.copyto(gains, -np.inf, where=np.logical_not(valid, out=valid))
+        del valid
+        # feature-major argmax: ties resolve to the lowest feature index,
+        # then the lowest threshold
+        flat = gains.reshape(m, -1)
+        best = flat.argmax(axis=1)
+        gain = flat[node, best]
+        f_local, pos = np.divmod(best, span - 1)
+        # the chosen feature's sorted values again, one row per node
+        chosen = first[node, f_local]
+        xs = np.take(self.xt, (feats[node, f_local] * self.n_rows)[:, None]
+                     + np.take(self.flat, chosen[:, None] + slot))
+        threshold = (xs[node, pos] + xs[node, pos + 1]) / 2.0
+        # a midpoint can round onto a boundary value and leave a side empty
+        n_left_rows = (xs < threshold[:, None]).sum(axis=1)
+        ok = ~(gain <= _MIN_GAIN) & (n_left_rows > 0) & (n_left_rows < size)
+        return feats[node, f_local], threshold, n_left_rows, ok
+
+    @staticmethod
+    def _variance_gains(ys, node, last, n_left, n_right):
+        csum = np.cumsum(ys, axis=2)
+        csum2 = np.cumsum(np.square(ys, out=ys), axis=2)
+        total, total2 = csum[node, :, last], csum2[node, :, last]
+        # the node's own impurity, from the first feature's order
+        parent = np.array([
+            s2 - s ** 2 / (n + 1) for s, s2, n in
+            zip(total[:, 0].tolist(), total2[:, 0].tolist(), last.tolist())
+        ])
+        total, total2 = total[:, :, None], total2[:, :, None]
+        left, left2 = csum[:, :, :-1], csum2[:, :, :-1]
+        # left2 - left**2 / n_left + (total2 - left2) - (total - left)**2 / n_right
+        child = np.square(left)
+        child /= n_left
+        np.subtract(left2, child, out=child)
+        child += total2 - left2
+        right = np.subtract(total, left)
+        np.square(right, out=right)
+        right /= n_right
+        child -= right
+        return np.subtract(parent[:, None, None], child, out=child)
+
+    def _gini_gains(self, ys, node, last, n_left, n_right):
+        # squared class counts are integers: their float sums are exact
+        left_sq = np.zeros(ys.shape[:2] + (ys.shape[2] - 1,))
+        right_sq = np.zeros_like(left_sq)
+        scratch = np.empty_like(left_sq)
+        counts = np.empty(ys.shape, dtype=np.int32)
+        parent_sq = np.zeros(len(node))
+        for c in range(self.n_classes):
+            np.cumsum(ys == c, axis=2, out=counts)
+            total = counts[node, :, last]
+            left = counts[:, :, :-1]
+            left_sq += np.square(left, out=scratch)
+            np.subtract(total[:, :, None], left, out=scratch)
+            right_sq += np.square(scratch, out=scratch)
+            parent_sq += np.square(total[:, 0], dtype=np.float64)
+        del counts, scratch
+        # n_left - left_sq / n_left + n_right - right_sq / n_right
+        left_sq /= n_left
+        child = np.subtract(n_left, left_sq, out=left_sq)
+        child += n_right
+        right_sq /= n_right
+        child -= right_sq
+        size = last + 1
+        parent = size - parent_sq / size
+        return np.subtract(parent[:, None, None], child, out=child)
+
+    def _partition(self, t, lo, size, n_left, feature, threshold, depth):
+        """Stably move each split node's left rows to the front of its slice.
+        The sorted rows are kept only for children that may split again; the
+        sample-order row always is.
+
+        A level-wise step splits few, large nodes: each node's block is
+        compressed in place, in a few passes. A forest's preorder step splits
+        up to one small node per tree: their slices go through together as
+        ragged segments, which costs more passes but far fewer calls."""
+        d, n = self.d, self.n
+        may_split = ((depth + 1 < self.max_depth)
+                     & (np.maximum(n_left, size - n_left) >= 2 * self.min_leaf))
+        if not self.sample_features:
+            xt = self.xt.reshape(d, self.n_rows)
+            for i in range(len(t)):
+                block = self.buffers[t[i], 0 if may_split[i] else d:,
+                                     lo[i]:lo[i] + size[i]]
+                goes_left = xt[feature[i], block] < threshold[i]
+                block[:] = np.concatenate(
+                    [block[goes_left].reshape(len(block), -1),
+                     block[~goes_left].reshape(len(block), -1)], axis=1)
+            return
+        n_seg = np.where(may_split, d + 1, 1)
+        node = np.repeat(np.arange(len(t)), n_seg)
+        row = (np.arange(len(node)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
+               + np.repeat(np.where(may_split, 0, d), n_seg))
+        seg_start = (t[node] * (d + 1) + row) * n + lo[node]
+        # at most about one root block of rows per pass
+        work = np.cumsum(size[node])
+        cuts = np.flatnonzero(np.diff((work - size[node]) // self.block)) + 1
+        for seg in np.split(np.arange(len(node)), cuts):
+            start, length = seg_start[seg], size[node[seg]]
+            n_l = n_left[node[seg]]
+            rows = np.take(self.flat, _ranges(start, length))
+            at = np.repeat(feature[node[seg]] * self.n_rows, length) + rows
+            goes_left = (np.take(self.xt, at)
+                         < np.repeat(threshold[node[seg]], length))
+            self.flat[_ranges(start, n_l)] = rows[goes_left]
+            self.flat[_ranges(start + n_l, length - n_l)] = rows[~goes_left]
+
+
+def _forest_buffers(xt, rngs, bootstrap: bool) -> np.ndarray:
+    """One row buffer per tree: a bootstrap sample drawn from the tree's
+    generator, or every row."""
+    n = xt.shape[1]
+    if bootstrap:
+        return np.stack([_presort(xt, rng.integers(0, n, size=n)) for rng in rngs])
+    return np.repeat(_presort(xt, np.arange(n))[None], len(rngs), axis=0)
+
+
+def _positive_int(cfg: dict, key: str, default: int) -> int:
+    value = int(cfg.get(key, default))
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
+    return value
 
 
 def _build_tree(
@@ -110,69 +498,36 @@ def _build_tree(
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> _Tree:
+    """Grow one tree on every row of ``x``."""
     if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
     if min_leaf < 1:
-        raise ValueError(f"min_samples_leaf must be >= 1, got {min_leaf}")
-    tree = _Tree()
-    d = x.shape[1]
-
-    def grow(rows: np.ndarray, depth: int) -> int:
-        node = tree._add_node(_leaf_value(y[rows], classification, n_classes))
-        n = len(rows)
-        if depth >= max_depth or n < 2 * min_leaf or d == 0:
-            return node
-        if max_features is not None and max_features < d:
-            feats = np.sort(rng.choice(d, size=max_features, replace=False))
-        else:
-            feats = np.arange(d)
-        xs = x[np.ix_(rows, feats)]
-        order = np.argsort(xs, axis=0, kind="stable")
-        x_sorted = np.take_along_axis(xs, order, axis=0)
-        y_sorted = y[rows][order]
-        gains = _split_gains(x_sorted, y_sorted, classification, n_classes)
-        positions = np.arange(1, n)[:, None]
-        valid = (
-            (x_sorted[:-1] < x_sorted[1:])
-            & (positions >= min_leaf)
-            & (n - positions >= min_leaf)
-        )
-        gains = np.where(valid, gains, -np.inf)
-        # feature-major argmax: ties resolve to the lowest feature index,
-        # then the lowest threshold
-        flat = np.ascontiguousarray(gains.T).ravel()
-        best = int(np.argmax(flat))
-        if flat[best] <= 1e-12:
-            return node
-        f_local, pos = divmod(best, n - 1)
-        feature = int(feats[f_local])
-        threshold = float(
-            (x_sorted[pos, f_local] + x_sorted[pos + 1, f_local]) / 2.0
-        )
-        left_mask = x[rows, feature] < threshold
-        if not left_mask.any() or left_mask.all():
-            return node  # midpoint rounded onto a boundary value
-        tree.feature[node] = feature
-        tree.threshold[node] = threshold
-        tree.left[node] = grow(rows[left_mask], depth + 1)
-        tree.right[node] = grow(rows[~left_mask], depth + 1)
-        return node
-
-    grow(np.arange(x.shape[0]), 0)
-    return tree.finalize()
+        raise ConfigError(f"min_samples_leaf must be >= 1, got {min_leaf}")
+    xt = np.ascontiguousarray(x.T)
+    return _Grower(
+        xt, y, _presort(xt, np.arange(x.shape[0]))[None],
+        classification=classification, n_classes=n_classes,
+        max_depth=max_depth, min_leaf=min_leaf, max_features=max_features,
+        rngs=[rng],
+    ).grow()[0]
 
 
 class CARTMethod(Method):
     """Single greedy decision tree."""
 
+    def _check_config(self):
+        cfg = self.config.model
+        self._max_depth = _positive_int(cfg, "max_depth", 16)
+        self._min_leaf = _positive_int(cfg, "min_samples_leaf", 1)
+
     def _fit(self, x_train, y_train, x_val, y_val):
         self._tree = _build_tree(
             x_train,
-            y_train.astype(np.float64) if self.is_regression else y_train,
+            y_train,
             classification=not self.is_regression,
             n_classes=self.class_count,
-            max_depth=int(self.config.model.get("max_depth", 16)),
-            min_leaf=int(self.config.model.get("min_samples_leaf", 1)),
+            max_depth=self._max_depth,
+            min_leaf=self._min_leaf,
         )
 
     def _predict(self, x) -> Prediction:
@@ -182,8 +537,7 @@ class CARTMethod(Method):
         return self._classify(values)
 
     def _state(self):
-        t = self._tree
-        return (t.feature, t.threshold, t.left, t.right, t.value)
+        return self._tree.state()
 
     def model_size(self) -> int:
         return self._tree.n_nodes
@@ -192,11 +546,16 @@ class CARTMethod(Method):
 class RandomForestMethod(Method):
     """Bagged trees with per-split feature subsampling; vote-fraction probs."""
 
+    def _check_config(self):
+        cfg = self.config.model
+        self._n_trees = _positive_int(cfg, "n_trees", 100)
+        self._max_depth = _positive_int(cfg, "max_depth", 16)
+        self._min_leaf = _positive_int(cfg, "min_samples_leaf", 1)
+        if cfg.get("max_features") is not None:
+            _positive_int(cfg, "max_features", 1)
+
     def _fit(self, x_train, y_train, x_val, y_val):
         cfg = self.config.model
-        n_trees = int(cfg.get("n_trees", 100))
-        if n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         d = x_train.shape[1]
         max_features = cfg.get("max_features")
         if max_features is None:
@@ -206,24 +565,15 @@ class RandomForestMethod(Method):
                 else max(1, math.ceil(math.sqrt(d)))
             )
         bootstrap = bool(cfg.get("bootstrap", True))
-        y = y_train.astype(np.float64) if self.is_regression else y_train
-        n = len(y_train)
-        self._trees = []
-        for t in range(n_trees):
-            rng = np.random.default_rng([self.config.seed, t])
-            rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-            self._trees.append(
-                _build_tree(
-                    x_train[rows],
-                    y[rows],
-                    classification=not self.is_regression,
-                    n_classes=self.class_count,
-                    max_depth=int(cfg.get("max_depth", 16)),
-                    min_leaf=int(cfg.get("min_samples_leaf", 1)),
-                    max_features=int(max_features),
-                    rng=rng,
-                )
-            )
+        xt = np.ascontiguousarray(x_train.T)
+        rngs = [np.random.default_rng([self.config.seed, t])
+                for t in range(self._n_trees)]
+        self._trees = _Grower(
+            xt, y_train, _forest_buffers(xt, rngs, bootstrap),
+            classification=not self.is_regression,
+            n_classes=self.class_count, max_depth=self._max_depth,
+            min_leaf=self._min_leaf, max_features=int(max_features), rngs=rngs,
+        ).grow()
 
     def _predict(self, x) -> Prediction:
         if self.is_regression:
@@ -238,9 +588,7 @@ class RandomForestMethod(Method):
         return self._classify(votes / len(self._trees))
 
     def _state(self):
-        return tuple(
-            (t.feature, t.threshold, t.left, t.right, t.value) for t in self._trees
-        )
+        return tuple(t.state() for t in self._trees)
 
     def model_size(self) -> int:
         return sum(tree.n_nodes for tree in self._trees)
@@ -250,47 +598,50 @@ class GBDTMethod(Method):
     """Stagewise regression trees on loss gradients with shrinkage.
 
     Regression boosts mean squared error from the training mean; classification
-    boosts per-class softmax cross-entropy from the log class priors.
+    boosts per-class softmax cross-entropy from the log class priors. A stage's
+    per-class trees are independent (the stage's probabilities are fixed), so
+    they grow together, and the training scores are updated from the leaf
+    each row reached while growing.
     """
 
-    def _fit(self, x_train, y_train, x_val, y_val):
+    def _check_config(self):
         cfg = self.config.model
-        self._n_trees = int(cfg.get("n_trees", 100))
+        self._n_trees = _positive_int(cfg, "n_trees", 100)
+        self._max_depth = _positive_int(cfg, "max_depth", 3)
+        self._min_leaf = _positive_int(cfg, "min_samples_leaf", 1)
         self._lr = float(cfg.get("learning_rate", 0.1))
-        max_depth = int(cfg.get("max_depth", 3))
-        if self._n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self._n_trees}")
-        min_leaf = int(cfg.get("min_samples_leaf", 1))
 
-        def fit_stage_tree(residual):
-            return _build_tree(
-                x_train, residual,
+    def _fit(self, x_train, y_train, x_val, y_val):
+        n = len(y_train)
+        xt = np.ascontiguousarray(x_train.T)
+        order = _presort(xt, np.arange(n))
+
+        def grow_stage(residuals):
+            grower = _Grower(
+                xt, residuals, np.repeat(order[None], len(residuals), axis=0),
                 classification=False, n_classes=0,
-                max_depth=max_depth, min_leaf=min_leaf,
+                max_depth=self._max_depth, min_leaf=self._min_leaf,
             )
+            return grower.grow(), grower.row_values()
 
+        self._trees = []
         if self.is_regression:
             self._init = np.array([float(y_train.mean())])
-            scores = np.full(len(y_train), self._init[0])
-            self._trees = []
+            scores = np.full(n, self._init[0])
             for _ in range(self._n_trees):
-                tree = fit_stage_tree(y_train - scores)
-                self._trees.append([tree])
-                scores += self._lr * tree.predict_values(x_train)[:, 0]
+                stage, values = grow_stage((y_train - scores)[None])
+                self._trees.append(stage)
+                scores += self._lr * values[0]
         else:
-            priors = np.bincount(y_train, minlength=self.class_count) / len(y_train)
+            priors = np.bincount(y_train, minlength=self.class_count) / n
             self._init = np.log(np.clip(priors, 1e-15, None))
-            onehot = np.zeros((len(y_train), self.class_count))
-            onehot[np.arange(len(y_train)), y_train] = 1.0
-            scores = np.tile(self._init, (len(y_train), 1))
-            self._trees = []
+            onehot = np.zeros((n, self.class_count))
+            onehot[np.arange(n), y_train] = 1.0
+            scores = np.tile(self._init, (n, 1))
             for _ in range(self._n_trees):
-                probs = _softmax(scores)
-                stage = []
+                stage, values = grow_stage((onehot - _softmax(scores)).T)
                 for c in range(self.class_count):
-                    tree = fit_stage_tree(onehot[:, c] - probs[:, c])
-                    stage.append(tree)
-                    scores[:, c] += self._lr * tree.predict_values(x_train)[:, 0]
+                    scores[:, c] += self._lr * values[c]
                 self._trees.append(stage)
 
     def _raw_scores(self, x) -> np.ndarray:
@@ -308,10 +659,7 @@ class GBDTMethod(Method):
         return self._classify(_softmax(scores))
 
     def _state(self):
-        trees = tuple(
-            tuple((t.feature, t.threshold, t.left, t.right, t.value) for t in stage)
-            for stage in self._trees
-        )
+        trees = tuple(tuple(t.state() for t in stage) for stage in self._trees)
         return (self._init, self._lr, trees)
 
     def model_size(self) -> int:

@@ -88,6 +88,14 @@ class TestRunSeeds:
         _, n_failed = summarize_records(records)
         assert n_failed == 1
 
+    def test_bad_hyperparameter_is_recorded_per_seed(self):
+        dataset, info = make_classification(seed=5)
+        records = run_seeds("random_forest", dataset, info, seed_num=2,
+                            model={"n_trees": 0})
+        assert [r.seed for r in records] == [0, 1]
+        assert all(not r.ok for r in records)
+        assert all("n_trees must be >= 1" in r.error for r in records)
+
     def test_rejects_zero_seeds(self):
         dataset, info = make_classification(seed=4)
         with pytest.raises(ValueError):

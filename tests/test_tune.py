@@ -211,6 +211,17 @@ class TestTuning:
         assert len(err.value.trials) == 3
         assert all(t.error for t in err.value.trials)
 
+    def test_out_of_range_trials_are_recorded(self):
+        dataset, info = make_classification(seed=8)
+        n_train = dataset.part_size("train")
+        space = parse_space({"knn": {"model": {
+            "n_neighbors": ["int", n_train + 1, n_train + 50]}}})
+        result = tune_hyper_parameters("knn", space, dataset, info, n_trials=4)
+        assert result.trial == 0
+        failed = [t for t in result.trials if t.trial > 0]
+        assert len(failed) == 3
+        assert all("exceeds" in t.error and t.score is None for t in failed)
+
     def test_requires_validation_rows(self):
         dataset, info = make_classification(seed=6, val_fraction=0.0)
         with pytest.raises(ValueError):
