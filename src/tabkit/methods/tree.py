@@ -7,26 +7,31 @@ toward the lowest feature index then the lowest threshold.
 One exact engine, :class:`_Grower`, grows a set of independent trees together:
 CART's single tree, a forest's trees, or one boosting stage's per-class trees.
 
-* Presort once. Each tree owns a ``(features + 1, sample size)`` buffer of row
-  ids. Row ``j`` of it holds the tree's sample sorted by feature ``j`` (a
-  stable sort, so tied values keep sample order); the last row holds the
-  sample in sample order. Boosting sorts once per fit and reuses that order in
-  every stage.
-* Partition in place. A node owns the slice ``[lo, hi)`` of its tree's buffer.
-  A split stably moves the rows that go left to the front of the slice in
-  every buffer row, so each child's slice is again sorted per feature, with no
-  copy and no new sort.
-* Lock-step growth. Each step takes pending nodes from every tree still
-  growing, and their split gains come from a few vectorized kernel calls over
-  nodes of similar size, padded at the end; one call's block never exceeds
-  the fit's root block (sample size x features). A forest that samples
-  features takes, per tree, its next node in preorder that draws a feature
-  subset, plus the leaves pushed after it, which draw none. Its growth is not
-  depth-wise: each tree's generator yields the subsets in depth-first
-  preorder, so visiting nodes in another order would draw other subsets and
-  fit other trees. Trees that draw nothing (CART, boosting, a forest using
-  every feature) take all their pending nodes, a level per step. Nodes are
-  numbered in preorder once the trees are grown.
+* Rank once. A fit ranks each feature's values once (:func:`_ranks`); every
+  tree and every boosting stage shares those ranks.
+* Partition in place. Each tree owns one row of sample ids, in sample order,
+  and a node owns the slice ``[lo, hi)`` of it. A split stably moves the rows
+  that go left to the front of the slice, so both children keep sample order
+  with no copy.
+* Sort in batches. The kernel sorts every (node, feature) line of a batch by
+  the key rank x span + slot. The keys are unique, so numpy's fast unstable
+  sort yields the stable order: tied values keep sample order, as in a
+  per-node stable sort. A per-tree presorted buffer (features + 1 rows of
+  ids) would skip these sorts, but then a lock-step group of trees holds
+  trees x features x rows ids; with one row per tree a group's samples take
+  at most ``_GROUP_TABLES`` times the training matrix's bytes, so memory
+  follows the table, not the tree count.
+* Lock-step growth. Each step takes pending nodes from every tree of the
+  group still growing, and their split gains come from a few vectorized
+  kernel calls over nodes of similar size, padded at the end; one call never
+  covers more than the root's work (sample size x features drawn per node).
+  A forest that samples features takes, per tree, its next node in preorder
+  that draws a feature subset, plus the leaves pushed after it, which draw
+  none. Its growth is not depth-wise: each tree's generator yields the
+  subsets in depth-first preorder, so visiting nodes in another order would
+  draw other subsets and fit other trees. Trees that draw nothing (CART,
+  boosting, a forest using every feature) take all their pending nodes, a
+  level per step. Nodes are numbered in preorder once the trees are grown.
 * Feature subsets are drawn ahead in bulk: ``_feature_subsets`` replays
   ``Generator.choice(d, k, replace=False)`` call for call.
 * Classification gains accumulate squared per-class prefix counts one class at
@@ -51,6 +56,9 @@ from .classical import _softmax
 
 # a split must gain more than this; smaller gains are rounding noise
 _MIN_GAIN = 1e-12
+# the samples of trees grown in lock-step take at most this many times the
+# training matrix's bytes
+_GROUP_TABLES = 2
 
 
 class _Tree:
@@ -90,17 +98,14 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _presort(xt: np.ndarray, sample: np.ndarray) -> np.ndarray:
-    """A tree's ``(features + 1, len(sample))`` row buffer: the sample sorted
-    stably by each feature of ``xt`` (features x rows), then in sample order."""
-    order = np.argsort(xt[:, sample], axis=1, kind="stable")
-    ids = np.int32 if xt.shape[1] <= np.iinfo(np.int32).max else np.intp
-    return np.vstack([sample[order], sample]).astype(ids)
-
-
 def _feature_subsets(rng, d: int, k: int, count: int) -> np.ndarray:
     """The next ``count`` draws of ``rng.choice(d, size=k, replace=False)``,
-    each sorted, leaving ``rng`` where those calls would leave it."""
+    each sorted, leaving ``rng`` where those calls would leave it.
+
+    This replays choice's internals (its Floyd bounds, its bounded shuffle,
+    and where it switches to a full shuffle), checked draw for draw and for
+    the generator state on numpy 2.4.6; ``test_feature_subsets_replay_choice``
+    catches a numpy whose choice draws differently."""
     if d > 10000 and k > d // 50:
         # here choice partially shuffles all d indices instead
         return np.sort([rng.choice(d, size=k, replace=False)
@@ -130,28 +135,45 @@ def _subset_stream(rng, d: int, k: int):
         count *= 2
 
 
-class _Grower:
-    """Grows one tree per buffer, all on the same training matrix.
+def _ranks(xt: np.ndarray) -> np.ndarray:
+    """Each value's dense rank within its feature, for ``xt`` (features x
+    rows): equal values share a rank, and nan takes the top rank, ``rows``,
+    with the kernel's padding. The dtype holds every key rank x span + slot."""
+    d, n = xt.shape
+    ids = np.int32 if (n + 1) * n <= np.iinfo(np.int32).max else np.int64
+    ranks = np.empty((d, n), dtype=ids)
+    rises = np.zeros(n, dtype=bool)
+    for j in range(d):
+        order = np.argsort(xt[j])
+        ordered = xt[j, order]
+        np.greater(ordered[1:], ordered[:-1], out=rises[1:])
+        ranks[j, order] = np.cumsum(rises)
+    ranks[np.isnan(xt)] = n
+    return ranks
 
-    ``xt`` is the training matrix transposed (features x rows); ``y`` holds
-    one target row shared by every tree or one row per tree; ``buffers`` is
-    (trees, features + 1, sample size) from :func:`_presort` and is
-    partitioned in place.
+
+class _Grower:
+    """Grows one tree per sample, all on the same training matrix.
+
+    ``xt`` is the training matrix transposed (features x rows) and ``ranks``
+    its :func:`_ranks`; ``y`` holds one target row shared by every tree or
+    one row per tree; ``samples`` is (trees, sample size), each tree's row
+    ids in sample order, and is partitioned in place.
     """
 
-    def __init__(self, xt, y, buffers, *, classification, n_classes, max_depth,
-                 min_leaf, max_features=None, rngs=None):
+    def __init__(self, xt, ranks, y, samples, *, classification, n_classes,
+                 max_depth, min_leaf, max_features=None, rngs=None):
         # n: rows in each tree's sample; n_rows: rows of the training matrix
-        n_trees, width, self.n = buffers.shape
-        self.d = width - 1
-        self.n_rows = xt.shape[1]
+        n_trees, self.n = samples.shape
+        self.d, self.n_rows = xt.shape
         self.xt = np.ascontiguousarray(xt).ravel()
+        self.ranks = ranks.ravel()
         y = np.atleast_2d(y).astype(np.int32 if classification else np.float64)
         self.y = np.ascontiguousarray(y).ravel()
         self.y_offset = (np.arange(n_trees) if len(y) > 1
                          else np.zeros(n_trees, dtype=np.intp)) * self.n_rows
-        self.buffers = buffers
-        self.flat = buffers.reshape(-1)
+        self.samples = samples
+        self.flat = samples.reshape(-1)
         self.classification = classification
         self.n_classes = n_classes
         self.max_depth = max_depth
@@ -160,8 +182,9 @@ class _Grower:
         self.k = max_features if self.sample_features else self.d
         if self.sample_features:
             self._subsets = [_subset_stream(rng, self.d, self.k) for rng in rngs]
-        # no kernel call pads more (nodes x features x positions) than this
-        self.block = self.n * self.d
+        # no kernel call covers more (nodes x features x positions) than the
+        # root's work, and no other per-step pass more rows
+        self.block = self.n * max(self.k, 1)
         # node records in the order grown: tree, lo, size, depth, parent record
         # (-1 for a root), side (0 left, 1 right), split feature (-1 for a
         # leaf); then threshold and value
@@ -172,7 +195,7 @@ class _Grower:
 
     # ---- growth -----------------------------------------------------------
     def grow(self) -> list[_Tree]:
-        n_trees = len(self.buffers)
+        n_trees = len(self.samples)
         # pending nodes in push order, one row each, in the first six record
         # columns
         pending = np.zeros((n_trees, 6), dtype=np.intp)
@@ -208,8 +231,7 @@ class _Grower:
                     t[cand], lo[cand], size[cand])
                 s, n_left = cand[ok], n_left[ok]
                 feature[s], threshold[s] = f[ok], thr[ok]
-                self._partition(t[s], lo[s], size[s], n_left, f[ok], thr[ok],
-                                depth[s])
+                self._partition(t[s], lo[s], size[s], n_left, f[ok], thr[ok])
                 # right children, then left ones: each tree's left child is
                 # its last pushed, so preorder takes it next
                 kids = np.concatenate([step[s], step[s]])
@@ -221,9 +243,6 @@ class _Grower:
                 kids[:, 5] = np.repeat([1, 0], len(s))
                 pending = np.concatenate([pending, kids])
             done = end
-        # only the rows in sample order outlive growth, for row_values
-        self._sample_rows = self.buffers[:, self.d].copy()
-        del self.buffers, self.flat
         return self._assemble(done)
 
     def _reserve(self, count: int):
@@ -244,7 +263,7 @@ class _Grower:
         threshold, value = self._threshold[:total], self._value[:total]
         leaf = feature < 0
         self._leaves = (tree[leaf], lo[leaf], size[leaf], value[leaf, 0])
-        count = np.bincount(tree, minlength=len(self._sample_rows))
+        count = np.bincount(tree, minlength=len(self.samples))
         start = np.cumsum(count) - count
         by_depth = np.argsort(depth, kind="stable")
         bounds = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2))
@@ -286,28 +305,38 @@ class _Grower:
         """(trees, rows): the value of the leaf each training row reached.
         Meant for trees grown on every row once (no bootstrap)."""
         tree, lo, size, value = self._leaves
-        rows = np.take(self._sample_rows, _ranges(tree * self.n + lo, size))
-        out = np.empty((len(self._sample_rows), self.n_rows))
+        rows = np.take(self.flat, _ranges(tree * self.n + lo, size))
+        out = np.empty((len(self.samples), self.n_rows))
         out[np.repeat(tree, size), rows] = np.repeat(value, size)
         return out
 
     # ---- per-step work ----------------------------------------------------
+    def _batches(self, size) -> list[np.ndarray]:
+        """Runs of consecutive nodes holding about ``block`` rows."""
+        work = np.cumsum(size)
+        cuts = np.flatnonzero(np.diff((work - size) // self.block)) + 1
+        return np.split(np.arange(len(size)), cuts)
+
     def _values(self, t, lo, size) -> np.ndarray:
         """Leaf value of each node: class frequencies, or the mean target."""
-        rows = np.take(self.flat,
-                       _ranges((t * (self.d + 1) + self.d) * self.n + lo, size))
-        labels = np.take(self.y, np.repeat(self.y_offset[t], size) + rows)
-        if self.classification:
-            c = self.n_classes
-            seg = np.repeat(np.arange(len(t)), size)
-            counts = np.bincount(seg * c + labels, minlength=len(t) * c)
-            counts = counts.reshape(len(t), c)
-            return counts / counts.sum(axis=1, keepdims=True)
-        # one pairwise sum per node, over its rows in sample order, so each
-        # mean rounds as numpy's mean of that node's targets does
-        ends = np.cumsum(size).tolist()
-        sums = [np.add.reduce(labels[a:b]) for a, b in zip([0, *ends], ends)]
-        return (np.array(sums, dtype=np.float64) / size)[:, None]
+        out = np.empty((len(t), self.n_classes if self.classification else 1))
+        for at in self._batches(size):
+            rows = np.take(self.flat, _ranges(t[at] * self.n + lo[at], size[at]))
+            labels = np.take(self.y, np.repeat(self.y_offset[t[at]], size[at])
+                             + rows)
+            if self.classification:
+                c = self.n_classes
+                seg = np.repeat(np.arange(len(at)), size[at])
+                counts = np.bincount(seg * c + labels, minlength=len(at) * c)
+                counts = counts.reshape(len(at), c)
+                out[at] = counts / counts.sum(axis=1, keepdims=True)
+                continue
+            # one pairwise sum per node, over its rows in sample order, so
+            # each mean rounds as numpy's mean of that node's targets does
+            ends = np.cumsum(size[at]).tolist()
+            sums = [np.add.reduce(labels[a:b]) for a, b in zip([0, *ends], ends)]
+            out[at, 0] = np.array(sums, dtype=np.float64) / size[at]
+        return out
 
     def _best_splits(self, t, lo, size):
         """Best split of each node: feature, threshold, left row count, and
@@ -343,20 +372,33 @@ class _Grower:
     def _kernel(self, t, lo, size, feats):
         m, span = len(t), int(size.max())
         node, last = np.arange(m), size - 1
-        # padded slots repeat the node's last row: never a valid split
-        # position, never left of a threshold
-        slot = np.minimum(np.arange(span), last[:, None])
-        first = (t[:, None] * (self.d + 1) + feats) * self.n + lo[:, None]
-        rows = np.take(self.flat, first[:, :, None] + slot[:, None, :])
-        xs = np.take(self.xt, (feats * self.n_rows)[:, :, None] + rows)
-        valid = xs[:, :, :-1] < xs[:, :, 1:]
-        del xs
+        slot = np.arange(span)
+        # each node's rows in sample order; padded slots repeat its last row
+        pad = slot > last[:, None]
+        rows = np.take(self.flat, (t * self.n + lo)[:, None]
+                       + np.minimum(slot, last[:, None]))
+        # each (node, feature) line sorted by value rank, then by slot: ties
+        # keep sample order, and as the keys are unique any sort is stable;
+        # padded slots take the top rank, after every row
+        keys = np.take(self.ranks, (feats * self.n_rows)[:, :, None]
+                       + rows[:, None])
+        np.copyto(keys, self.n_rows, where=pad[:, None])
+        keys *= span
+        keys += slot.astype(keys.dtype)
+        keys.sort(axis=2)
+        rank, order = np.divmod(keys, span)
+        del keys
+        # no split falls between equal values, or next to a nan or padding
+        valid = rank[:, :, :-1] < rank[:, :, 1:]
+        valid &= rank[:, :, 1:] < self.n_rows
+        del rank
         if self.min_leaf > 1:
             at = np.arange(1, span)
             valid &= ((at >= self.min_leaf)
                       & (at <= size[:, None] - self.min_leaf))[:, None, :]
-        ys = np.take(self.y, self.y_offset[t][:, None, None] + rows)
-        del rows
+        ys = np.take(self.y, self.y_offset[t][:, None] + rows)
+        ys = np.take(ys, (node * span)[:, None, None] + order)
+        del order
         n_left = np.arange(1, span, dtype=np.float64)
         # clipped past a node's end, where no position is valid anyway
         n_right = np.maximum(size[:, None] - n_left, 1.0)[:, None, :]
@@ -371,20 +413,22 @@ class _Grower:
         best = flat.argmax(axis=1)
         gain = flat[node, best]
         f_local, pos = np.divmod(best, span - 1)
-        # the chosen feature's sorted values again, one row per node
-        chosen = first[node, f_local]
-        xs = np.take(self.xt, (feats[node, f_local] * self.n_rows)[:, None]
-                     + np.take(self.flat, chosen[:, None] + slot))
+        feature = feats[node, f_local]
+        # the chosen feature's values, sorted again, one row per node
+        xs = np.take(self.xt, (feature * self.n_rows)[:, None] + rows)
+        np.copyto(xs, np.nan, where=pad)
+        xs.sort(axis=1)
         threshold = (xs[node, pos] + xs[node, pos + 1]) / 2.0
         # a midpoint can round onto a boundary value and leave a side empty
         n_left_rows = (xs < threshold[:, None]).sum(axis=1)
         ok = ~(gain <= _MIN_GAIN) & (n_left_rows > 0) & (n_left_rows < size)
-        return feats[node, f_local], threshold, n_left_rows, ok
+        return feature, threshold, n_left_rows, ok
 
     @staticmethod
     def _variance_gains(ys, node, last, n_left, n_right):
         csum = np.cumsum(ys, axis=2)
-        csum2 = np.cumsum(np.square(ys, out=ys), axis=2)
+        # ys turns into the prefix sums of its squares
+        csum2 = np.cumsum(np.square(ys, out=ys), axis=2, out=ys)
         total, total2 = csum[node, :, last], csum2[node, :, last]
         # the node's own impurity, from the first feature's order
         parent = np.array([
@@ -397,8 +441,9 @@ class _Grower:
         child = np.square(left)
         child /= n_left
         np.subtract(left2, child, out=child)
-        child += total2 - left2
-        right = np.subtract(total, left)
+        right = np.subtract(total2, left2)
+        child += right
+        np.subtract(total, left, out=right)
         np.square(right, out=right)
         right /= n_right
         child -= right
@@ -430,54 +475,44 @@ class _Grower:
         parent = size - parent_sq / size
         return np.subtract(parent[:, None, None], child, out=child)
 
-    def _partition(self, t, lo, size, n_left, feature, threshold, depth):
-        """Stably move each split node's left rows to the front of its slice.
-        The sorted rows are kept only for children that may split again; the
-        sample-order row always is.
-
-        A level-wise step splits few, large nodes: each node's block is
-        compressed in place, in a few passes. A forest's preorder step splits
-        up to one small node per tree: their slices go through together as
-        ragged segments, which costs more passes but far fewer calls."""
-        d, n = self.d, self.n
-        may_split = ((depth + 1 < self.max_depth)
-                     & (np.maximum(n_left, size - n_left) >= 2 * self.min_leaf))
-        if not self.sample_features:
-            xt = self.xt.reshape(d, self.n_rows)
-            for i in range(len(t)):
-                block = self.buffers[t[i], 0 if may_split[i] else d:,
-                                     lo[i]:lo[i] + size[i]]
-                goes_left = xt[feature[i], block] < threshold[i]
-                block[:] = np.concatenate(
-                    [block[goes_left].reshape(len(block), -1),
-                     block[~goes_left].reshape(len(block), -1)], axis=1)
-            return
-        n_seg = np.where(may_split, d + 1, 1)
-        node = np.repeat(np.arange(len(t)), n_seg)
-        row = (np.arange(len(node)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
-               + np.repeat(np.where(may_split, 0, d), n_seg))
-        seg_start = (t[node] * (d + 1) + row) * n + lo[node]
-        # at most about one root block of rows per pass
-        work = np.cumsum(size[node])
-        cuts = np.flatnonzero(np.diff((work - size[node]) // self.block)) + 1
-        for seg in np.split(np.arange(len(node)), cuts):
-            start, length = seg_start[seg], size[node[seg]]
-            n_l = n_left[node[seg]]
+    def _partition(self, t, lo, size, n_left, feature, threshold):
+        """Stably move each split node's left rows to the front of its slice,
+        so both children keep their rows in sample order."""
+        for at in self._batches(size):
+            start, length, n_l = t[at] * self.n + lo[at], size[at], n_left[at]
             rows = np.take(self.flat, _ranges(start, length))
-            at = np.repeat(feature[node[seg]] * self.n_rows, length) + rows
-            goes_left = (np.take(self.xt, at)
-                         < np.repeat(threshold[node[seg]], length))
+            goes_left = (
+                np.take(self.xt, np.repeat(feature[at] * self.n_rows, length)
+                        + rows)
+                < np.repeat(threshold[at], length))
             self.flat[_ranges(start, n_l)] = rows[goes_left]
             self.flat[_ranges(start + n_l, length - n_l)] = rows[~goes_left]
 
 
-def _forest_buffers(xt, rngs, bootstrap: bool) -> np.ndarray:
-    """One row buffer per tree: a bootstrap sample drawn from the tree's
-    generator, or every row."""
-    n = xt.shape[1]
-    if bootstrap:
-        return np.stack([_presort(xt, rng.integers(0, n, size=n)) for rng in rngs])
-    return np.repeat(_presort(xt, np.arange(n))[None], len(rngs), axis=0)
+def _row_ids(n: int) -> np.dtype:
+    """The smallest dtype that holds the row ids of an ``n``-row table."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+def _groups(items, n: int, d: int) -> list:
+    """``items``, one per tree, in lock-step groups whose samples (``n`` row
+    ids per tree) take at most ``_GROUP_TABLES`` times the bytes of the
+    training matrix (``n`` x ``d`` floats), so a fit's memory follows the
+    table, not its tree count."""
+    size = max(1, _GROUP_TABLES * 8 * d // _row_ids(n).itemsize)
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _samples(n: int, count: int, rngs=None) -> np.ndarray:
+    """(count, n) row ids in sample order: a bootstrap sample drawn from each
+    of ``rngs``, or else every row."""
+    ids = _row_ids(n)
+    if rngs is None:
+        return np.tile(np.arange(n, dtype=ids), (count, 1))
+    out = np.empty((count, n), dtype=ids)
+    for row, rng in zip(out, rngs):
+        row[:] = rng.integers(0, n, size=n)
+    return out
 
 
 def _positive_int(cfg: dict, key: str, default: int) -> int:
@@ -505,7 +540,7 @@ def _build_tree(
         raise ConfigError(f"min_samples_leaf must be >= 1, got {min_leaf}")
     xt = np.ascontiguousarray(x.T)
     return _Grower(
-        xt, y, _presort(xt, np.arange(x.shape[0]))[None],
+        xt, _ranks(xt), y, _samples(x.shape[0], 1),
         classification=classification, n_classes=n_classes,
         max_depth=max_depth, min_leaf=min_leaf, max_features=max_features,
         rngs=[rng],
@@ -566,14 +601,19 @@ class RandomForestMethod(Method):
             )
         bootstrap = bool(cfg.get("bootstrap", True))
         xt = np.ascontiguousarray(x_train.T)
+        ranks = _ranks(xt)
         rngs = [np.random.default_rng([self.config.seed, t])
                 for t in range(self._n_trees)]
-        self._trees = _Grower(
-            xt, y_train, _forest_buffers(xt, rngs, bootstrap),
-            classification=not self.is_regression,
-            n_classes=self.class_count, max_depth=self._max_depth,
-            min_leaf=self._min_leaf, max_features=int(max_features), rngs=rngs,
-        ).grow()
+        self._trees = []
+        for group in _groups(rngs, *x_train.shape):
+            self._trees += _Grower(
+                xt, ranks, y_train,
+                _samples(len(y_train), len(group), group if bootstrap else None),
+                classification=not self.is_regression,
+                n_classes=self.class_count, max_depth=self._max_depth,
+                min_leaf=self._min_leaf, max_features=int(max_features),
+                rngs=group,
+            ).grow()
 
     def _predict(self, x) -> Prediction:
         if self.is_regression:
@@ -612,17 +652,21 @@ class GBDTMethod(Method):
         self._lr = float(cfg.get("learning_rate", 0.1))
 
     def _fit(self, x_train, y_train, x_val, y_val):
-        n = len(y_train)
+        n, d = x_train.shape
         xt = np.ascontiguousarray(x_train.T)
-        order = _presort(xt, np.arange(n))
+        ranks = _ranks(xt)
 
         def grow_stage(residuals):
-            grower = _Grower(
-                xt, residuals, np.repeat(order[None], len(residuals), axis=0),
-                classification=False, n_classes=0,
-                max_depth=self._max_depth, min_leaf=self._min_leaf,
-            )
-            return grower.grow(), grower.row_values()
+            trees, values = [], []
+            for group in _groups(residuals, n, d):
+                grower = _Grower(
+                    xt, ranks, group, _samples(n, len(group)),
+                    classification=False, n_classes=0,
+                    max_depth=self._max_depth, min_leaf=self._min_leaf,
+                )
+                trees += grower.grow()
+                values.append(grower.row_values())
+            return trees, np.concatenate(values)
 
         self._trees = []
         if self.is_regression:

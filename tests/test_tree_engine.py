@@ -1,8 +1,9 @@
-"""The presorted tree engine against the recursive reference grower.
+"""The batched tree engine against the recursive reference grower.
 
 Fitted state must be byte-identical to ``tree_oracle`` on tables with tied
-values, duplicate rows, constant columns, and every depth and leaf-size
-setting; memory must scale with the table, not with the class count.
+values, nan and infinite features, duplicate rows, constant columns, and every
+depth and leaf-size setting, and when trees grow in several lock-step groups;
+memory must scale with the table, not with the class or tree count.
 """
 
 import pickle
@@ -22,8 +23,8 @@ from tabkit.methods.tree import (
     CARTMethod,
     GBDTMethod,
     RandomForestMethod,
-    _build_tree,
     _feature_subsets,
+    _groups,
 )
 
 # few distinct values make ties; signed zeros compare equal; the extreme
@@ -34,6 +35,8 @@ VALUES = st.one_of(
     st.floats(-100.0, 100.0, allow_nan=False),
 )
 TARGETS = st.one_of(VALUES, st.sampled_from([1e200, -1e200]))
+# nan ranks after every value and no split falls next to it
+FEATURES = st.one_of(VALUES, st.sampled_from([np.nan, np.inf, -np.inf]))
 
 
 @st.composite
@@ -42,10 +45,10 @@ def problems(draw):
     n = draw(st.integers(1, 40))
     d = draw(st.integers(0, 4))
     distinct = draw(st.integers(1, n))  # fewer distinct rows than rows: duplicates
-    base = draw(hnp.arrays(np.float64, (distinct, d), elements=VALUES))
+    base = draw(hnp.arrays(np.float64, (distinct, d), elements=FEATURES))
     x = base[draw(hnp.arrays(np.int64, n, elements=st.integers(0, distinct - 1)))]
     if d and draw(st.booleans()):
-        x[:, draw(st.integers(0, d - 1))] = draw(VALUES)
+        x[:, draw(st.integers(0, d - 1))] = draw(FEATURES)
     task = draw(st.sampled_from(list(TaskType)))
     if task is TaskType.REGRESSION:
         n_classes = None
@@ -132,6 +135,34 @@ def test_deep_forest_matches_oracle():
     assert state == pickle.dumps(expected)
 
 
+@pytest.mark.parametrize("cls,task,n_classes,model", [
+    # 300 rows (2-byte ids) x 2 features: groups of 16 trees
+    (RandomForestMethod, TaskType.REGRESSION, None,
+     {"n_trees": 20, "max_features": 1}),
+    (RandomForestMethod, TaskType.MULTICLASS, 3,
+     {"n_trees": 20, "bootstrap": False, "max_features": 1}),
+    # 1 feature: a 10-class stage grows its trees in groups of 8 and 2
+    (GBDTMethod, TaskType.MULTICLASS, 10, {"n_trees": 2}),
+])
+def test_lockstep_groups_match_oracle(cls, task, n_classes, model):
+    rng = np.random.default_rng(3)
+    d = 1 if cls is GBDTMethod else 2
+    x = np.round(rng.normal(size=(300, d)), 1)
+    if task is TaskType.REGRESSION:
+        y = x.sum(axis=1) + rng.normal(size=300)
+    else:
+        y = rng.integers(0, n_classes, size=300)
+    count = n_classes if cls is GBDTMethod else model["n_trees"]
+    assert len(_groups(range(count), *x.shape)) == 2
+    args = oracle_args(task, n_classes)
+    if cls is GBDTMethod:
+        expected = tree_oracle.boosting_state(x, y, model=model, **args)
+    else:
+        expected = tree_oracle.forest_state(x, y, model=model, seed=5, **args)
+    state = fitted_state(cls, x, y, task, n_classes, model, seed=5)
+    assert state == pickle.dumps(expected)
+
+
 @pytest.mark.parametrize("d,k", [(7, 3), (40, 39), (10001, 200), (10001, 201)])
 def test_feature_subsets_replay_choice(d, k):
     # (10001, 201) is where choice stops using Floyd's sampler
@@ -142,17 +173,25 @@ def test_feature_subsets_replay_choice(d, k):
     assert ours.bit_generator.state == reference.bit_generator.state
 
 
-def test_wide_multiclass_fit_memory_is_bounded_by_the_table():
+@pytest.mark.parametrize("cls,model", [
+    (CARTMethod, {"max_depth": 4}),
+    # 200 trees grow in two lock-step groups
+    (RandomForestMethod, {"max_depth": 4, "n_trees": 200}),
+])
+def test_wide_multiclass_fit_memory_is_bounded_by_the_table(cls, model):
     # a per-node (rows, features, classes) count block would be 16x the
-    # table here; the per-node sort-and-scan peaked near 77x
+    # table here, and the per-node sort-and-scan peaked near 77x; a forest
+    # must not hold per-tree state beyond its lock-step group
     n, d, n_classes = 4000, 40, 16
     rng = np.random.default_rng(1)
     x = rng.normal(size=(n, d))
     y = rng.integers(0, n_classes, size=n)
+    info = DatasetInfo(task=TaskType.MULTICLASS, n_num_features=d,
+                       n_cat_features=0, class_count=n_classes, name="table")
+    method = cls(MethodConfig(model=model), info)
     tracemalloc.start()
     try:
-        _build_tree(x, y, classification=True, n_classes=n_classes,
-                    max_depth=4, min_leaf=1)
+        method._fit(x, y, x[:0], y[:0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,5 @@
 """Reference tree grower: the recursive, re-sorting-per-node growth that the
-presorted engine in ``tabkit.methods.tree`` replaced, plus the forest and
+batched engine in ``tabkit.methods.tree`` replaced, plus the forest and
 boosting loops around it.
 
 Each node re-sorts its rows per feature and evaluates every split with a dense
