@@ -63,3 +63,11 @@ class MetricError(TabkitError):
 
 class RankError(TabkitError):
     """The (method, dataset) result grid is incomplete."""
+
+
+def describe_failure(err: Exception) -> str:
+    """The error text kept for a failed seed or trial: a toolbox error's own
+    message, any other exception's prefixed with its type."""
+    if isinstance(err, TabkitError):
+        return str(err)
+    return f"{type(err).__name__}: {err}"

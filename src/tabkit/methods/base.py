@@ -32,6 +32,14 @@ class MethodConfig:
     seed: int = 0
 
 
+def validation_score(predicted, truth, classification: bool) -> float:
+    """Model-selection score, higher is better: the accuracy of predicted
+    labels, or the negated RMSE of predicted values."""
+    if classification:
+        return float(np.mean(predicted == truth))
+    return -float(np.sqrt(np.mean((predicted - truth) ** 2)))
+
+
 @dataclass(frozen=True)
 class Prediction:
     """Model output: class probabilities plus argmax labels, or real values."""

@@ -17,7 +17,14 @@ _GD_GRAD_TOL = 1e-6
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    top = logits.max(axis=1, keepdims=True)
+    shifted = logits - top
+    # an infinite row max turns inf - inf into nan; there the logits equal to
+    # the max share the mass (an all -inf row becomes uniform)
+    infinite = np.isinf(top[:, 0])
+    if infinite.any():
+        shifted[infinite] = np.where(logits[infinite] == top[infinite], 0.0,
+                                     shifted[infinite])
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
 
@@ -46,8 +53,85 @@ class DummyMethod(Method):
         return 1 if self.is_regression else self.class_count
 
 
+# knn screening (see KNNMethod): c in the rounding bound c (d + 2) u (|a|^2 +
+# |b|^2), four times the worst case, and the fewest query rows per block
+_SCREEN_C = 16
+_MIN_BLOCK_ROWS = 32
+
+
+def _nearest(x, train, k, block_rows):
+    """Indices of each query row's k nearest training rows, exactly as a
+    stable argsort of the full squared-distance matrix orders them."""
+    d = x.shape[1]
+    fi = np.finfo(np.result_type(x, train))
+    limit = fi.max / 8  # norms up to this keep every distance finite
+    norms = np.einsum("ij,ij->i", train, train)
+    wide = ~(norms <= limit)
+    norm_max = norms[~wide].max(initial=0.0)
+
+    def block_nearest(block):
+        query_norms = np.einsum("ij,ij->i", block, block)
+        # screen: squared distance less the row constant ||a||^2
+        approx = block @ train.T
+        approx *= -2.0
+        approx += norms
+        approx[:, wide] = np.inf
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        bound = (_SCREEN_C * (d + 2) * fi.eps / 2) * (query_norms + norm_max)
+        bound += (d + 2) * fi.tiny
+        candidate = approx <= (kth + 2.0 * bound)[:, None]
+        del approx  # free the block's larger arrays before rescoring
+        candidate[:, wide] = True
+        candidate[~(query_norms <= limit - norm_max)] = True
+        rows, cols = np.nonzero(candidate)
+        del candidate
+        # rescore: the exact sum, in column order
+        exact = np.zeros(len(rows))
+        for j in range(d):
+            exact += (block[rows, j] - train[cols, j]) ** 2
+        # select: nan sorts last, ties go to the lowest index
+        order = np.lexsort((cols, exact, rows))
+        first = np.zeros(len(block), dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=len(block))[:-1], out=first[1:])
+        return cols[order[first[:, None] + np.arange(k)]]
+
+    out = np.empty((x.shape[0], k), dtype=np.intp)
+    with np.errstate(all="ignore"):
+        for start in range(0, x.shape[0], block_rows):
+            block = x[start:start + block_rows]
+            out[start:start + len(block)] = block_nearest(block)
+    return out
+
+
 class KNNMethod(Method):
-    """k-nearest neighbors in the encoded feature space (euclidean)."""
+    """k-nearest neighbors in the encoded feature space (euclidean).
+
+    The neighbors are exact: a query's k training rows of least squared
+    distance, summed feature by feature in column order, with ties (and nan
+    distances, which come last) going to the lowest training index. Query
+    rows are taken in blocks of ``max(features, 32)`` rows, so each block's
+    (block × training rows) arrays stay within about the training matrix's
+    bytes. A block is handled in three steps:
+
+    - **Screen.** One matrix product gives ``‖b‖² − 2 a·b``, the squared
+      distance less the query's constant ``‖a‖²``. Plus ``‖a‖²``, it differs
+      from the exact sum by less than ``4 (d + 2) u (‖a‖² + ‖b‖²)`` plus
+      ``d + 2`` times the smallest normal float, for u the unit roundoff and
+      the product summed in any order. A query row's bound δ is four times the first term, with
+      the largest training norm for ``‖b‖²``, plus the second; the margin
+      covers the rounding of δ itself. The k-th smallest screened value plus
+      δ bounds the k-th exact distance from above. Every training row whose
+      screened value minus δ does not pass that point is a candidate.
+    - **Rescore.** Only candidate pairs get an exact distance, summed with
+      the same operations in the same order as a full distance matrix.
+    - **Select.** One lexsort by (row, distance, index) picks the first k.
+
+    The product only filters, so the result does not depend on the BLAS build
+    or its summation order. Rows whose norms could overflow a distance (±inf,
+    nan, values near 1e154 and beyond) cannot be screened: such query rows
+    take every training row as a candidate, and such training rows are a
+    candidate for every query.
+    """
 
     def _check_config(self):
         self._k = int(self.config.model.get("n_neighbors", 5))
@@ -63,13 +147,7 @@ class KNNMethod(Method):
         self._y = y_train
 
     def _neighbors(self, x) -> np.ndarray:
-        # accumulate squared distances one feature at a time: exact arithmetic
-        # (ties stay ties) without an (n_query, n_train, d) intermediate
-        d2 = np.zeros((x.shape[0], self._x.shape[0]))
-        for j in range(x.shape[1]):
-            d2 += (x[:, j][:, None] - self._x[:, j][None, :]) ** 2
-        order = np.argsort(d2, axis=1, kind="stable")
-        return order[:, : self._k]
+        return _nearest(x, self._x, self._k, max(x.shape[1], _MIN_BLOCK_ROWS))
 
     def _predict(self, x) -> Prediction:
         idx = self._neighbors(x)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..data import TaskType
 from ..errors import ConfigError, DivergenceError
-from .base import Method, Prediction
+from .base import Method, Prediction, validation_score
 from .classical import _softmax
 
 BETA1 = 0.9
@@ -202,7 +202,10 @@ class MLPMethod(Method):
                     net.biases[i] -= lr * (moment1_b[i] / correction1) / (
                         np.sqrt(moment2_b[i] / correction2) + ADAM_EPS
                     )
-            score = self._validation_score(net, score_x, score_y)
+            scores = net.logits(score_x)
+            score = validation_score(
+                scores[:, 0] * self._y_std + self._y_mean if self.is_regression
+                else np.argmax(scores, axis=1), score_y, not self.is_regression)
             if score > best_score:
                 best_score = score
                 best_params = (
@@ -219,13 +222,6 @@ class MLPMethod(Method):
         self._net = net
         # higher-is-better: accuracy, or negated RMSE for regression
         self.validation_score = best_score
-
-    def _validation_score(self, net: MLPNetwork, x, y) -> float:
-        scores = net.logits(x)
-        if self.is_regression:
-            predicted = scores[:, 0] * self._y_std + self._y_mean
-            return -float(np.sqrt(np.mean((predicted - y) ** 2)))
-        return float(np.mean(np.argmax(scores, axis=1) == y))
 
     def _predict(self, x) -> Prediction:
         scores = self._net.logits(x)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DatasetInfo
-from .errors import FitError, RankError
+from .errors import RankError, describe_failure
 from .methods import MethodConfig, get_method
 from .metrics import (
     CLASSIFICATION_METRICS,
@@ -69,7 +69,8 @@ def run_seeds(
 ) -> list[RunRecord]:
     """Fit and score the method once per seed 0..seed_num-1 on the test part.
 
-    A seed whose fit fails is recorded with its error and the run continues.
+    A seed that raises any exception is recorded with its error text, and
+    the run continues.
     """
     if seed_num < 1:
         raise ValueError(f"seed_num must be >= 1, got {seed_num}")
@@ -94,10 +95,11 @@ def run_seeds(
                 dataset=name, method=method_name, seed=seed,
                 metrics=metrics, time_s=elapsed, size=method.model_size(),
             ))
-        except FitError as err:
+        except Exception as err:  # any failure is this seed's, not the run's
             records.append(RunRecord(
                 dataset=name, method=method_name, seed=seed,
-                metrics=None, time_s=None, size=None, error=str(err),
+                metrics=None, time_s=None, size=None,
+                error=describe_failure(err),
             ))
     return records
 

@@ -28,8 +28,9 @@ from typing import Any
 import numpy as np
 
 from .data import Dataset, DatasetInfo
-from .errors import FitError, SpaceError, TuningError
+from .errors import SpaceError, TuningError, describe_failure
 from .methods import MethodConfig, get_method
+from .methods.base import validation_score
 from .pipeline import PipelineConfig
 
 __all__ = [
@@ -315,14 +316,6 @@ def _merge(base: dict, overrides: dict) -> dict:
     return merged
 
 
-def _validation_score(method, dataset: Dataset) -> float:
-    prediction = method.predict_part(dataset, "val")
-    truth = dataset.part_labels("val")
-    if dataset.task.is_classification:
-        return float(np.mean(prediction.values == truth))
-    return -float(np.sqrt(np.mean((prediction.values - truth) ** 2)))
-
-
 def _ranked(trials: list[TrialResult]) -> tuple[TrialResult, ...]:
     scored = [t for t in trials if t.score is not None]
     ranks = {}
@@ -350,7 +343,8 @@ def tune_hyper_parameters(
 
     Trial 0 evaluates the base (default) configuration unchanged; trials
     1..n_trials-1 merge a sampled assignment onto it. Ties go to the earliest
-    trial. Raises TuningError (carrying the trial log) if every trial failed.
+    trial. A trial that raises any exception is recorded with its error text;
+    TuningError (carrying the trial log) is raised if every trial failed.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -376,12 +370,15 @@ def tune_hyper_parameters(
         try:
             method = method_cls(config, info)
             method.fit(train_val, info)
-            score = _validation_score(method, train_val)
+            score = validation_score(
+                method.predict_part(train_val, "val").values,
+                train_val.part_labels("val"), train_val.task.is_classification)
             trials.append(TrialResult(trial=trial, assignment=assignment,
                                       score=score, seed=seed))
-        except FitError as err:
-            trials.append(TrialResult(trial=trial, assignment=assignment,
-                                      score=None, error=str(err), seed=seed))
+        except Exception as err:  # any failure is this trial's, not the search's
+            trials.append(TrialResult(
+                trial=trial, assignment=assignment, score=None,
+                error=describe_failure(err), seed=seed))
 
     log = _ranked(trials)
     scored = [t for t in log if t.score is not None]

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tabkit.data import Dataset, DatasetInfo, TaskType
+
+# one profile for every property test: no per-example deadline, since this
+# suite's speed varies by a third from run to run on a small shared host;
+# "thorough" (pytest --hypothesis-profile=thorough) runs ten times the examples
+settings.register_profile("tabkit", max_examples=150, deadline=None)
+settings.register_profile("thorough", max_examples=1500, deadline=None)
+settings.load_profile("tabkit")
 
 
 def make_classification(

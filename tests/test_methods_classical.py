@@ -12,6 +12,7 @@ from tabkit.methods.classical import (
     LogisticRegressionMethod,
     NaiveBayesMethod,
     NCMMethod,
+    _softmax,
 )
 from tabkit.methods.mlp import MLPMethod
 from tabkit.pipeline import PipelineConfig
@@ -209,6 +210,38 @@ class TestGradientDescentClassifiers:
         a = fit_method(LogisticRegressionMethod, dataset, info)
         b = fit_method(LogisticRegressionMethod, dataset, info)
         assert a.fitted_state() == b.fitted_state()
+
+
+class TestSoftmax:
+    def test_finite_rows_unchanged(self):
+        logits = np.random.default_rng(0).normal(size=(50, 4)) * 30
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expected = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        assert np.array_equal(_softmax(logits), expected)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_max_rows(self):
+        inf = np.inf
+        logits = np.array([[-inf, -inf, -inf], [inf, 0.0, inf],
+                           [-inf, 2.0, -inf], [1.0, 2.0, 3.0]])
+        probs = _softmax(logits)
+        np.testing.assert_array_equal(probs[:3], [[1 / 3] * 3, [0.5, 0.0, 0.5],
+                                                  [0.0, 1.0, 0.0]])
+        assert np.array_equal(probs[3], _softmax(logits[3:])[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cls", [NCMMethod, NaiveBayesMethod, KNNMethod])
+    def test_extreme_test_cells_give_finite_probabilities(self, cls):
+        num = np.random.default_rng(1).normal(size=(40, 3))
+        labels = (num[:, 0] > 0).astype(np.int64)
+        num[-4:] = [[1e308, 0.0, 0.0], [-1e308, 1e308, 0.0],
+                    [0.0, 0.0, -1e308], [1e308, -1e308, 1e308]]
+        dataset, info = dataset_from_arrays(num, labels, TaskType.BINCLASS,
+                                            n_test=4)
+        probs = fit_method(cls, dataset, info).predict_part(
+            dataset, "test").probabilities
+        assert np.isfinite(probs).all()
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 class TestMethodContract:

@@ -18,7 +18,7 @@ from tabkit.report import (
     summarize_records,
 )
 
-from conftest import make_classification, make_regression
+from conftest import dataset_from_arrays, make_classification, make_regression
 
 
 def clf_record(dataset, method, seed=0, accuracy=0.5, time_s=1.0, size=10):
@@ -95,6 +95,18 @@ class TestRunSeeds:
         assert [r.seed for r in records] == [0, 1]
         assert all(not r.ok for r in records)
         assert all("n_trees must be >= 1" in r.error for r in records)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_any_exception_is_recorded_per_seed(self):
+        # squaring a node's target sum near 1e200 overflows a Python float
+        num = np.random.default_rng(0).normal(size=(30, 2))
+        labels = np.where(np.arange(30) % 2, 1e200, -1e200)
+        dataset, info = dataset_from_arrays(num, labels, TaskType.REGRESSION,
+                                            n_test=6)
+        records = run_seeds("cart", dataset, info, seed_num=3)
+        assert [r.seed for r in records] == [0, 1, 2]
+        assert all(not r.ok and r.error.startswith("OverflowError: ")
+                   for r in records)
 
     def test_rejects_zero_seeds(self):
         dataset, info = make_classification(seed=4)

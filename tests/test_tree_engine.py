@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -87,7 +87,6 @@ def oracle_args(task, n_classes):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=150, deadline=None)
 @given(problems())
 def test_cart_matches_oracle(problem):
     x, y, task, n_classes, model = problem
@@ -97,7 +96,6 @@ def test_cart_matches_oracle(problem):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=150, deadline=None)
 @given(problems(), st.integers(1, 3), st.booleans(),
        st.one_of(st.none(), st.integers(1, 5)), st.integers(0, 3))
 def test_forest_matches_oracle(problem, n_trees, bootstrap, max_features, seed):
@@ -111,7 +109,6 @@ def test_forest_matches_oracle(problem, n_trees, bootstrap, max_features, seed):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=100, deadline=None)
 @given(problems(), st.integers(1, 3), st.sampled_from([0.1, 0.5, 1.0]))
 def test_boosting_matches_oracle(problem, n_trees, learning_rate):
     x, y, task, n_classes, model = problem

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import tabkit.methods as methods_registry
 from tabkit.errors import SpaceError, TuningError
+from tabkit.methods.classical import DummyMethod
 from tabkit.tune import (
     Categorical,
     IntUniform,
@@ -221,6 +223,24 @@ class TestTuning:
         failed = [t for t in result.trials if t.trial > 0]
         assert len(failed) == 3
         assert all("exceeds" in t.error and t.score is None for t in failed)
+
+    def test_any_exception_in_a_trial_is_recorded(self, monkeypatch):
+        class OverflowingMethod(DummyMethod):
+            def _fit(self, x_train, y_train, x_val, y_val):
+                if self.config.model.get("overflow"):
+                    raise OverflowError("synthetic overflow")
+                super()._fit(x_train, y_train, x_val, y_val)
+
+        monkeypatch.setitem(methods_registry._REGISTRY, "overflowing",
+                            OverflowingMethod)
+        dataset, info = make_classification(seed=9)
+        space = parse_space({"overflowing": {"model": {
+            "overflow": ["categorical", True]}}})
+        result = tune_hyper_parameters("overflowing", space, dataset, info,
+                                       n_trials=3)
+        assert result.trial == 0 and result.trials[0].score is not None
+        assert [t.error for t in result.trials[1:]] == [
+            "OverflowError: synthetic overflow"] * 2
 
     def test_requires_validation_rows(self):
         dataset, info = make_classification(seed=6, val_fraction=0.0)
