@@ -1,16 +1,38 @@
-"""Categorical-feature encodings.
+"""Categorical-feature encodings: token -> index -> ``table[index]``.
 
-Index-style encoders (ordinal, one-hot, binary, hash) map tokens through a
-vocabulary or a fixed hash; target-style encoders (target, leave-one-out,
-CatBoost ordered) replace tokens with smoothed statistics of the training
-labels. Unseen tokens go to a reserved index slot or to the global target
-mean, respectively. Training-row encodings for the leave-one-out and ordered
-variants depend on row identity, so fitting returns them in the same pass.
+Every policy renders a column the same way. A token (the cell's ``str``) maps
+to an integer index, and its encoded row is ``table[index]`` of a float64
+table fitted per column:
+
+- ``hash``: the index is ``fnv1a64(token) % n_buckets``, into
+  ``eye(n_buckets)``; there is no vocabulary.
+- every other policy: the index is the token's position in the column's
+  training vocabulary, in first-appearance order, and a token the vocabulary
+  lacks takes the unseen slot K. The ``(K+1, width)`` table holds
+  ``arange(K+1)`` for ``ordinal``, ``eye(K+1)`` for ``onehot`` and the
+  big-endian bits of ``arange(K+1)`` for ``binary``. For ``target``, ``loo``
+  and ``catboost`` it has one column per target (the label, or a one-vs-rest
+  indicator per class) of per-category statistics of the training labels,
+  and its unseen row is the global target mean (the prior).
+
+The fitted state is the vocabularies and the tables, which is all that
+``transform`` reads.
+
+Training rows of ``loo`` and ``catboost`` depend on row identity, so fitting
+returns the training matrix in the same pass: ``loo`` leaves each row's own
+target out, and ``catboost`` (ordered target statistics) averages only the
+same-category rows before it in a seeded permutation. Per-category sums come
+from ``np.bincount``, which adds in row order like a sequential sum. The
+ordered prefixes are differences of one cumulative sum over rows grouped by
+category. Their rounding depends on the order of the groups, so the groups
+follow the sorted order of the tokens (``np.unique``'s codes), not the
+vocabulary order; that keeps the training column byte-identical to earlier
+fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,156 +59,52 @@ def fnv1a64(token: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Distinct training tokens in first-appearance order; unseen maps to K."""
+@dataclass(frozen=True, eq=False)
+class CategoricalEncoder:
+    """All categorical columns fitted under one policy.
 
-    tokens: tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    ``vocabularies[j]`` maps each training token of column j to its row of
+    ``tables[j]``; any other token reads the table's last row. Under ``hash``
+    ``vocabularies`` is None and the row is the token's FNV-1a bucket.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {token: i for i, token in enumerate(self.tokens)}
-        )
-
-    @classmethod
-    def fit(cls, column) -> "Vocabulary":
-        seen: dict[str, None] = {}
-        for token in column:
-            if token not in seen:
-                seen[token] = None
-        return cls(tokens=tuple(seen))
+    vocabularies: tuple[dict[str, int], ...] | None
+    tables: tuple[np.ndarray, ...]
 
     @property
-    def size(self) -> int:
-        return len(self.tokens)
+    def width(self) -> int:
+        return sum(table.shape[1] for table in self.tables)
 
-    def lookup(self, token: str) -> int:
-        return self._index.get(token, self.size)
+    def transform(self, cat: np.ndarray) -> np.ndarray:
+        """Inference-semantics encoding of categorical rows."""
+        if cat.shape[1] != len(self.tables):
+            raise ShapeError(
+                f"encoder was fitted on {len(self.tables)} columns, got {cat.shape[1]}"
+            )
+        return _side_by_side(cat.shape[0], self.width, (
+            table[self._rows(j, cat[:, j])] for j, table in enumerate(self.tables)
+        ))
+
+    def _rows(self, j: int, col: np.ndarray) -> np.ndarray:
+        """The table row of each cell of column j."""
+        tokens, inverse = np.unique(col.astype(str), return_inverse=True)
+        if self.vocabularies is None:
+            n_buckets = len(self.tables[j])
+            rows = [fnv1a64(token) % n_buckets for token in tokens.tolist()]
+        else:
+            vocab = self.vocabularies[j]
+            rows = [vocab.get(token, len(vocab)) for token in tokens.tolist()]
+        return np.array(rows, dtype=np.intp)[inverse]
 
 
-def encode_ordinal(vocab: Vocabulary, token: str) -> int:
-    return vocab.lookup(token)
-
-
-def encode_onehot(vocab: Vocabulary, token: str) -> np.ndarray:
-    out = np.zeros(vocab.size + 1)
-    out[vocab.lookup(token)] = 1.0
+def _side_by_side(n: int, width: int, blocks) -> np.ndarray:
+    """One (n, width) matrix of the column blocks, left to right."""
+    out = np.empty((n, width))
+    start = 0
+    for block in blocks:
+        out[:, start:start + block.shape[1]] = block
+        start += block.shape[1]
     return out
-
-
-def binary_code_width(vocab_size: int) -> int:
-    return max(1, int(vocab_size).bit_length())
-
-
-def encode_binarycode(vocab: Vocabulary, token: str) -> np.ndarray:
-    """Big-endian base-2 representation of the ordinal index."""
-    width = binary_code_width(vocab.size)
-    index = vocab.lookup(token)
-    return np.array(
-        [(index >> (width - 1 - b)) & 1 for b in range(width)], dtype=np.float64
-    )
-
-
-def encode_hash(token: str, n_buckets: int = DEFAULT_N_BUCKETS) -> np.ndarray:
-    """Stateless one-hot over bucket fnv1a64(token) mod n_buckets."""
-    if n_buckets < 2:
-        raise ValueError(f"n_buckets must be >= 2, got {n_buckets}")
-    out = np.zeros(n_buckets)
-    out[fnv1a64(token) % n_buckets] = 1.0
-    return out
-
-
-@dataclass(frozen=True)
-class TargetStats:
-    """Per-category count and target sum, plus the global target mean.
-
-    For the ordered (CatBoost) variant the fitting permutation and the
-    training sequence it induces are kept so prefix statistics can be
-    recomputed for any training position.
-    """
-
-    counts: dict
-    sums: dict
-    prior: float
-    smoothing: float = DEFAULT_SMOOTHING
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT
-    permutation: np.ndarray | None = None
-    perm_tokens: tuple[str, ...] | None = None
-    perm_targets: np.ndarray | None = None
-
-
-def fit_target_encoding(tokens, targets, m: float = DEFAULT_SMOOTHING) -> TargetStats:
-    targets = np.asarray(targets, dtype=np.float64)
-    if len(targets) == 0:
-        raise FitError("cannot fit a target encoding on an empty training column")
-    if m < 0:
-        raise ValueError(f"smoothing must be >= 0, got {m}")
-    counts: dict[str, int] = {}
-    sums: dict[str, float] = {}
-    for token, y in zip(tokens, targets):
-        counts[token] = counts.get(token, 0) + 1
-        sums[token] = sums.get(token, 0.0) + float(y)
-    return TargetStats(counts=counts, sums=sums, prior=float(targets.mean()), smoothing=m)
-
-
-def fit_catboost_encoding(
-    tokens, targets, seed: int, a: float = DEFAULT_PRIOR_WEIGHT
-) -> TargetStats:
-    base = fit_target_encoding(tokens, targets)
-    tokens = list(tokens)
-    targets = np.asarray(targets, dtype=np.float64)
-    permutation = np.random.default_rng(seed).permutation(len(targets))
-    return TargetStats(
-        counts=base.counts,
-        sums=base.sums,
-        prior=base.prior,
-        prior_weight=a,
-        permutation=permutation,
-        perm_tokens=tuple(tokens[i] for i in permutation),
-        perm_targets=targets[permutation],
-    )
-
-
-def encode_target(stats: TargetStats, token: str) -> float:
-    count = stats.counts.get(token)
-    if count is None:
-        return stats.prior
-    m = stats.smoothing
-    return (stats.sums[token] + m * stats.prior) / (count + m)
-
-
-def encode_leave_one_out(stats: TargetStats, token: str, own_target=None) -> float:
-    count = stats.counts.get(token)
-    if count is None:
-        return stats.prior
-    if own_target is None:
-        return stats.sums[token] / count
-    if count == 1:
-        return stats.prior
-    return (stats.sums[token] - float(own_target)) / (count - 1)
-
-
-def encode_catboost_ordered(stats: TargetStats, position, token: str) -> float:
-    """Ordered target statistic.
-
-    ``position`` is the row's index in the fitting permutation; the prefix
-    aggregates same-category rows strictly before it. ``position=None`` means
-    an inference row, which uses full training statistics.
-    """
-    a = stats.prior_weight
-    if position is None:
-        count = stats.counts.get(token)
-        if count is None:
-            return stats.prior
-        return (stats.sums[token] + a * stats.prior) / (count + a)
-    prefix_sum = 0.0
-    prefix_count = 0
-    for other, y in zip(stats.perm_tokens[:position], stats.perm_targets[:position]):
-        if other == token:
-            prefix_sum += y
-            prefix_count += 1
-    return (prefix_sum + a * stats.prior) / (prefix_count + a)
 
 
 def _target_columns(targets: np.ndarray, task: TaskType, class_count) -> list[np.ndarray]:
@@ -197,122 +115,67 @@ def _target_columns(targets: np.ndarray, task: TaskType, class_count) -> list[np
     return [np.asarray(targets, dtype=np.float64)]
 
 
-@dataclass(frozen=True)
-class CategoricalEncoder:
-    """All categorical columns fitted under one policy."""
-
-    policy: str
-    n_buckets: int = DEFAULT_N_BUCKETS
-    vocabularies: tuple[Vocabulary, ...] | None = None
-    stats: tuple[tuple[TargetStats, ...], ...] | None = None
-    n_hash_features: int = 0
-
-    @property
-    def n_features(self) -> int:
-        if self.policy == "hash":
-            return self.n_hash_features
-        if self.vocabularies is not None:
-            return len(self.vocabularies)
-        return len(self.stats)
-
-    @property
-    def width(self) -> int:
-        return sum(self._feature_widths())
-
-    def _feature_widths(self) -> list[int]:
-        if self.policy == "ordinal":
-            return [1] * len(self.vocabularies)
-        if self.policy == "onehot":
-            return [v.size + 1 for v in self.vocabularies]
-        if self.policy == "binary":
-            return [binary_code_width(v.size) for v in self.vocabularies]
-        if self.policy == "hash":
-            return [self.n_buckets] * self.n_hash_features
-        return [len(per_feature) for per_feature in self.stats]
-
-    def transform(self, cat: np.ndarray) -> np.ndarray:
-        """Inference-semantics encoding of categorical rows."""
-        if cat.shape[1] != self.n_features:
-            raise ShapeError(
-                f"encoder was fitted on {self.n_features} columns, got {cat.shape[1]}"
-            )
-        n = cat.shape[0]
-        if self.n_features == 0 or n == 0:
-            return np.empty((n, self.width))
-        blocks = []
-        for j in range(cat.shape[1]):
-            blocks.append(self._transform_column(cat[:, j], j))
-        return np.hstack(blocks)
-
-    def _transform_column(self, col: np.ndarray, j: int) -> np.ndarray:
-        distinct, inverse = np.unique(col.astype(str), return_inverse=True)
-        if self.policy == "ordinal":
-            codes = np.array([self.vocabularies[j].lookup(t) for t in distinct])
-            return codes[inverse].astype(np.float64)[:, None]
-        if self.policy == "onehot":
-            table = np.array([encode_onehot(self.vocabularies[j], t) for t in distinct])
-            return table[inverse]
-        if self.policy == "binary":
-            table = np.array(
-                [encode_binarycode(self.vocabularies[j], t) for t in distinct]
-            )
-            return table[inverse]
-        if self.policy == "hash":
-            table = np.array([encode_hash(t, self.n_buckets) for t in distinct])
-            return table[inverse]
-        if self.policy == "target":
-            table = np.array(
-                [[encode_target(stats, t) for stats in self.stats[j]] for t in distinct]
-            )
-            return table[inverse]
-        if self.policy == "loo":
-            table = np.array(
-                [[encode_leave_one_out(stats, t) for stats in self.stats[j]]
-                 for t in distinct]
-            )
-            return table[inverse]
-        # catboost inference: full statistics
-        table = np.array(
-            [[encode_catboost_ordered(stats, None, t) for stats in self.stats[j]]
-             for t in distinct]
-        )
-        return table[inverse]
-
-
-def _loo_train_column(col, targets) -> np.ndarray:
-    targets = np.asarray(targets, dtype=np.float64)
-    distinct, inverse = np.unique(col.astype(str), return_inverse=True)
-    counts = np.bincount(inverse).astype(np.float64)
-    sums = np.bincount(inverse, weights=targets)
-    prior = targets.mean()
-    row_counts = counts[inverse]
-    row_sums = sums[inverse]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = (row_sums - targets) / (row_counts - 1.0)
-    return np.where(row_counts == 1.0, prior, out)
-
-
-def _catboost_train_column(col, targets, permutation, a: float) -> np.ndarray:
-    targets = np.asarray(targets, dtype=np.float64)
-    n = len(targets)
-    prior = targets.mean()
+def _ordered_column(sorted_codes, y, permutation, prior) -> np.ndarray:
+    """CatBoost training column: each row's same-category prefix in the
+    permutation, smoothed toward the prior with weight DEFAULT_PRIOR_WEIGHT."""
+    n = len(y)
+    a = DEFAULT_PRIOR_WEIGHT
     position = np.empty(n, dtype=np.int64)
     position[permutation] = np.arange(n)
-    _, codes = np.unique(col.astype(str), return_inverse=True)
     # group rows by category, ordered by permutation position, then take
     # exclusive prefix sums within each group
-    order = np.lexsort((position, codes))
-    y_ord = targets[order]
-    codes_ord = codes[order]
+    order = np.lexsort((position, sorted_codes))
+    y_ord = y[order]
+    codes_ord = sorted_codes[order]
     group_start = np.r_[True, codes_ord[1:] != codes_ord[:-1]]
     csum = np.cumsum(y_ord) - y_ord
-    base = np.where(group_start, np.cumsum(y_ord) - y_ord, 0.0)
+    base = np.where(group_start, csum, 0.0)
     group_base = np.maximum.accumulate(np.where(group_start, np.arange(n), 0))
     prefix_count = np.arange(n) - group_base
     prefix_sum = csum - base[group_base]
     out = np.empty(n)
     out[order] = (prefix_sum + a * prior) / (prefix_count + a)
     return out
+
+
+def _fit_column(col, policy: str, ys, permutation):
+    """(vocabulary, table, training rows) of one column under a non-hash
+    policy. The training rows are an (n, width) block for ``loo`` and
+    ``catboost``, and the table row of each cell otherwise."""
+    tokens, first, sorted_codes = np.unique(
+        col.astype(str), return_index=True, return_inverse=True
+    )
+    k = len(tokens)
+    order = np.argsort(first)  # the distinct tokens in first-appearance order
+    codes = np.argsort(order)[sorted_codes]
+    vocab = dict(zip(tokens[order].tolist(), range(k)))
+    if policy == "ordinal":
+        return vocab, np.arange(k + 1, dtype=np.float64)[:, None], codes
+    if policy == "onehot":
+        return vocab, np.eye(k + 1), codes
+    if policy == "binary":
+        shifts = np.arange(max(1, k.bit_length()))[::-1]
+        bits = np.arange(k + 1)[:, None] >> shifts & 1
+        return vocab, bits.astype(np.float64), codes
+    counts = np.bincount(codes, minlength=k).astype(np.float64)
+    seen_rows, train_rows = [], []
+    for y in ys:
+        sums = np.bincount(codes, weights=y, minlength=k)
+        prior = y.mean()
+        if policy == "loo":
+            seen = sums / counts
+            row_counts = counts[codes]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                own_left_out = (sums[codes] - y) / (row_counts - 1.0)
+            train_rows.append(np.where(row_counts == 1.0, prior, own_left_out))
+        else:
+            m = DEFAULT_SMOOTHING if policy == "target" else DEFAULT_PRIOR_WEIGHT
+            seen = (sums + m * prior) / (counts + m)
+            if policy == "catboost":
+                train_rows.append(_ordered_column(sorted_codes, y, permutation, prior))
+        seen_rows.append(np.append(seen, prior))
+    table = np.column_stack(seen_rows)
+    return vocab, table, np.column_stack(train_rows) if train_rows else codes
 
 
 def fit_categorical_encoder(
@@ -322,8 +185,6 @@ def fit_categorical_encoder(
     task: TaskType | None = None,
     class_count: int | None = None,
     seed: int = 0,
-    smoothing: float = DEFAULT_SMOOTHING,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
     n_buckets: int = DEFAULT_N_BUCKETS,
 ) -> tuple[CategoricalEncoder, np.ndarray]:
     """Fit all categorical columns and encode the training rows in one pass.
@@ -335,56 +196,27 @@ def fit_categorical_encoder(
     if policy not in CAT_POLICIES:
         raise ValueError(f"unknown cat_policy {policy!r}")
     n, n_features = train_cat.shape
-    target_family = policy in ("target", "loo", "catboost")
-    if target_family:
+    if policy == "hash":
+        if n_buckets < 2:
+            raise ValueError(f"n_buckets must be >= 2, got {n_buckets}")
+        encoder = CategoricalEncoder(None, (np.eye(n_buckets),) * n_features)
+        return encoder, encoder.transform(train_cat)
+    ys = permutation = None
+    if policy in ("target", "loo", "catboost"):
         if targets is None or task is None:
             raise ValueError(f"{policy} encoding needs training labels and task")
         if task is TaskType.MULTICLASS and class_count is None:
             raise ValueError("multiclass target encodings need the class count")
         if n == 0:
             raise FitError("cannot fit a target encoding on an empty training column")
-        columns = _target_columns(np.asarray(targets), task, class_count)
-
-    if policy == "hash":
-        encoder = CategoricalEncoder(
-            policy=policy, n_buckets=n_buckets, n_hash_features=n_features
-        )
-        return encoder, encoder.transform(train_cat)
-
-    if policy in ("ordinal", "onehot", "binary"):
-        vocabs = tuple(Vocabulary.fit(train_cat[:, j]) for j in range(n_features))
-        encoder = CategoricalEncoder(policy=policy, vocabularies=vocabs)
-        return encoder, encoder.transform(train_cat)
-
-    permutation = np.random.default_rng(seed).permutation(n)
-    stats = []
-    train_blocks = []
-    for j in range(n_features):
-        col = train_cat[:, j]
-        per_target = []
-        col_blocks = []
-        for y in columns:
-            if policy == "target":
-                st = fit_target_encoding(col, y, m=smoothing)
-                values = np.array([encode_target(st, t) for t in col])
-            elif policy == "loo":
-                st = fit_target_encoding(col, y)
-                values = _loo_train_column(col, y)
-            else:
-                base = fit_target_encoding(col, y)
-                st = TargetStats(
-                    counts=base.counts, sums=base.sums, prior=base.prior,
-                    prior_weight=prior_weight, permutation=permutation,
-                    perm_tokens=tuple(col[i] for i in permutation),
-                    perm_targets=np.asarray(y, dtype=np.float64)[permutation],
-                )
-                values = _catboost_train_column(col, y, permutation, prior_weight)
-            per_target.append(st)
-            col_blocks.append(values)
-        stats.append(tuple(per_target))
-        train_blocks.append(np.column_stack(col_blocks))
-    encoder = CategoricalEncoder(policy=policy, stats=tuple(stats))
-    train_matrix = (
-        np.hstack(train_blocks) if train_blocks else np.empty((n, 0))
+        ys = _target_columns(np.asarray(targets), task, class_count)
+        permutation = np.random.default_rng(seed).permutation(n)
+    columns = [
+        _fit_column(train_cat[:, j], policy, ys, permutation) for j in range(n_features)
+    ]
+    encoder = CategoricalEncoder(
+        tuple(vocab for vocab, _, _ in columns), tuple(table for _, table, _ in columns)
     )
-    return encoder, train_matrix
+    return encoder, _side_by_side(n, encoder.width, (
+        rows if rows.ndim == 2 else table[rows] for _, table, rows in columns
+    ))

@@ -18,7 +18,8 @@ _GD_GRAD_TOL = 1e-6
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     top = logits.max(axis=1, keepdims=True)
-    shifted = logits - top
+    with np.errstate(invalid="ignore"):
+        shifted = logits - top
     # an infinite row max turns inf - inf into nan; there the logits equal to
     # the max share the mass (an all -inf row becomes uniform)
     infinite = np.isinf(top[:, 0])
@@ -179,7 +180,9 @@ class NCMMethod(Method):
         self._centroids = centroids
 
     def _predict(self, x) -> Prediction:
-        dist = np.sqrt(((x[:, None, :] - self._centroids[None]) ** 2).sum(axis=2))
+        # one class at a time: memory stays O(rows x features)
+        dist = np.sqrt(np.stack(
+            [((x - c) ** 2).sum(axis=1) for c in self._centroids], axis=1))
         return self._classify(_softmax(-dist))
 
     def _state(self):

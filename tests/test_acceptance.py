@@ -17,14 +17,7 @@ import pytest
 import tabkit.methods.base as method_base
 from tabkit.cli import main
 from tabkit.data import Dataset, TaskType, save_dataset
-from tabkit.encode_cat import (
-    Vocabulary,
-    encode_binarycode,
-    encode_leave_one_out,
-    encode_onehot,
-    fit_categorical_encoder,
-    fit_target_encoding,
-)
+from tabkit.encode_cat import fit_categorical_encoder
 from tabkit.encode_num import (
     BinEdges,
     encode_johnson,
@@ -86,16 +79,20 @@ def test_criterion_1_encoder_property_suite():
             assert np.abs(below - at).max() < 1e-6
             assert np.abs(above - at).max() < 1e-6
 
+    def token_column(tokens):
+        return np.array(list(tokens), dtype=object).reshape(-1, 1)
+
     # one-hot rows sum to exactly 1, unseen token included
-    vocab = Vocabulary.fit(["a", "b", "c"])
+    encoder, _ = fit_categorical_encoder(token_column("abc"), "onehot")
     for token in ("a", "b", "c", "unseen"):
-        assert encode_onehot(vocab, token).sum() == 1.0
+        assert encoder.transform(token_column([token])).sum() == 1.0
 
     # binary codes round-trip the ordinal index, unseen index included
     for k in range(1, 41):
-        vocab = Vocabulary.fit([f"t{i}" for i in range(k)])
-        for index, token in enumerate([*vocab.tokens, "zz-unseen"]):
-            bits = encode_binarycode(vocab, token)
+        tokens = [f"t{i}" for i in range(k)]
+        encoder, _ = fit_categorical_encoder(token_column(tokens), "binary")
+        codes = encoder.transform(token_column([*tokens, "zz-unseen"]))
+        for index, bits in enumerate(codes):
             decoded = int("".join(str(int(b)) for b in bits), 2)
             assert decoded == index
 
@@ -104,14 +101,16 @@ def test_criterion_1_encoder_property_suite():
         n = int(rng.integers(1, 50))
         tokens = [f"t{i}" for i in rng.integers(0, 8, size=n)]
         targets = rng.random(n)
-        stats = fit_target_encoding(tokens, targets)
+        _, train_matrix = fit_categorical_encoder(
+            token_column(tokens), "loo", targets=targets, task=TaskType.REGRESSION,
+        )
         for i, (token, y) in enumerate(zip(tokens, targets)):
             same = [t for t in range(n) if tokens[t] == token]
             if len(same) == 1:
                 expected = targets.mean()
             else:
                 expected = (sum(targets[t] for t in same) - y) / (len(same) - 1)
-            got = encode_leave_one_out(stats, token, own_target=y)
+            got = train_matrix[i, 0]
             assert abs(got - expected) < 1e-9
 
     # ordered target encoding equals the O(N^2) prefix oracle

@@ -1,61 +1,65 @@
 import numpy as np
 import pytest
 
+import encode_cat_oracle as oracle
 from tabkit.data import TaskType
-from tabkit.encode_cat import (
-    CategoricalEncoder,
-    Vocabulary,
-    encode_binarycode,
-    encode_catboost_ordered,
-    encode_hash,
-    encode_leave_one_out,
-    encode_onehot,
-    encode_ordinal,
-    encode_target,
-    fit_catboost_encoding,
-    fit_categorical_encoder,
-    fit_target_encoding,
-    fnv1a64,
-)
+from tabkit.encode_cat import CategoricalEncoder, fit_categorical_encoder, fnv1a64
 from tabkit.errors import FitError, ShapeError
+
+
+def column(tokens) -> np.ndarray:
+    return np.array(list(tokens), dtype=object).reshape(-1, 1)
+
+
+def fit_column(tokens, policy, targets=None, task=None, **kwargs):
+    """Fit one categorical column; returns (encoder, training matrix)."""
+    return fit_categorical_encoder(column(tokens), policy, targets, task, **kwargs)
+
+
+def encode(encoder: CategoricalEncoder, *tokens) -> np.ndarray:
+    return encoder.transform(column(tokens))
 
 
 class TestVocabulary:
     def test_first_appearance_order(self):
-        vocab = Vocabulary.fit(["b", "a", "b", "c", "a"])
-        assert vocab.tokens == ("b", "a", "c")
+        encoder, train = fit_column(["b", "a", "b", "c", "a"], "ordinal")
+        assert tuple(encoder.vocabularies[0]) == ("b", "a", "c")
+        np.testing.assert_array_equal(train[:, 0], [0, 1, 0, 2, 1])
 
     def test_ordinal_examples(self):
-        vocab = Vocabulary(("a", "b", "c"))
-        assert encode_ordinal(vocab, "b") == 1
-        assert encode_ordinal(vocab, "z") == 3
-        assert encode_ordinal(Vocabulary(("a",)), "a") == 0
+        encoder, _ = fit_column("abc", "ordinal")
+        np.testing.assert_array_equal(encode(encoder, "b", "z")[:, 0], [1, 3])
+        encoder, _ = fit_column("a", "ordinal")
+        assert encode(encoder, "a")[0, 0] == 0
 
     def test_onehot_examples(self):
-        vocab = Vocabulary(("a", "b", "c"))
-        np.testing.assert_array_equal(encode_onehot(vocab, "b"), [0, 1, 0, 0])
-        np.testing.assert_array_equal(encode_onehot(vocab, "zzz"), [0, 0, 0, 1])
-        assert len(encode_onehot(Vocabulary(("a",)), "a")) == 2
+        encoder, _ = fit_column("abc", "onehot")
+        np.testing.assert_array_equal(encode(encoder, "b")[0], [0, 1, 0, 0])
+        np.testing.assert_array_equal(encode(encoder, "zzz")[0], [0, 0, 0, 1])
+        encoder, _ = fit_column("a", "onehot")
+        assert encode(encoder, "a").shape == (1, 2)
 
     def test_onehot_always_sums_to_one(self):
         rng = np.random.default_rng(0)
-        vocab = Vocabulary.fit([f"t{i}" for i in rng.integers(0, 9, size=60)])
+        encoder, _ = fit_column([f"t{i}" for i in rng.integers(0, 9, size=60)],
+                                "onehot")
         for token in ["t0", "t5", "never-seen"]:
-            assert encode_onehot(vocab, token).sum() == 1.0
+            assert encode(encoder, token).sum() == 1.0
 
     def test_binary_examples(self):
-        five = Vocabulary(tuple("abcde"))
-        np.testing.assert_array_equal(encode_binarycode(five, "e"), [1, 0, 0])
-        np.testing.assert_array_equal(encode_binarycode(five, "unseen"), [1, 0, 1])
-        one = Vocabulary(("a",))
-        np.testing.assert_array_equal(encode_binarycode(one, "a"), [0])
+        five, _ = fit_column("abcde", "binary")
+        np.testing.assert_array_equal(encode(five, "e")[0], [1, 0, 0])
+        np.testing.assert_array_equal(encode(five, "unseen")[0], [1, 0, 1])
+        one, _ = fit_column("a", "binary")
+        np.testing.assert_array_equal(encode(one, "a")[0], [0])
 
     def test_binary_round_trips_every_index(self):
         for size in (1, 2, 5, 8, 17):
-            vocab = Vocabulary.fit([f"t{i}" for i in range(size)])
-            for index, token in enumerate([*vocab.tokens, "unseen"]):
-                bits = encode_binarycode(vocab, token)
-                width = len(bits)
+            tokens = [f"t{i}" for i in range(size)]
+            encoder, _ = fit_column(tokens, "binary")
+            codes = encode(encoder, *tokens, "unseen")
+            width = codes.shape[1]
+            for index, bits in enumerate(codes):
                 decoded = int(sum(int(b) << (width - 1 - k) for k, b in enumerate(bits)))
                 assert decoded == index
 
@@ -66,80 +70,96 @@ class TestHash:
         assert fnv1a64("abc") == 0xE71FA2190541574B
         assert fnv1a64("") == 0xCBF29CE484222325
         assert fnv1a64("abc") % 8 == 3
+        encoder, _ = fit_column(["x"], "hash", n_buckets=8)
         np.testing.assert_array_equal(
-            encode_hash("abc", 8), [0, 0, 0, 1, 0, 0, 0, 0]
+            encode(encoder, "abc")[0], [0, 0, 0, 1, 0, 0, 0, 0]
         )
 
     def test_deterministic_and_one_hot(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            token = "".join(chr(rng.integers(97, 123)) for _ in range(6))
-            first = encode_hash(token)
-            np.testing.assert_array_equal(first, encode_hash(token))
-            assert first.sum() == 1.0
+        tokens = ["".join(chr(rng.integers(97, 123)) for _ in range(6))
+                  for _ in range(20)]
+        encoder, train = fit_column(tokens[:5], "hash")
+        first = encode(encoder, *tokens)
+        np.testing.assert_array_equal(first, encode(encoder, *tokens))
+        np.testing.assert_array_equal(first[:5], train)
+        np.testing.assert_array_equal(first.sum(axis=1), np.ones(20))
 
     def test_rejects_tiny_bucket_count(self):
         with pytest.raises(ValueError):
-            encode_hash("a", 1)
+            fit_column(["a"], "hash", n_buckets=1)
 
 
 class TestTargetEncoding:
     def test_smoothing_formula(self):
         # category "a": count 2, mean 1.0; global mean P = 0.5, m = 10
-        stats = fit_target_encoding(["a", "a", "b", "b"], [1.0, 1.0, 0.0, 0.0], m=10.0)
-        assert encode_target(stats, "a") == pytest.approx(7.0 / 12.0)
+        encoder, _ = fit_column("aabb", "target", np.array([1.0, 1.0, 0.0, 0.0]),
+                                TaskType.REGRESSION)
+        assert encode(encoder, "a")[0, 0] == pytest.approx(7.0 / 12.0)
 
     def test_zero_smoothing_gives_raw_mean(self):
-        stats = fit_target_encoding(["a", "a", "b"], [1.0, 0.0, 1.0], m=0.0)
-        assert encode_target(stats, "a") == 0.5
+        # the shipping encoder fixes m = 10; the formula at m = 0 is the oracle's
+        stats = oracle.fit_target_encoding(["a", "a", "b"], [1.0, 0.0, 1.0], m=0.0)
+        assert oracle.encode_target(stats, "a") == 0.5
 
     def test_unseen_gets_prior(self):
-        stats = fit_target_encoding(["a", "b"], [1.0, 0.0])
-        assert encode_target(stats, "zzz") == 0.5
+        encoder, _ = fit_column("ab", "target", np.array([1.0, 0.0]),
+                                TaskType.REGRESSION)
+        assert encode(encoder, "zzz")[0, 0] == 0.5
 
     def test_empty_column_raises(self):
         with pytest.raises(FitError):
-            fit_target_encoding([], [])
+            fit_column([], "target", np.array([]), TaskType.REGRESSION)
 
 
 class TestLeaveOneOut:
+    def fit(self, tokens, targets):
+        return fit_column(tokens, "loo", np.asarray(targets, dtype=np.float64),
+                          TaskType.REGRESSION)
+
     def test_training_row_excludes_itself(self):
-        stats = fit_target_encoding(["a", "a", "a"], [1.0, 0.0, 1.0])
-        assert encode_leave_one_out(stats, "a", own_target=1.0) == 0.5
+        _, train = self.fit("aaa", [1.0, 0.0, 1.0])
+        assert train[0, 0] == 0.5
 
     def test_singleton_gets_prior(self):
-        stats = fit_target_encoding(["a", "b", "b"], [1.0, 0.0, 0.0])
-        assert encode_leave_one_out(stats, "a", own_target=1.0) == stats.prior
+        encoder, train = self.fit("abb", [1.0, 0.0, 0.0])
+        prior = encode(encoder, "never-seen")[0, 0]
+        assert prior == 1.0 / 3.0
+        assert train[0, 0] == prior
 
     def test_inference_uses_plain_mean(self):
-        stats = fit_target_encoding(["a", "a", "a"], [1.0, 1.0, 0.0])
-        assert encode_leave_one_out(stats, "a") == pytest.approx(2.0 / 3.0)
-        assert encode_leave_one_out(stats, "zzz") == stats.prior
+        y = np.array([1.0, 1.0, 0.0])
+        encoder, _ = self.fit("aaa", y)
+        assert encode(encoder, "a")[0, 0] == pytest.approx(2.0 / 3.0)
+        assert encode(encoder, "zzz")[0, 0] == y.mean()
 
     def test_exactness_identity(self):
         rng = np.random.default_rng(2)
         tokens = [f"t{i}" for i in rng.integers(0, 4, size=50)]
         y = rng.random(50)
-        stats = fit_target_encoding(tokens, y)
-        for token, own in zip(tokens, y):
-            count = stats.counts[token]
-            if count == 1:
+        _, train = self.fit(tokens, y)
+        for i, (token, own) in enumerate(zip(tokens, y)):
+            same = [t for t in range(50) if tokens[t] == token]
+            if len(same) == 1:
                 continue
-            enc = encode_leave_one_out(stats, token, own_target=own)
-            assert stats.sums[token] - own == pytest.approx((count - 1) * enc)
+            total = sum(y[t] for t in same)
+            assert total - own == pytest.approx((len(same) - 1) * train[i, 0])
 
 
 class TestCatboostOrdered:
     def test_three_row_example(self):
-        stats = fit_catboost_encoding(["a", "a", "a"], [1.0, 0.0, 1.0], seed=0)
+        y = np.array([1.0, 0.0, 1.0])
+        _, train = fit_column("aaa", "catboost", y, TaskType.REGRESSION, seed=0)
         # read rows in permutation order: prefix stats only
-        perm_y = stats.perm_targets
+        perm = np.random.default_rng(0).permutation(3)
+        perm_y = y[perm]
+        prior = y.mean()
         expected = [
-            (0.0 + stats.prior) / 1.0,
-            (perm_y[0] + stats.prior) / 2.0,
-            (perm_y[0] + perm_y[1] + stats.prior) / 3.0,
+            (0.0 + prior) / 1.0,
+            (perm_y[0] + prior) / 2.0,
+            (perm_y[0] + perm_y[1] + prior) / 3.0,
         ]
-        got = [encode_catboost_ordered(stats, i, "a") for i in range(3)]
+        got = train[perm, 0]
         np.testing.assert_allclose(got, expected)
         assert got[0] == pytest.approx(2.0 / 3.0)
 
@@ -147,29 +167,35 @@ class TestCatboostOrdered:
         rng = np.random.default_rng(3)
         tokens = [f"t{i}" for i in rng.integers(0, 3, size=15)]
         y = rng.random(15)
-        stats = fit_catboost_encoding(tokens, y, seed=5)
+        # the oracle's scalar walk over permutation positions
+        stats = oracle.fit_catboost_encoding(tokens, y, seed=5)
         seen = set()
         for position, token in enumerate(stats.perm_tokens):
             if token not in seen:
-                enc = encode_catboost_ordered(stats, position, token)
+                enc = oracle.encode_catboost_ordered(stats, position, token)
                 assert enc == pytest.approx(stats.prior)
                 seen.add(token)
+        # the shipping training column, read in the same permutation order
+        _, train = fit_column(tokens, "catboost", y, TaskType.REGRESSION, seed=5)
+        seen = set()
+        for row in np.random.default_rng(5).permutation(15):
+            if tokens[row] not in seen:
+                assert train[row, 0] == pytest.approx(y.mean())
+                seen.add(tokens[row])
 
     def test_inference_is_full_statistic(self):
-        stats = fit_catboost_encoding(["a", "a", "b"], [1.0, 0.0, 1.0], seed=1)
-        assert encode_catboost_ordered(stats, None, "a") == pytest.approx(
-            (1.0 + stats.prior) / 3.0
-        )
-        assert encode_catboost_ordered(stats, None, "zzz") == stats.prior
+        y = np.array([1.0, 0.0, 1.0])
+        encoder, _ = fit_column("aab", "catboost", y, TaskType.REGRESSION, seed=1)
+        prior = y.mean()
+        assert encode(encoder, "a")[0, 0] == pytest.approx((1.0 + prior) / 3.0)
+        assert encode(encoder, "zzz")[0, 0] == prior
 
     def test_inference_permutation_independent(self):
         tokens = ["a", "b", "a", "c", "b", "a"]
-        y = [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]
+        y = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
         values = {
-            seed: [
-                encode_catboost_ordered(fit_catboost_encoding(tokens, y, seed), None, t)
-                for t in "abc"
-            ]
+            seed: encode(fit_column(tokens, "catboost", y, TaskType.REGRESSION,
+                                    seed=seed)[0], *"abc")
             for seed in range(4)
         }
         for seed in range(1, 4):
@@ -186,8 +212,7 @@ class TestColumnEncoder:
             encoder, train = fit_categorical_encoder(
                 cat, "catboost", y, TaskType.BINCLASS, seed=trial
             )
-            stats = encoder.stats[0][0]
-            perm = stats.permutation
+            perm = np.random.default_rng(trial).permutation(n)
             prior = y.astype(float).mean()
             # O(N^2) oracle: walk the permutation, accumulate same-category prefixes
             expected = np.empty(n)
@@ -205,10 +230,11 @@ class TestColumnEncoder:
         encoder, train = fit_categorical_encoder(
             cat, "loo", y, TaskType.REGRESSION
         )
-        stats = encoder.stats[0][0]
-        expected = [
-            encode_leave_one_out(stats, cat[i, 0], own_target=y[i]) for i in range(40)
-        ]
+        expected = []
+        for i in range(40):
+            same = [t for t in range(40) if cat[t, 0] == cat[i, 0]]
+            expected.append(y.mean() if len(same) == 1 else
+                            (sum(y[t] for t in same) - y[i]) / (len(same) - 1))
         np.testing.assert_allclose(train[:, 0], expected)
 
     def test_target_train_equals_inference(self):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tabkit.data import TaskType
+from tabkit.data import DatasetInfo, TaskType
 from tabkit.errors import FitError, TabkitError
 from tabkit.methods import MethodConfig, get_method
 from tabkit.methods.classical import (
@@ -130,6 +132,24 @@ class TestNCM:
         with pytest.raises(FitError, match="regression"):
             NCMMethod(MethodConfig(), info)
 
+    def test_predict_memory_follows_the_query_table(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(4000, 40))
+        y = rng.integers(0, 16, size=4000)
+        info = DatasetInfo(task=TaskType.MULTICLASS, n_num_features=40,
+                           n_cat_features=0, class_count=16, name="table")
+        method = NCMMethod(MethodConfig(), info)
+        method._fit(x, y, x[:0], y[:0])
+        tracemalloc.start()
+        try:
+            prediction = method._predict(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a (rows, classes, features) difference array would be 16 tables
+        output = prediction.values.nbytes + prediction.probabilities.nbytes
+        assert peak <= 2 * x.nbytes + output
+
 
 class TestNaiveBayes:
     def test_blobs(self):
@@ -219,7 +239,7 @@ class TestSoftmax:
         expected = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
         assert np.array_equal(_softmax(logits), expected)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_max_rows(self):
         inf = np.inf
         logits = np.array([[-inf, -inf, -inf], [inf, 0.0, inf],
