@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data import Dataset, DatasetInfo, TaskType
-from ..errors import FitError
+from ..errors import ConfigError, FitError
 from ..pipeline import FeaturePipeline, PipelineConfig
 
 # timing source for fit(); module-level so tests can substitute a fake clock
@@ -30,6 +30,14 @@ class MethodConfig:
     training: dict = field(default_factory=dict)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     seed: int = 0
+
+
+def positive_int(cfg: dict, key: str, default: int) -> int:
+    """``cfg[key]`` (or ``default``) as an int; ConfigError below 1."""
+    value = int(cfg.get(key, default))
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
+    return value
 
 
 def validation_score(predicted, truth, classification: bool) -> float:

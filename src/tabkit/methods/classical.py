@@ -280,6 +280,9 @@ class _GradientDescentClassifier(Method):
         # which wide encodings can trigger; shrink to match a curvature bound
         curvature = self._curvature_bound(x_train, l2)
         step = min(_GD_LR, 1.0 / curvature) if curvature > 0 else _GD_LR
+        if not step > 0:  # 1 / inf: the iterations would change nothing
+            raise FitError(f"loss curvature bound is {curvature}: gradient "
+                           "descent cannot take a step")
         for _ in range(_GD_MAX_ITER):
             grad_w, grad_b = self._gradients(x_train, onehot, weights, bias, l2)
             norm = np.sqrt((grad_w ** 2).sum() + (grad_b ** 2).sum())
@@ -333,6 +336,3 @@ class LinearSVMMethod(_GradientDescentClassifier):
         slack = np.maximum(0.0, 1.0 - signs * margins)
         coeff = -2.0 * signs * slack / n
         return x.T @ coeff + 2.0 * l2 * weights, coeff.sum(axis=0)
-
-    def _predict(self, x) -> Prediction:
-        return self._classify(_softmax(x @ self._weights + self._bias))

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..data import TaskType
 from ..errors import ConfigError, DivergenceError
-from .base import Method, Prediction, validation_score
+from .base import Method, Prediction, positive_int, validation_score
 from .classical import _softmax
 
 BETA1 = 0.9
@@ -36,8 +36,8 @@ def _check_dropout(dropout: float):
 class MLPNetwork:
     """Parameters plus pure-numpy forward and backward passes.
 
-    ``params`` alternates weight matrices and bias vectors layer by layer.
-    Kept separate from the Method wrapper so gradients can be probed directly.
+    ``weights`` and ``biases`` hold one array per layer. Kept separate from
+    the Method wrapper so gradients can be probed directly.
     """
 
     def __init__(
@@ -67,11 +67,26 @@ class MLPNetwork:
     def parameter_count(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
+    def _forward(self, x, rng: np.random.Generator | None = None):
+        """Each layer's input, each hidden layer's pre-activation and dropout
+        mask (None when dropout is off), and the output scores. Passing
+        ``rng`` enables inverted dropout on the hidden activations."""
+        inputs, pre_relu, masks = [x], [], []
+        for i in range(self.n_hidden):
+            z = inputs[-1] @ self.weights[i] + self.biases[i]
+            pre_relu.append(z)
+            out = np.maximum(z, 0.0)
+            mask = None
+            if rng is not None and self.dropout > 0.0:
+                mask = (rng.random(out.shape) >= self.dropout) / (1.0 - self.dropout)
+                out = out * mask
+            masks.append(mask)
+            inputs.append(out)
+        return inputs, pre_relu, masks, inputs[-1] @ self.weights[-1] + self.biases[-1]
+
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode forward pass (dropout off)."""
-        for i in range(self.n_hidden):
-            x = np.maximum(x @ self.weights[i] + self.biases[i], 0.0)
-        return x @ self.weights[-1] + self.biases[-1]
+        return self._forward(x)[-1]
 
     def loss_and_gradients(self, x, y, rng: np.random.Generator | None = None):
         """Mean loss on the batch and gradients for every weight and bias.
@@ -81,22 +96,7 @@ class MLPNetwork:
         inverted dropout on the hidden activations.
         """
         n = x.shape[0]
-        activations = [x]
-        pre_relu = []
-        masks = []
-        out = x
-        for i in range(self.n_hidden):
-            z = out @ self.weights[i] + self.biases[i]
-            pre_relu.append(z)
-            out = np.maximum(z, 0.0)
-            if rng is not None and self.dropout > 0.0:
-                mask = (rng.random(out.shape) >= self.dropout) / (1.0 - self.dropout)
-                out = out * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
-            activations.append(out)
-        scores = out @ self.weights[-1] + self.biases[-1]
+        inputs, pre_relu, masks, scores = self._forward(x, rng)
 
         if self.classification:
             shifted = scores - scores.max(axis=1, keepdims=True)
@@ -112,14 +112,14 @@ class MLPNetwork:
 
         grad_w = [None] * len(self.weights)
         grad_b = [None] * len(self.biases)
-        grad_w[-1] = activations[-1].T @ d_scores
+        grad_w[-1] = inputs[-1].T @ d_scores
         grad_b[-1] = d_scores.sum(axis=0)
         upstream = d_scores @ self.weights[-1].T
         for i in range(self.n_hidden - 1, -1, -1):
             if masks[i] is not None:
                 upstream = upstream * masks[i]
             d_z = upstream * (pre_relu[i] > 0.0)
-            grad_w[i] = activations[i].T @ d_z
+            grad_w[i] = inputs[i].T @ d_z
             grad_b[i] = d_z.sum(axis=0)
             if i:
                 upstream = d_z @ self.weights[i].T
@@ -133,6 +133,9 @@ class MLPMethod(Method):
 
     def _check_config(self):
         _check_dropout(float(self.config.model.get("dropout", DEFAULT_DROPOUT)))
+        train_cfg = self.config.training
+        self._max_epoch = positive_int(train_cfg, "max_epoch", DEFAULT_MAX_EPOCH)
+        self._batch_size = positive_int(train_cfg, "batch_size", DEFAULT_BATCH_SIZE)
 
     def _fit(self, x_train, y_train, x_val, y_val):
         model_cfg = self.config.model
@@ -141,8 +144,6 @@ class MLPMethod(Method):
         dropout = float(model_cfg.get("dropout", DEFAULT_DROPOUT))
         lr = float(train_cfg.get("lr", DEFAULT_LR))
         weight_decay = float(train_cfg.get("weight_decay", DEFAULT_WEIGHT_DECAY))
-        max_epoch = int(train_cfg.get("max_epoch", DEFAULT_MAX_EPOCH))
-        batch_size = int(train_cfg.get("batch_size", DEFAULT_BATCH_SIZE))
         patience = int(train_cfg.get("patience", DEFAULT_PATIENCE))
         rng = np.random.default_rng(self.config.seed)
 
@@ -165,10 +166,10 @@ class MLPMethod(Method):
         # if there are no validation rows, early-stop on the training metric
         score_x, score_y = (x_val, y_val) if len(y_val) else (x_train, y_train)
 
-        moment1_w = [np.zeros_like(w) for w in net.weights]
-        moment2_w = [np.zeros_like(w) for w in net.weights]
-        moment1_b = [np.zeros_like(b) for b in net.biases]
-        moment2_b = [np.zeros_like(b) for b in net.biases]
+        params = net.weights + net.biases
+        n_weights = len(net.weights)
+        moment1 = [np.zeros_like(p) for p in params]
+        moment2 = [np.zeros_like(p) for p in params]
         step = 0
         decay = 1.0 - lr * weight_decay
 
@@ -176,10 +177,10 @@ class MLPMethod(Method):
         best_params = None
         epochs_since_best = 0
         n = len(y_fit)
-        for epoch in range(max_epoch):
+        for epoch in range(self._max_epoch):
             order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                batch = order[start:start + batch_size]
+            for start in range(0, n, self._batch_size):
+                batch = order[start:start + self._batch_size]
                 loss, grad_w, grad_b = net.loss_and_gradients(
                     x_train[batch], y_fit[batch], rng=rng
                 )
@@ -190,35 +191,29 @@ class MLPMethod(Method):
                 step += 1
                 correction1 = 1.0 - BETA1 ** step
                 correction2 = 1.0 - BETA2 ** step
-                for i in range(len(net.weights)):
-                    moment1_w[i] = BETA1 * moment1_w[i] + (1 - BETA1) * grad_w[i]
-                    moment2_w[i] = BETA2 * moment2_w[i] + (1 - BETA2) * grad_w[i] ** 2
-                    net.weights[i] -= lr * (moment1_w[i] / correction1) / (
-                        np.sqrt(moment2_w[i] / correction2) + ADAM_EPS
+                for i, (p, grad) in enumerate(zip(params, grad_w + grad_b)):
+                    moment1[i] = BETA1 * moment1[i] + (1 - BETA1) * grad
+                    moment2[i] = BETA2 * moment2[i] + (1 - BETA2) * grad ** 2
+                    p -= lr * (moment1[i] / correction1) / (
+                        np.sqrt(moment2[i] / correction2) + ADAM_EPS
                     )
-                    net.weights[i] *= decay  # decoupled decay, weights only
-                    moment1_b[i] = BETA1 * moment1_b[i] + (1 - BETA1) * grad_b[i]
-                    moment2_b[i] = BETA2 * moment2_b[i] + (1 - BETA2) * grad_b[i] ** 2
-                    net.biases[i] -= lr * (moment1_b[i] / correction1) / (
-                        np.sqrt(moment2_b[i] / correction2) + ADAM_EPS
-                    )
+                    if i < n_weights:
+                        p *= decay  # decoupled decay, weights only
             scores = net.logits(score_x)
             score = validation_score(
                 scores[:, 0] * self._y_std + self._y_mean if self.is_regression
                 else np.argmax(scores, axis=1), score_y, not self.is_regression)
             if score > best_score:
                 best_score = score
-                best_params = (
-                    [w.copy() for w in net.weights],
-                    [b.copy() for b in net.biases],
-                )
+                best_params = [p.copy() for p in params]
                 epochs_since_best = 0
             else:
                 epochs_since_best += 1
                 if epochs_since_best >= patience:
                     break
         if best_params is not None:
-            net.weights, net.biases = best_params
+            for p, best in zip(params, best_params):
+                p[...] = best
         self._net = net
         # higher-is-better: accuracy, or negated RMSE for regression
         self.validation_score = best_score

@@ -50,8 +50,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError
-from .base import Method, Prediction
+from .base import Method, Prediction, positive_int
 from .classical import _softmax
 
 # a split must gain more than this; smaller gains are rounding noise
@@ -515,55 +514,21 @@ def _samples(n: int, count: int, rngs=None) -> np.ndarray:
     return out
 
 
-def _positive_int(cfg: dict, key: str, default: int) -> int:
-    value = int(cfg.get(key, default))
-    if value < 1:
-        raise ConfigError(f"{key} must be >= 1, got {value}")
-    return value
-
-
-def _build_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    classification: bool,
-    n_classes: int,
-    max_depth: int,
-    min_leaf: int,
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> _Tree:
-    """Grow one tree on every row of ``x``."""
-    if max_depth < 1:
-        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-    if min_leaf < 1:
-        raise ConfigError(f"min_samples_leaf must be >= 1, got {min_leaf}")
-    xt = np.ascontiguousarray(x.T)
-    return _Grower(
-        xt, _ranks(xt), y, _samples(x.shape[0], 1),
-        classification=classification, n_classes=n_classes,
-        max_depth=max_depth, min_leaf=min_leaf, max_features=max_features,
-        rngs=[rng],
-    ).grow()[0]
-
-
 class CARTMethod(Method):
     """Single greedy decision tree."""
 
     def _check_config(self):
         cfg = self.config.model
-        self._max_depth = _positive_int(cfg, "max_depth", 16)
-        self._min_leaf = _positive_int(cfg, "min_samples_leaf", 1)
+        self._max_depth = positive_int(cfg, "max_depth", 16)
+        self._min_leaf = positive_int(cfg, "min_samples_leaf", 1)
 
     def _fit(self, x_train, y_train, x_val, y_val):
-        self._tree = _build_tree(
-            x_train,
-            y_train,
-            classification=not self.is_regression,
-            n_classes=self.class_count,
-            max_depth=self._max_depth,
-            min_leaf=self._min_leaf,
-        )
+        xt = np.ascontiguousarray(x_train.T)
+        self._tree = _Grower(
+            xt, _ranks(xt), y_train, _samples(len(y_train), 1),
+            classification=not self.is_regression, n_classes=self.class_count,
+            max_depth=self._max_depth, min_leaf=self._min_leaf,
+        ).grow()[0]
 
     def _predict(self, x) -> Prediction:
         values = self._tree.predict_values(x)
@@ -583,11 +548,11 @@ class RandomForestMethod(Method):
 
     def _check_config(self):
         cfg = self.config.model
-        self._n_trees = _positive_int(cfg, "n_trees", 100)
-        self._max_depth = _positive_int(cfg, "max_depth", 16)
-        self._min_leaf = _positive_int(cfg, "min_samples_leaf", 1)
+        self._n_trees = positive_int(cfg, "n_trees", 100)
+        self._max_depth = positive_int(cfg, "max_depth", 16)
+        self._min_leaf = positive_int(cfg, "min_samples_leaf", 1)
         if cfg.get("max_features") is not None:
-            _positive_int(cfg, "max_features", 1)
+            positive_int(cfg, "max_features", 1)
 
     def _fit(self, x_train, y_train, x_val, y_val):
         cfg = self.config.model
@@ -646,9 +611,9 @@ class GBDTMethod(Method):
 
     def _check_config(self):
         cfg = self.config.model
-        self._n_trees = _positive_int(cfg, "n_trees", 100)
-        self._max_depth = _positive_int(cfg, "max_depth", 3)
-        self._min_leaf = _positive_int(cfg, "min_samples_leaf", 1)
+        self._n_trees = positive_int(cfg, "n_trees", 100)
+        self._max_depth = positive_int(cfg, "max_depth", 3)
+        self._min_leaf = positive_int(cfg, "min_samples_leaf", 1)
         self._lr = float(cfg.get("learning_rate", 0.1))
 
     def _fit(self, x_train, y_train, x_val, y_val):
@@ -668,32 +633,28 @@ class GBDTMethod(Method):
                 values.append(grower.row_values())
             return trees, np.concatenate(values)
 
-        self._trees = []
+        # regression is the one-column case of the per-class residuals
         if self.is_regression:
             self._init = np.array([float(y_train.mean())])
-            scores = np.full(n, self._init[0])
-            for _ in range(self._n_trees):
-                stage, values = grow_stage((y_train - scores)[None])
-                self._trees.append(stage)
-                scores += self._lr * values[0]
+            target = y_train[:, None]
         else:
             priors = np.bincount(y_train, minlength=self.class_count) / n
             self._init = np.log(np.clip(priors, 1e-15, None))
-            onehot = np.zeros((n, self.class_count))
-            onehot[np.arange(n), y_train] = 1.0
-            scores = np.tile(self._init, (n, 1))
-            for _ in range(self._n_trees):
-                stage, values = grow_stage((onehot - _softmax(scores)).T)
-                for c in range(self.class_count):
-                    scores[:, c] += self._lr * values[c]
-                self._trees.append(stage)
+            target = np.zeros((n, self.class_count))
+            target[np.arange(n), y_train] = 1.0
+        scores = np.tile(self._init, (n, 1))
+        self._trees = []
+        for _ in range(self._n_trees):
+            residuals = target - (scores if self.is_regression else _softmax(scores))
+            stage, values = grow_stage(residuals.T)
+            self._trees.append(stage)
+            scores += self._lr * values.T
 
     def _raw_scores(self, x) -> np.ndarray:
-        width = 1 if self.is_regression else self.class_count
         scores = np.tile(self._init, (x.shape[0], 1))
         for stage in self._trees:
-            for c in range(width):
-                scores[:, c] += self._lr * stage[c].predict_values(x)[:, 0]
+            for c, tree in enumerate(stage):
+                scores[:, c] += self._lr * tree.predict_values(x)[:, 0]
         return scores
 
     def _predict(self, x) -> Prediction:

@@ -18,6 +18,7 @@ from tabkit.methods.classical import (
 )
 from tabkit.methods.mlp import MLPMethod
 from tabkit.pipeline import PipelineConfig
+from tabkit.report import run_seeds
 
 from conftest import dataset_from_arrays, make_classification
 
@@ -230,6 +231,23 @@ class TestGradientDescentClassifiers:
         a = fit_method(LogisticRegressionMethod, dataset, info)
         b = fit_method(LogisticRegressionMethod, dataset, info)
         assert a.fitted_state() == b.fitted_state()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["logreg", "svm"])
+    def test_overflowing_curvature_fails_each_seed(self, name):
+        # robust scaling leaves a 1e300 cell near 1e300, whose square makes
+        # the curvature bound inf and the step 0; standard scaling divides
+        # it down, and the same table trains
+        dataset, info = make_classification(seed=3)
+        dataset.num[dataset.split["train"][0], 0] = 1e300
+        records = run_seeds(name, dataset, info, seed_num=2,
+                            pipeline=PipelineConfig(normalization="robust"))
+        assert [r.seed for r in records] == [0, 1]
+        assert all(not r.ok and "curvature bound is inf" in r.error
+                   for r in records)
+        records = run_seeds(name, dataset, info, seed_num=2,
+                            pipeline=PipelineConfig(normalization="standard"))
+        assert all(r.ok and r.metrics["accuracy"] == 1.0 for r in records)
 
 
 class TestSoftmax:

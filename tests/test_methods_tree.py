@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from tabkit.data import TaskType
+from tabkit.data import DatasetInfo, TaskType
 from tabkit.methods import MethodConfig
-from tabkit.methods.tree import CARTMethod, GBDTMethod, RandomForestMethod, _build_tree
+from tabkit.methods.tree import (
+    CARTMethod,
+    GBDTMethod,
+    RandomForestMethod,
+    _Grower,
+    _ranks,
+    _samples,
+)
 
 from conftest import dataset_from_arrays, make_classification, make_regression
 
@@ -21,11 +28,20 @@ def empty_cat(n):
     return np.empty((n, 0), dtype=object)
 
 
+def grow_tree(x, y, *, classification, n_classes, max_depth, min_leaf):
+    """One tree grown by the engine on every row of ``x``."""
+    xt = np.ascontiguousarray(x.T)
+    return _Grower(
+        xt, _ranks(xt), y, _samples(len(y), 1), classification=classification,
+        n_classes=n_classes, max_depth=max_depth, min_leaf=min_leaf,
+    ).grow()[0]
+
+
 class TestTreeBuilder:
     def test_two_block_data_single_split(self):
         x = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
-        tree = _build_tree(
+        tree = grow_tree(
             x, y, classification=True, n_classes=2, max_depth=2, min_leaf=1
         )
         assert tree.n_nodes == 3
@@ -36,7 +52,7 @@ class TestTreeBuilder:
         # both features separate the classes perfectly; feature 0 must win
         x = np.array([[-1.0, -5.0], [-2.0, -6.0], [1.0, 5.0], [2.0, 6.0]])
         y = np.array([0, 0, 1, 1])
-        tree = _build_tree(
+        tree = grow_tree(
             x, y, classification=True, n_classes=2, max_depth=1, min_leaf=1
         )
         assert tree.feature[0] == 0
@@ -44,7 +60,7 @@ class TestTreeBuilder:
     def test_thresholds_are_midpoints(self):
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0.0, 0.0, 8.0, 8.0])
-        tree = _build_tree(
+        tree = grow_tree(
             x, y, classification=False, n_classes=0, max_depth=1, min_leaf=1
         )
         assert tree.threshold[0] == 5.5
@@ -53,7 +69,7 @@ class TestTreeBuilder:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        tree = _build_tree(
+        tree = grow_tree(
             x, y, classification=False, n_classes=0, max_depth=8, min_leaf=5
         )
         leaf_ids = np.flatnonzero(tree.feature == -1)
@@ -69,11 +85,10 @@ class TestTreeBuilder:
         assert min(counts.values()) >= 5
 
     def test_rejects_bad_depth(self):
+        info = DatasetInfo(task=TaskType.REGRESSION, n_num_features=1,
+                           n_cat_features=0, class_count=None, name="table")
         with pytest.raises(ValueError):
-            _build_tree(
-                np.zeros((4, 1)), np.zeros(4),
-                classification=False, n_classes=0, max_depth=0, min_leaf=1,
-            )
+            CARTMethod(MethodConfig(model={"max_depth": 0}), info)
 
 
 class TestCART:

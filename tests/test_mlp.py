@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mlp_oracle import OracleMLPMethod
 from tabkit.data import TaskType
-from tabkit.errors import DivergenceError
+from tabkit.errors import ConfigError, DivergenceError
 from tabkit.methods import MethodConfig
 from tabkit.methods.mlp import MLPMethod, MLPNetwork
+from tabkit.report import run_seeds
 
 from conftest import dataset_from_arrays, make_classification, make_regression
 
@@ -184,3 +188,72 @@ class TestMLPMethod:
 
     def test_is_deep(self):
         assert MLPMethod.is_deep
+
+    @pytest.mark.parametrize("training", [
+        {"batch_size": 0}, {"batch_size": -4}, {"max_epoch": 0}, {"max_epoch": -1},
+    ])
+    def test_rejects_nonpositive_batch_size_and_max_epoch(self, training):
+        dataset, info = make_classification(seed=17)
+        with pytest.raises(ConfigError):
+            MLPMethod(MethodConfig(training=training), info)
+        records = run_seeds("mlp", dataset, info, seed_num=2, training=training)
+        key = next(iter(training))
+        assert [r.seed for r in records] == [0, 1]
+        assert all(not r.ok and f"{key} must be >= 1" in r.error for r in records)
+
+
+@st.composite
+def mlp_runs(draw):
+    """(dataset, info, config) of a small MLP fit."""
+    task = draw(st.sampled_from(list(TaskType)))
+    n_train, n_val = draw(st.integers(2, 30)), draw(st.sampled_from([0, 1, 7]))
+    n_test, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    n = n_train + n_val + n_test
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    num = rng.normal(size=(n, d))
+    if task is TaskType.REGRESSION:
+        labels = num @ rng.normal(size=d) + rng.normal(size=n)
+    else:
+        n_classes = 2 if task is TaskType.BINCLASS else draw(st.integers(3, 4))
+        labels = rng.integers(0, n_classes, size=n)
+        labels[0] = n_classes - 1  # the class count is the largest label + 1
+    dataset, info = dataset_from_arrays(num, labels, task, n_val=n_val,
+                                        n_test=n_test)
+    widths = st.integers(1, 16)
+    layers = st.one_of(st.just([]), st.lists(widths, min_size=1, max_size=1),
+                       st.lists(widths, min_size=3, max_size=3))
+    model = {
+        "d_layers": draw(layers),
+        "dropout": draw(st.sampled_from([0.0, 0.3])),
+    }
+    training = {
+        "lr": draw(st.sampled_from([1e-3, 3e-2, 0.3])),
+        "weight_decay": draw(st.sampled_from([0.0, 1e-3])),
+        # most of these do not divide the training rows
+        "batch_size": draw(st.integers(1, n_train + 2)),
+        "max_epoch": draw(st.integers(1, 6)),
+        "patience": draw(st.integers(1, 3)),
+    }
+    config = MethodConfig(model=model, training=training,
+                          seed=draw(st.integers(0, 3)))
+    return dataset, info, config
+
+
+def fit_outcome(cls, dataset, info, config):
+    """Fitted state, test predictions and validation score as bytes, or
+    what the fit raised."""
+    method = cls(config, info)
+    try:
+        method.fit(dataset, info)
+        pred = method.predict_part(dataset, "test")
+    except (DivergenceError, ValueError) as err:
+        return type(err), str(err)
+    probs = None if pred.probabilities is None else pred.probabilities.tobytes()
+    return (method.fitted_state(), pred.values.dtype, pred.values.tobytes(),
+            probs, np.float64(method.validation_score).tobytes())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(mlp_runs())
+def test_fit_matches_oracle(run):
+    assert fit_outcome(MLPMethod, *run) == fit_outcome(OracleMLPMethod, *run)
