@@ -1,11 +1,14 @@
 """Reference MLP training: the separate evaluation and training passes and the
-per-layer Adam loop, with weights and biases updated side by side, that the
-single forward pass and single parameter loop in ``tabkit.methods.mlp``
-replaced.
+per-layer Adam loop, with weights and biases updated side by side and every
+moment rebuilt out of place, that the single forward pass and single in-place
+parameter loop in ``tabkit.methods.mlp`` replaced.
 
-:class:`OracleMLPMethod` fits exactly as ``MLPMethod`` did before; the
-equivalence tests require the same fitted state, predictions and validation
-score, bit for bit.
+:class:`OracleMLPMethod` fits exactly as ``MLPMethod`` does, at the same
+dtypes: float32 inputs clipped to the float32 range, float32 parameters,
+targets and dropout draws, and logits upcast to float64 before the softmax,
+the validation score and the de-standardisation; a predicted row whose
+float32 logits overflow is scored again in float64. The equivalence tests
+require the same fitted state, predictions and validation score, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from tabkit.errors import DivergenceError
-from tabkit.methods.base import validation_score
+from tabkit.methods.base import Prediction, validation_score
 from tabkit.methods.classical import _softmax
 from tabkit.methods.mlp import (
     ADAM_EPS,
@@ -29,6 +32,12 @@ from tabkit.methods.mlp import (
     MLPMethod,
     MLPNetwork,
 )
+
+FLOAT32_MAX = np.finfo(np.float32).max
+
+
+def to_float32(x):
+    return np.clip(x, -FLOAT32_MAX, FLOAT32_MAX).astype(np.float32)
 
 
 class OracleNetwork(MLPNetwork):
@@ -51,7 +60,8 @@ class OracleNetwork(MLPNetwork):
             pre_relu.append(z)
             out = np.maximum(z, 0.0)
             if rng is not None and self.dropout > 0.0:
-                mask = (rng.random(out.shape) >= self.dropout) / (1.0 - self.dropout)
+                keep = rng.random(out.shape, dtype=self.dtype) >= self.dropout
+                mask = keep * self.dtype.type(1.0 / (1.0 - self.dropout))
                 out = out * mask
                 masks.append(mask)
             else:
@@ -60,12 +70,13 @@ class OracleNetwork(MLPNetwork):
         scores = out @ self.weights[-1] + self.biases[-1]
 
         if self.classification:
-            shifted = scores - scores.max(axis=1, keepdims=True)
+            wide = scores.astype(np.float64)
+            shifted = wide - wide.max(axis=1, keepdims=True)
             log_norm = np.log(np.exp(shifted).sum(axis=1))
             loss = float(np.mean(log_norm - shifted[np.arange(n), y]))
-            d_scores = _softmax(scores)
+            d_scores = _softmax(wide)
             d_scores[np.arange(n), y] -= 1.0
-            d_scores /= n
+            d_scores = (d_scores / n).astype(self.dtype)
         else:
             residual = scores[:, 0] - y
             loss = float(np.mean(residual ** 2))
@@ -101,20 +112,21 @@ class OracleMLPMethod(MLPMethod):
         batch_size = int(train_cfg.get("batch_size", DEFAULT_BATCH_SIZE))
         patience = int(train_cfg.get("patience", DEFAULT_PATIENCE))
         rng = np.random.default_rng(self.config.seed)
+        x_train, x_val = to_float32(x_train), to_float32(x_val)
 
         if self.is_regression:
             self._y_mean = float(y_train.mean())
             self._y_std = float(y_train.std())
             if self._y_std < 1e-12:
                 self._y_std = 1.0
-            y_fit = (y_train - self._y_mean) / self._y_std
+            y_fit = ((y_train - self._y_mean) / self._y_std).astype(np.float32)
             d_out = 1
         else:
             y_fit = y_train
             d_out = self.class_count
         net = OracleNetwork(
             x_train.shape[1], d_layers, d_out, dropout,
-            classification=not self.is_regression, rng=rng,
+            classification=not self.is_regression, rng=rng, dtype=np.float32,
         )
 
         score_x, score_y = (x_val, y_val) if len(y_val) else (x_train, y_train)
@@ -156,7 +168,7 @@ class OracleMLPMethod(MLPMethod):
                     net.biases[i] -= lr * (moment1_b[i] / correction1) / (
                         np.sqrt(moment2_b[i] / correction2) + ADAM_EPS
                     )
-            scores = net.logits(score_x)
+            scores = net.logits(score_x).astype(np.float64)
             score = validation_score(
                 scores[:, 0] * self._y_std + self._y_mean if self.is_regression
                 else np.argmax(scores, axis=1), score_y, not self.is_regression)
@@ -175,3 +187,13 @@ class OracleMLPMethod(MLPMethod):
             net.weights, net.biases = best_params
         self._net = net
         self.validation_score = best_score
+
+    def _predict(self, x) -> Prediction:
+        x = to_float32(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = self._net.logits(x).astype(np.float64)
+        rows = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+        scores[rows] = self._net.logits(x[rows].astype(np.float64))
+        if self.is_regression:
+            return Prediction.regression(scores[:, 0] * self._y_std + self._y_mean)
+        return self._classify(_softmax(scores))

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from mlp_oracle import OracleMLPMethod
 from tabkit.data import TaskType
-from tabkit.errors import ConfigError, DivergenceError
+from tabkit.errors import ConfigError, DivergenceError, FitError
 from tabkit.methods import MethodConfig
 from tabkit.methods.mlp import MLPMethod, MLPNetwork
+from tabkit.pipeline import PipelineConfig
+from tabkit.preprocess import NORMALIZATIONS
 from tabkit.report import run_seeds
 
 from conftest import dataset_from_arrays, make_classification, make_regression
@@ -65,6 +67,25 @@ class TestGradients:
         x = rng.normal(size=(10, 3))
         y = rng.integers(0, 2, size=10)
         self.check_network(net, x, y)
+
+    @pytest.mark.parametrize("classification", [True, False])
+    def test_float32_gradients_match_float64(self, classification):
+        d_out = 3 if classification else 1
+        wide, narrow = (
+            MLPNetwork(6, [16, 16], d_out, dropout=0.0, classification=classification,
+                       rng=np.random.default_rng(21), dtype=dtype)
+            for dtype in (np.float64, np.float32))
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(32, 6))
+        y = rng.integers(0, 3, size=32) if classification else rng.normal(size=32)
+        _, *wide_grads = wide.loss_and_gradients(x, y)
+        _, *narrow_grads = narrow.loss_and_gradients(
+            x.astype(np.float32), y if classification else y.astype(np.float32))
+        for want, got in zip(sum(wide_grads, []), sum(narrow_grads, [])):
+            assert got.dtype == np.float32
+            # entries that cancel to near zero are held to the array's scale
+            np.testing.assert_allclose(got, want, rtol=1e-3,
+                                       atol=1e-4 * np.abs(want).max())
 
 
 class TestNetwork:
@@ -189,6 +210,35 @@ class TestMLPMethod:
     def test_is_deep(self):
         assert MLPMethod.is_deep
 
+    def test_trains_in_float32(self, monkeypatch):
+        grad_dtypes = set()
+        inner = MLPNetwork.loss_and_gradients
+
+        def recording(net, x, y, rng=None):
+            loss, grad_w, grad_b = inner(net, x, y, rng)
+            grad_dtypes.update(g.dtype for g in grad_w + grad_b)
+            return loss, grad_w, grad_b
+
+        monkeypatch.setattr(MLPNetwork, "loss_and_gradients", recording)
+        for dataset, info in (make_classification(seed=18, n_classes=3),
+                              make_regression(seed=18)):
+            method = fit_mlp(dataset, info, model={"d_layers": [8, 8], "dropout": 0.2},
+                             training={"max_epoch": 3})
+            params = method._net.weights + method._net.biases
+            assert {p.dtype for p in params} == {np.dtype(np.float32)}
+        assert grad_dtypes == {np.dtype(np.float32)}
+
+    def test_predictions_stay_float64(self):
+        dataset, info = make_regression(seed=19)
+        pred = fit_mlp(dataset, info, model=SMALL,
+                       training={"max_epoch": 3}).predict_part(dataset, "test")
+        assert pred.values.dtype == np.float64
+        dataset, info = make_classification(seed=19, n_classes=4)
+        pred = fit_mlp(dataset, info, model=SMALL,
+                       training={"max_epoch": 3}).predict_part(dataset, "test")
+        assert pred.probabilities.dtype == np.float64
+        assert np.abs(pred.probabilities.sum(axis=1) - 1.0).max() <= 1e-9
+
     @pytest.mark.parametrize("training", [
         {"batch_size": 0}, {"batch_size": -4}, {"max_epoch": 0}, {"max_epoch": -1},
     ])
@@ -257,3 +307,58 @@ def fit_outcome(cls, dataset, info, config):
 @given(mlp_runs())
 def test_fit_matches_oracle(run):
     assert fit_outcome(MLPMethod, *run) == fit_outcome(OracleMLPMethod, *run)
+
+
+@st.composite
+def hostile_queries(draw):
+    """(dataset, info, config, num, cat): a small MLP fit on ordinary rows,
+    and query rows holding +-1e308 and NaN numeric cells and unseen tokens."""
+    task = draw(st.sampled_from(list(TaskType)))
+    n_train, d = draw(st.integers(4, 30)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = n_train + 3
+    num = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    cat = rng.choice(["a", "b", "c"], size=(n, 1)).astype(object)
+    if task is TaskType.REGRESSION:
+        labels = num @ rng.normal(size=d) + rng.normal(size=n)
+    else:
+        n_classes = 2 if task is TaskType.BINCLASS else 3
+        labels = rng.integers(0, n_classes, size=n)
+        labels[0] = n_classes - 1  # the class count is the largest label + 1
+    dataset, info = dataset_from_arrays(num, labels, task, cat=cat, n_val=3)
+    config = MethodConfig(
+        model={"d_layers": draw(st.sampled_from([[], [8], [64, 64]])),
+               "dropout": 0.1},
+        training={"lr": draw(st.sampled_from([1e-3, 3e-2])),
+                  "max_epoch": draw(st.integers(1, 5))},
+        pipeline=PipelineConfig(normalization=draw(st.sampled_from(NORMALIZATIONS))),
+        seed=draw(st.integers(0, 3)),
+    )
+    n_query = draw(st.integers(1, 6))
+    # listed twice: rows with several huge cells are the ones that overflow
+    cells = st.sampled_from([1e308, -1e308, 1e308, -1e308, np.nan, 0.5])
+    query_num = np.array(draw(st.lists(cells, min_size=n_query * d,
+                                       max_size=n_query * d))).reshape(n_query, d)
+    query_cat = np.array(draw(st.lists(st.sampled_from(["a", "unseen"]),
+                                       min_size=n_query, max_size=n_query)),
+                         dtype=object).reshape(n_query, 1)
+    return dataset, info, config, query_num, query_cat
+
+
+# the normalizer itself overflows to inf on +-1e308 cells
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@given(hostile_queries())
+def test_hostile_rows_predict_finite(query):
+    """Finite in, finite out: a fit that succeeds predicts finite values, and
+    probability rows that sum to 1, for any row the pipeline accepts."""
+    dataset, info, config, num, cat = query
+    method = MLPMethod(config, info)
+    try:
+        method.fit(dataset, info)
+    except FitError:  # DivergenceError included: recorded by run_seeds
+        return
+    pred = method.predict(num, cat)
+    assert np.isfinite(pred.values).all()
+    if pred.probabilities is not None:
+        assert np.isfinite(pred.probabilities).all()
+        assert np.abs(pred.probabilities.sum(axis=1) - 1.0).max() <= 1e-9
