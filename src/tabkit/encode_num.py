@@ -4,16 +4,26 @@ Bins come either from empirical quantiles or from the split thresholds of a
 single-feature decision tree grown against the labels. A fitted feature is
 then rendered as a bin index, a thermometer (unary) code, a Johnson
 shift-register code, or a piecewise-linear vector.
+
+The tree grows on the column sorted once: each leaf is a slice of that order,
+and a heap keyed by (-gain, push order) splits the best leaf next. A leaf
+scores its splits with the tree methods' gains (:mod:`tabkit.splits`) on a
+one-line view of its slice. Equal computed gains go to the lowest threshold,
+but two splits of equal exact gain (mostly with integer class labels) can
+round to different floats, and then rounding picks one.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import TaskType
 from .errors import EncodeError, ShapeError
+from .splits import MIN_GAIN, gini_gains, variance_gains
 
 DEFAULT_N_BINS = 48
 
@@ -78,70 +88,23 @@ def compute_quantile_bins(train_col: np.ndarray, n_bins: int = DEFAULT_N_BINS) -
     return BinEdges(edges, "quantile")
 
 
-def _node_impurity_parts(ys: np.ndarray, classification: bool):
-    """Prefix aggregates for impurity of every left/right split of sorted ys."""
-    n = len(ys)
-    if classification:
-        classes, codes = np.unique(ys, return_inverse=True)
-        onehot = np.zeros((n, len(classes)))
-        onehot[np.arange(n), codes] = 1.0
-        left_counts = np.cumsum(onehot, axis=0)[:-1]
-        total = left_counts[-1] + onehot[-1]
-        right_counts = total - left_counts
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        # weighted Gini: n_node - sum(count^2)/n_node
-        left = n_left - (left_counts ** 2).sum(axis=1) / n_left
-        right = n_right - (right_counts ** 2).sum(axis=1) / n_right
-        parent = n - float((total ** 2).sum()) / n
-    else:
-        csum = np.cumsum(ys)[:-1]
-        csum2 = np.cumsum(ys ** 2)[:-1]
-        total, total2 = float(np.sum(ys)), float(np.sum(ys ** 2))
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        # weighted squared error: sum(y^2) - sum(y)^2/n
-        left = csum2 - csum ** 2 / n_left
-        right = (total2 - csum2) - (total - csum) ** 2 / n_right
-        parent = total2 - total ** 2 / n
-    return parent, left + right
-
-
-class _TreeLeaf:
-    __slots__ = ("xs", "ys", "gain", "threshold", "split_at")
-
-    def __init__(self, xs, ys, min_leaf, classification):
-        self.xs = xs
-        self.ys = ys
-        self.gain = 0.0
-        self.threshold = None
-        self.split_at = None
-        n = len(xs)
-        if n < 2 * min_leaf:
-            return
-        parent, children = _node_impurity_parts(ys, classification)
-        gains = parent - children
-        positions = np.arange(1, n)
-        valid = (
-            (xs[:-1] < xs[1:])
-            & (positions >= min_leaf)
-            & (n - positions >= min_leaf)
-        )
-        if not valid.any():
-            return
-        gains = np.where(valid, gains, -np.inf)
-        best = int(np.argmax(gains))  # ties keep the lowest threshold
-        if gains[best] <= 1e-12:
-            return
-        self.gain = float(gains[best])
-        self.split_at = best + 1
-        self.threshold = float((xs[best] + xs[best + 1]) / 2.0)
-
-    def split(self, min_leaf, classification):
-        at = self.split_at
-        left = _TreeLeaf(self.xs[:at], self.ys[:at], min_leaf, classification)
-        right = _TreeLeaf(self.xs[at:], self.ys[at:], min_leaf, classification)
-        return left, right
+def _best_split(xs, ys, min_leaf, n_classes):
+    """(gain, left size, threshold) of a sorted leaf's best split, or None."""
+    n = len(xs)
+    if n < 2 * min_leaf:
+        return None
+    n_left = np.arange(1, n, dtype=np.float64)
+    parts = (np.arange(1), np.array([n - 1]), n_left, (n - n_left)[None, None])
+    # a (1, 1, n) batch of one line; variance_gains overwrites its targets
+    gains = (gini_gains(ys[None, None], *parts, n_classes) if n_classes
+             else variance_gains(ys[None, None].copy(), *parts))[0, 0]
+    # values strictly rise at the split, and each side keeps min_leaf rows
+    gains[~(xs[:-1] < xs[1:])] = -np.inf
+    gains[:min_leaf - 1] = gains[n - min_leaf:] = -np.inf
+    best = int(np.argmax(gains))  # ties keep the lowest threshold
+    if gains[best] <= MIN_GAIN:
+        return None
+    return float(gains[best]), best + 1, float((xs[best] + xs[best + 1]) / 2.0)
 
 
 def compute_target_bins(
@@ -169,23 +132,33 @@ def compute_target_bins(
     if lo == hi:
         return _degenerate_edges(lo, "target")
 
-    classification = task.is_classification
     min_leaf = max(1, len(train_col) // (4 * n_bins))
     order = np.argsort(train_col, kind="stable")
-    leaves = [_TreeLeaf(train_col[order], targets[order], min_leaf, classification)]
-    thresholds: list[float] = []
-    while len(leaves) < n_bins:
-        best = max(range(len(leaves)), key=lambda i: leaves[i].gain)
-        if leaves[best].gain <= 0.0:
-            break
-        leaf = leaves.pop(best)
-        thresholds.append(leaf.threshold)
-        leaves.extend(leaf.split(min_leaf, classification))
+    xs = train_col[order]
+    if task.is_classification:
+        classes, ys = np.unique(targets[order], return_inverse=True)
+        n_classes = len(classes)
+    else:
+        ys, n_classes = targets[order].astype(np.float64), 0
+    # leaves that can split, largest gain first, then the first pushed
+    heap, pushed = [], itertools.count()
 
-    edges = np.unique(np.array([lo, *thresholds, hi]))
-    if len(edges) < 2:
-        return _degenerate_edges(lo, "target")
-    return BinEdges(edges, "target")
+    def push(start, stop):
+        split = _best_split(xs[start:stop], ys[start:stop], min_leaf, n_classes)
+        if split is not None:
+            gain, n_left, threshold = split
+            heapq.heappush(heap, (-gain, next(pushed), start, stop,
+                                  start + n_left, threshold))
+
+    push(0, len(xs))
+    thresholds: list[float] = []
+    while heap and len(thresholds) < n_bins - 1:
+        _, _, start, stop, at, threshold = heapq.heappop(heap)
+        thresholds.append(threshold)
+        push(start, at)
+        push(at, stop)
+
+    return BinEdges(np.unique(np.array([lo, *thresholds, hi])), "target")
 
 
 def _check_finite(x: np.ndarray) -> None:

@@ -34,9 +34,8 @@ CART's single tree, a forest's trees, or one boosting stage's per-class trees.
   level per step. Nodes are numbered in preorder once the trees are grown.
 * Feature subsets are drawn ahead in bulk: ``_feature_subsets`` replays
   ``Generator.choice(d, k, replace=False)`` call for call.
-* Classification gains accumulate squared per-class prefix counts one class at
-  a time, with no (rows, features, classes) block; the counts are integers, so
-  the sums are exact.
+* Split gains come from :mod:`tabkit.splits`, shared with target-aware
+  binning; classification gains build no (rows, features, classes) block.
 
 Every floating-point operation that decides a split or a leaf value is the one
 a per-node sort-and-scan performs, in the same order, so the fitted arrays do
@@ -50,11 +49,10 @@ import math
 
 import numpy as np
 
+from ..splits import MIN_GAIN, gini_gains, variance_gains
 from .base import Method, Prediction, positive_int
 from .classical import _softmax
 
-# a split must gain more than this; smaller gains are rounding noise
-_MIN_GAIN = 1e-12
 # the samples of trees grown in lock-step take at most this many times the
 # training matrix's bytes
 _GROUP_TABLES = 2
@@ -401,8 +399,9 @@ class _Grower:
         n_left = np.arange(1, span, dtype=np.float64)
         # clipped past a node's end, where no position is valid anyway
         n_right = np.maximum(size[:, None] - n_left, 1.0)[:, None, :]
-        gains = (self._gini_gains if self.classification
-                 else self._variance_gains)(ys, node, last, n_left, n_right)
+        gains = (gini_gains(ys, node, last, n_left, n_right, self.n_classes)
+                 if self.classification
+                 else variance_gains(ys, node, last, n_left, n_right))
         del ys
         np.copyto(gains, -np.inf, where=np.logical_not(valid, out=valid))
         del valid
@@ -420,59 +419,8 @@ class _Grower:
         threshold = (xs[node, pos] + xs[node, pos + 1]) / 2.0
         # a midpoint can round onto a boundary value and leave a side empty
         n_left_rows = (xs < threshold[:, None]).sum(axis=1)
-        ok = ~(gain <= _MIN_GAIN) & (n_left_rows > 0) & (n_left_rows < size)
+        ok = ~(gain <= MIN_GAIN) & (n_left_rows > 0) & (n_left_rows < size)
         return feature, threshold, n_left_rows, ok
-
-    @staticmethod
-    def _variance_gains(ys, node, last, n_left, n_right):
-        csum = np.cumsum(ys, axis=2)
-        # ys turns into the prefix sums of its squares
-        csum2 = np.cumsum(np.square(ys, out=ys), axis=2, out=ys)
-        total, total2 = csum[node, :, last], csum2[node, :, last]
-        # the node's own impurity, from the first feature's order
-        parent = np.array([
-            s2 - s ** 2 / (n + 1) for s, s2, n in
-            zip(total[:, 0].tolist(), total2[:, 0].tolist(), last.tolist())
-        ])
-        total, total2 = total[:, :, None], total2[:, :, None]
-        left, left2 = csum[:, :, :-1], csum2[:, :, :-1]
-        # left2 - left**2 / n_left + (total2 - left2) - (total - left)**2 / n_right
-        child = np.square(left)
-        child /= n_left
-        np.subtract(left2, child, out=child)
-        right = np.subtract(total2, left2)
-        child += right
-        np.subtract(total, left, out=right)
-        np.square(right, out=right)
-        right /= n_right
-        child -= right
-        return np.subtract(parent[:, None, None], child, out=child)
-
-    def _gini_gains(self, ys, node, last, n_left, n_right):
-        # squared class counts are integers: their float sums are exact
-        left_sq = np.zeros(ys.shape[:2] + (ys.shape[2] - 1,))
-        right_sq = np.zeros_like(left_sq)
-        scratch = np.empty_like(left_sq)
-        counts = np.empty(ys.shape, dtype=np.int32)
-        parent_sq = np.zeros(len(node))
-        for c in range(self.n_classes):
-            np.cumsum(ys == c, axis=2, out=counts)
-            total = counts[node, :, last]
-            left = counts[:, :, :-1]
-            left_sq += np.square(left, out=scratch)
-            np.subtract(total[:, :, None], left, out=scratch)
-            right_sq += np.square(scratch, out=scratch)
-            parent_sq += np.square(total[:, 0], dtype=np.float64)
-        del counts, scratch
-        # n_left - left_sq / n_left + n_right - right_sq / n_right
-        left_sq /= n_left
-        child = np.subtract(n_left, left_sq, out=left_sq)
-        child += n_right
-        right_sq /= n_right
-        child -= right_sq
-        size = last + 1
-        parent = size - parent_sq / size
-        return np.subtract(parent[:, None, None], child, out=child)
 
     def _partition(self, t, lo, size, n_left, feature, threshold):
         """Stably move each split node's left rows to the front of its slice,

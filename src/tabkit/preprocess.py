@@ -8,6 +8,7 @@ cells are the empty string.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ NORMALIZATIONS = ("standard", "minmax", "quantile", "maxabs", "power", "robust")
 NAN_TOKEN = "__nan__"
 
 _EPS_STD = 1e-12
+_FLOAT_MAX = np.finfo(np.float64).max
 _CDF_CLIP = 1e-7
 
 
@@ -88,17 +90,15 @@ def fit_imputer(
         if cat_policy == "constant":
             cat_fill.append(NAN_TOKEN)
             continue
-        counts: dict[str, int] = {}
-        for token in train_cat[:, j]:
-            if token == "":
-                continue
-            counts[token] = counts.get(token, 0) + 1
+        counts = Counter(train_cat[:, j].tolist())
+        counts.pop("", None)
         if not counts:
             raise FitError(
                 f"categorical column {j} has no observed training values, "
                 f"cannot fit most_frequent imputation"
             )
-        cat_fill.append(max(counts.items(), key=lambda item: item[1])[0])
+        # most_common keeps the first-seen token on ties
+        cat_fill.append(counts.most_common(1)[0][0])
     return FittedImputer(num_fill=num_fill, cat_fill=tuple(cat_fill))
 
 
@@ -171,9 +171,11 @@ class FittedNormalizer:
     ``standard``, ``minmax``, ``maxabs``, and ``robust`` are all affine maps
     (x - shift) / scale with kind-specific statistics and degenerate scales
     replaced by 1. ``power`` stores a Yeo-Johnson lambda per column followed
-    by standard scaling of the transformed training column. ``quantile``
-    stores a reference quantile table per column and maps through the
-    empirical CDF to a probit (normal) output.
+    by standard scaling of the transformed training column. Where a finite
+    cell would overflow, these maps saturate at the largest float64; inf and
+    NaN cells pass through them. ``quantile`` stores a reference quantile
+    table per column and maps through the empirical CDF to a probit (normal)
+    output.
     """
 
     kind: str
@@ -195,12 +197,16 @@ class FittedNormalizer:
             for j in range(self.n_columns):
                 out[:, j] = self._quantile_column(num[:, j], j)
             return out
+        out = num
         if self.kind == "power":
             out = np.empty_like(num, dtype=np.float64)
             for j in range(self.n_columns):
                 out[:, j] = _yeo_johnson(num[:, j], float(self.lambdas[j]))
-            return (out - self.shift) / self.scale
-        return (num - self.shift) / self.scale
+        with np.errstate(over="ignore"):
+            out = (out - self.shift) / self.scale
+        # a finite cell stays finite: where the map overflows, it saturates
+        return np.clip(out, -_FLOAT_MAX, _FLOAT_MAX, out=out,
+                       where=np.isfinite(num))
 
     def _quantile_column(self, col: np.ndarray, j: int) -> np.ndarray:
         table = self.quantiles[j]
@@ -245,14 +251,13 @@ def fit_normalizer(train_num: np.ndarray, kind: str) -> FittedNormalizer:
         lambdas = np.array(
             [_fit_yeo_johnson_lambda(train_num[:, j]) for j in range(n_cols)]
         )
-        transformed = np.column_stack(
-            [_yeo_johnson(train_num[:, j], float(lambdas[j])) for j in range(n_cols)]
-        ) if n_cols else np.empty_like(train_num)
-        shift = transformed.mean(axis=0) if n_cols else np.zeros(0)
-        scale = transformed.std(axis=0) if n_cols else np.ones(0)
-        scale = np.where(scale < _EPS_STD, 1.0, scale)
+        transformed = np.empty_like(train_num, dtype=np.float64)
+        for j in range(n_cols):
+            transformed[:, j] = _yeo_johnson(train_num[:, j], float(lambdas[j]))
+        scale = transformed.std(axis=0)
         return FittedNormalizer(
-            kind=kind, n_columns=n_cols, shift=shift, scale=scale, lambdas=lambdas
+            kind=kind, n_columns=n_cols, shift=transformed.mean(axis=0),
+            scale=np.where(scale < _EPS_STD, 1.0, scale), lambdas=lambdas
         )
     # quantile
     n_refs = min(1000, train_num.shape[0])

@@ -1,6 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import make_classification, make_regression
+from encode_num_oracle import target_bins
 from tabkit.data import TaskType
 from tabkit.encode_num import (
     BinEdges,
@@ -14,6 +20,7 @@ from tabkit.encode_num import (
     parse_num_policy,
 )
 from tabkit.errors import EncodeError, ShapeError
+from tabkit.preprocess import NORMALIZATIONS, fit_normalizer
 
 
 def edges_of(*values):
@@ -99,6 +106,25 @@ class TestTargetBins:
                     best_sse, best_threshold = sse, threshold
             assert bins.edges[1] == pytest.approx(best_threshold)
 
+    def test_equal_gains_in_a_leaf_take_the_lowest_threshold(self):
+        # cutting after rows 2 or 4 both gain exactly 2 (no rounding on the way)
+        bins = compute_target_bins(np.arange(6.0), np.array([0, 0, 1, 1, 2, 2]),
+                                   TaskType.MULTICLASS, 2)
+        np.testing.assert_array_equal(bins.edges, [0.0, 1.5, 5.0])
+
+    def test_rounding_noise_gain_makes_no_split(self):
+        # the only split gains 1e-14, below splits.MIN_GAIN
+        bins = compute_target_bins(np.arange(4.0), np.array([0.0, 0.0, 1e-7, 1e-7]),
+                                   TaskType.REGRESSION, 2)
+        np.testing.assert_array_equal(bins.edges, [0.0, 3.0])
+
+    def test_equal_gains_split_the_leaf_made_first(self):
+        # after the splits at 4.5 and 1.5, the leaves of rows 5..13 (made
+        # first) and 0..1 each gain exactly 1; the first made splits next
+        labels = np.array([3, 1, 0, 2, 0, 3, 3, 2, 3, 3, 2, 3, 3, 2])
+        bins = compute_target_bins(np.arange(14.0), labels, TaskType.MULTICLASS, 4)
+        np.testing.assert_array_equal(bins.edges, [0.0, 1.5, 4.5, 12.5, 13.0])
+
     def test_classification_separable_feature(self):
         col = np.array([0.0, 0.1, 0.2, 5.0, 5.1, 5.2])
         y = np.array([0, 0, 0, 1, 1, 1])
@@ -119,6 +145,101 @@ class TestTargetBins:
         bins = compute_target_bins(col, y, TaskType.REGRESSION, 4)
         counts = np.bincount(encode_bin_index(bins, col), minlength=bins.n_bins)
         assert counts.min() >= 4
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_target_bins_match_oracle(seed):
+    """Edges are byte-identical to the per-leaf scan's wherever its choices
+    were not near ties, which rounding decides (see encode_num_oracle), on
+    the suite's three table shapes, as the conftest fixtures build them."""
+    checked = tied = 0
+    for dataset, _ in (make_classification(seed=seed),
+                       make_classification(n_classes=4, n_rows=200, seed=seed),
+                       make_regression(seed=seed)):
+        train = dataset.split["train"]
+        labels = dataset.labels[train]
+        for kind in NORMALIZATIONS:
+            num = fit_normalizer(dataset.num[train], kind).transform(
+                dataset.num[train])
+            for n_bins in (2, 8, 48):
+                for col in num.T:
+                    expected, near_tie = target_bins(col, labels, dataset.task,
+                                                     n_bins)
+                    got = compute_target_bins(col, labels, dataset.task, n_bins)
+                    if near_tie:
+                        tied += 1
+                        continue
+                    checked += 1
+                    assert got.edges.tobytes() == expected.edges.tobytes(), (
+                        dataset.task, kind, n_bins)
+    # most fits are checked: near ties stay the exception
+    assert checked > 2 * tied
+
+
+def _exact_impurity(ys, classification) -> Fraction:
+    """Gini impurity times size, or the squared error, of one side, exactly."""
+    if not len(ys):
+        return Fraction(0)
+    if classification:
+        counts = np.unique(ys, return_counts=True)[1].tolist()
+        return len(ys) - Fraction(sum(c * c for c in counts), len(ys))
+    values = [Fraction(float(v)) for v in ys]
+    return sum(v * v for v in values) - sum(values) ** 2 / len(values)
+
+
+@st.composite
+def small_binning_problems(draw):
+    """A small column with ties, duplicate rows and +-0.0, integer or float
+    targets, and a task."""
+    task = draw(st.sampled_from(list(TaskType)))
+    n = draw(st.integers(1, 40))
+    values = st.sampled_from([-3.0, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 7.5])
+    col = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    if task is TaskType.REGRESSION:
+        targets = st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.0, 100.0])
+        labels = np.array(draw(st.lists(targets, min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            labels = labels.astype(np.int64)
+    else:
+        top = 1 if task is TaskType.BINCLASS else 3
+        labels = np.array(draw(st.lists(st.integers(0, top), min_size=n,
+                                        max_size=n)), dtype=np.int64)
+    if n > 1 and draw(st.booleans()):  # duplicate the first row
+        col[-1], labels[-1] = col[0], labels[0]
+    return col, labels, task, draw(st.sampled_from([2, 3, 8, 48]))
+
+
+@given(small_binning_problems())
+def test_target_bins_invariants(problem):
+    col, labels, task, n_bins = problem
+    bins = compute_target_bins(col, labels, task, n_bins)
+    edges = bins.edges
+    assert np.all(np.diff(edges) > 0)
+    assert edges[0] <= col.min() and edges[-1] >= col.max()
+    assert bins.n_bins <= n_bins
+    if np.all(labels == labels[0]):
+        return  # the quantile fallback
+    min_leaf = max(1, len(col) // (4 * n_bins))
+    counts = np.bincount(encode_bin_index(bins, col), minlength=bins.n_bins)
+    assert counts.min() >= min_leaf
+    # the first split is a best one: brute force over every valid position
+    classification = task.is_classification
+    xs = np.sort(col)
+    ys = labels[np.argsort(col, kind="stable")]
+    best = min(
+        (_exact_impurity(ys[:i], classification)
+         + _exact_impurity(ys[i:], classification)
+         for i in range(min_leaf, len(col) - min_leaf + 1) if xs[i - 1] < xs[i]),
+        default=None)
+    parent = _exact_impurity(ys, classification)
+    if best is None or parent - best <= 1e-9:
+        return  # no split gains enough to be sure one is taken
+    # the first threshold is among the edges; with n_bins 2 it is the only one
+    scores = [_exact_impurity(labels[col < t], classification)
+              + _exact_impurity(labels[col >= t], classification)
+              for t in edges[1:-1]]
+    assert scores
+    assert min(abs(score - best) for score in scores) <= 1e-9 * abs(best)
 
 
 class TestCodecs:

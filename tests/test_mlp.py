@@ -345,8 +345,6 @@ def hostile_queries(draw):
     return dataset, info, config, query_num, query_cat
 
 
-# the normalizer itself overflows to inf on +-1e308 cells
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 @given(hostile_queries())
 def test_hostile_rows_predict_finite(query):
     """Finite in, finite out: a fit that succeeds predicts finite values, and

@@ -7,6 +7,7 @@ from tabkit.preprocess import (
     NAN_TOKEN,
     NORMALIZATIONS,
     FittedImputer,
+    _yeo_johnson,
     fit_imputer,
     fit_normalizer,
     yeo_johnson_log_likelihood,
@@ -193,6 +194,34 @@ class TestNormalizers:
             norm = fit_normalizer(train, kind)
             out = norm.transform(rows)
             np.testing.assert_array_equal(out[perm], norm.transform(rows[perm]))
+
+    def test_finite_cells_stay_finite(self):
+        # a training spread well below 1 makes every map overflow on +-1e308
+        rng = np.random.default_rng(3)
+        train = rng.normal(size=(50, 2)) * 0.01
+        ordinary = rng.normal(size=(4, 2)) * 0.01
+        hostile = np.array([[1e308, -1e308], [-1e308, 1e308],
+                            [np.inf, np.nan], [np.nan, -np.inf]])
+        for kind in NORMALIZATIONS:
+            norm = fit_normalizer(train, kind)
+            out = norm.transform(np.vstack([hostile, ordinary]))
+            assert np.isfinite(out[:2]).all(), kind
+            assert np.isnan(out[2, 1]) and np.isnan(out[3, 0]), kind
+            if kind == "quantile":
+                continue
+            np.testing.assert_array_equal(np.sign(out[:2]),
+                                          np.sign(hostile[:2]), err_msg=kind)
+            # the affine maps overflow here, and saturate; Yeo-Johnson with
+            # these lambdas bounds one side, and the other saturates
+            saturated = np.abs(out[:2]) == np.finfo(np.float64).max
+            assert saturated.all() or (kind == "power" and saturated.any()), kind
+            assert out[2, 0] == np.inf and out[3, 1] == -np.inf, kind
+            # in-range cells keep the plain map's bytes
+            mapped = ordinary if kind != "power" else np.column_stack(
+                [_yeo_johnson(ordinary[:, j], float(lam))
+                 for j, lam in enumerate(norm.lambdas)])
+            expected = (mapped - norm.shift) / norm.scale
+            assert out[4:].tobytes() == expected.tobytes(), kind
 
     def test_fit_ignores_future_rows(self):
         rng = np.random.default_rng(8)
