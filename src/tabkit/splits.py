@@ -10,8 +10,9 @@ span - 1): the node's impurity minus its children's.
   from prefix sums of y and of y^2. It overwrites ``ys``.
 * :func:`gini_gains`: size-weighted Gini, n - sum_c count_c^2 / n per side,
   over integer labels 0..``n_classes`` - 1, one class at a time. The counts
-  and their squares are integers far below 2^53, so their float sums are
-  exact, whatever order they are added in.
+  are squared in float64 (an int32 square wraps past 46,340 rows); they and
+  their squares are integers far below 2^53, so their float sums are exact,
+  whatever order they are added in.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def gini_gains(ys, node, last, n_left, n_right, n_classes):
         np.cumsum(ys == c, axis=2, out=counts)
         total = counts[node, :, last]
         left = counts[:, :, :-1]
-        left_sq += np.square(left, out=scratch)
+        # square in float64: int32 squares wrap past 46,340 rows of a class
+        left_sq += np.square(left, out=scratch, dtype=np.float64)
         np.subtract(total[:, :, None], left, out=scratch)
         right_sq += np.square(scratch, out=scratch)
         parent_sq += np.square(total[:, 0], dtype=np.float64)

@@ -125,6 +125,16 @@ class TestTargetBins:
         bins = compute_target_bins(np.arange(14.0), labels, TaskType.MULTICLASS, 4)
         np.testing.assert_array_equal(bins.edges, [0.0, 1.5, 4.5, 12.5, 13.0])
 
+    def test_class_counts_past_int32_squares_keep_the_boundary(self):
+        # 48,000 rows of class 0: the count's square passes 2^31
+        edges = []
+        for per_value in (10, 6000):
+            col = np.repeat(np.arange(10.0), per_value)
+            labels = (col >= 8).astype(np.int64)
+            edges.append(compute_target_bins(col, labels, TaskType.BINCLASS, 2).edges)
+        np.testing.assert_array_equal(edges[1], edges[0])
+        np.testing.assert_array_equal(edges[0], [0.0, 7.5, 9.0])
+
     def test_classification_separable_feature(self):
         col = np.array([0.0, 0.1, 0.2, 5.0, 5.1, 5.2])
         y = np.array([0, 0, 0, 1, 1, 1])

@@ -195,6 +195,18 @@ def test_wide_multiclass_fit_memory_is_bounded_by_the_table(cls, model):
     assert peak <= 8 * n * d * 8
 
 
+def test_stump_splits_at_the_boundary_past_int32_squared_counts():
+    # 48,000 rows of class 0: the count's square passes 2^31
+    x = np.repeat(np.arange(10.0), 6000)[:, None]
+    y = (x[:, 0] >= 8).astype(np.int64)
+    info = DatasetInfo(task=TaskType.BINCLASS, n_num_features=1,
+                       n_cat_features=0, class_count=2, name="table")
+    method = CARTMethod(MethodConfig(model={"max_depth": 1}), info)
+    method._fit(x, y, x[:0], y[:0])
+    grid = np.arange(10.0)[:, None]
+    np.testing.assert_array_equal(method._predict(grid).values, grid[:, 0] >= 8)
+
+
 @pytest.mark.parametrize("cls,model", [
     (CARTMethod, {"max_depth": 0}),
     (CARTMethod, {"min_samples_leaf": 0}),
