@@ -24,12 +24,18 @@ from pathlib import Path
 from .data import load_dataset, split_holdout
 from .encode_cat import CAT_POLICIES
 from .encode_num import NUM_POLICIES
-from .errors import TabkitError
+from .errors import TabkitError, TuningError
 from .methods import get_method, methods_in_family
 from .pipeline import PipelineConfig
 from .preprocess import CAT_NAN_POLICIES, NORMALIZATIONS, NUM_NAN_POLICIES
-from .report import emit_report, rank_methods, run_seeds, summarize_records
-from .tune import SearchSpace, parse_space, tune_hyper_parameters
+from .report import (
+    emit_report,
+    rank_methods,
+    run_seeds,
+    summarize_records,
+    write_results_csv,
+)
+from .tune import SearchSpace, parse_space, tune_hyper_parameters, write_trials_csv
 
 __all__ = ["RunArgs", "get_args", "main"]
 
@@ -178,12 +184,19 @@ def _run(command: str, args: RunArgs, default_config: dict,
     if args.batch_size is not None:
         training_config["batch_size"] = args.batch_size
 
+    os.makedirs(args.output_dir, exist_ok=True)
     if args.tune:
-        result = tune_hyper_parameters(
-            args.model_type, space, dataset, info, args.n_trials, seed=0,
-            base_model=model_config, base_training=training_config,
-            pipeline=pipeline,
-        )
+        trials_path = os.path.join(args.output_dir, "trials.csv")
+        try:
+            result = tune_hyper_parameters(
+                args.model_type, space, dataset, info, args.n_trials, seed=0,
+                base_model=model_config, base_training=training_config,
+                pipeline=pipeline,
+            )
+        except TuningError as err:
+            write_trials_csv(trials_path, err.trials)
+            raise
+        write_trials_csv(trials_path, result.trials)
         model_config = dict(result.model)
         training_config = dict(result.training)
         print(f"tuning: best of {args.n_trials} trials is trial "
@@ -194,6 +207,14 @@ def _run(command: str, args: RunArgs, default_config: dict,
         model=model_config, training=training_config, pipeline=pipeline,
         dataset_name=args.dataset,
     )
+    if not any(r.ok for r in records):
+        # nothing to rank; keep the per-seed errors and name the first
+        results_path = os.path.join(args.output_dir, "results.csv")
+        write_results_csv(results_path, records)
+        first = records[0]
+        print(f"error: all {len(records)} seed(s) failed (see {results_path}); "
+              f"seed {first.seed}: {first.error}", file=sys.stderr)
+        return 1
     table = rank_methods(records)
     paths = emit_report(table, records, args.output_dir)
 
@@ -203,7 +224,10 @@ def _run(command: str, args: RunArgs, default_config: dict,
           f"{args.seed_num} seed(s){failed_note}")
     for name, (mean, std) in summary.items():
         print(f"  {name}: {mean:.6f} +/- {std:.6f}")
-    print("wrote " + ", ".join(paths[k] for k in ("results", "ranks", "plot")))
+    written = [paths[k] for k in ("results", "ranks", "plot")]
+    if args.tune:
+        written.append(trials_path)
+    print("wrote " + ", ".join(written))
     return 0
 
 

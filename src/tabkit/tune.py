@@ -21,6 +21,8 @@ which makes the trial sequence a prefix-stable function of the seed.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -40,6 +42,7 @@ __all__ = [
     "parse_space",
     "sample_trial",
     "tune_hyper_parameters",
+    "write_trials_csv",
 ]
 
 
@@ -324,6 +327,22 @@ def _ranked(trials: list[TrialResult]) -> tuple[TrialResult, ...]:
         tied = sum(1 for o in scored if o.score == t.score)
         ranks[t.trial] = better + (tied + 1) / 2
     return tuple(replace(t, rank=ranks.get(t.trial)) for t in trials)
+
+
+def write_trials_csv(path: str, trials) -> None:
+    """The trial log, one row per trial: its sampled assignment as sorted-key
+    JSON, validation score, rank (1 = best, ties averaged), seed and error
+    text. It holds no timings, so reruns write identical bytes."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["trial", "assignment", "score", "rank", "seed", "error"])
+        for t in trials:
+            writer.writerow([
+                t.trial, json.dumps(t.assignment, sort_keys=True),
+                "" if t.score is None else repr(t.score),
+                "" if t.rank is None else repr(t.rank),
+                t.seed, t.error or "",
+            ])
 
 
 def tune_hyper_parameters(

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -170,6 +173,52 @@ class TestRuns:
             ' "training": {"lr": 1e200, "max_epoch": 2}}}'
         )
         code = main(["deep", "--model_type", "mlp", "--dataset", "demo",
-                     "--output_dir", "out"])
+                     "--seed_num", "2", "--output_dir", "out"])
         assert code == 1
-        assert "mlp" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "seed 0: non-finite training loss" in err
+        # the per-seed records are written before ranking gives up
+        results = workspace / "out" / "results.csv"
+        assert results.read_text().splitlines() == [
+            "dataset,method,seed,time_s,size", "demo,mlp,0,,", "demo,mlp,1,,"]
+        assert not (workspace / "out" / "ranks.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_tuning_keeps_trial_log(self, workspace, capsys):
+        configs = workspace / "configs"
+        (configs / "default").mkdir(parents=True)
+        (configs / "opt_space").mkdir()
+        (configs / "default" / "mlp.json").write_text(
+            '{"mlp": {"model": {"d_layers": [4]},'
+            ' "training": {"lr": 1e200, "max_epoch": 2}}}'
+        )
+        (configs / "opt_space" / "mlp.json").write_text(
+            '{"mlp": {"model": {}, "training": {}}}')
+        code = main(["deep", "--model_type", "mlp", "--dataset", "demo",
+                     "--tune", "true", "--n_trials", "2", "--output_dir", "out"])
+        assert code == 1
+        assert "all 2 tuning trials failed" in capsys.readouterr().err
+        with open(workspace / "out" / "trials.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["trial"] for row in rows] == ["0", "1"]
+        assert all(row["score"] == row["rank"] == "" for row in rows)
+        assert all("non-finite training loss" in row["error"] for row in rows)
+
+    def test_tune_writes_trial_log(self, workspace, monkeypatch, capsys):
+        fake_time = iter(float(i) for i in range(10_000))
+        monkeypatch.setattr(method_base, "_clock", lambda: next(fake_time))
+        base = ["classical", "--model_type", "knn", "--dataset", "demo",
+                "--tune", "true", "--n_trials", "4"]
+        assert main(base + ["--output_dir", "a"]) == 0
+        assert main(base + ["--output_dir", "b"]) == 0
+        first = (workspace / "a" / "trials.csv").read_bytes()
+        assert first == (workspace / "b" / "trials.csv").read_bytes()
+        with open(workspace / "a" / "trials.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [int(row["trial"]) for row in rows] == [0, 1, 2, 3]
+        assert json.loads(rows[0]["assignment"]) == {"model": {},
+                                                     "training": {}}
+        assert all(row["error"] == "" and row["seed"] == "0" for row in rows)
+        best = min(rows, key=lambda row: (float(row["rank"]),
+                                          int(row["trial"])))
+        assert f"is trial {best['trial']} " in capsys.readouterr().out
