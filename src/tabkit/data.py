@@ -160,6 +160,7 @@ def _read_csv_part(path: Path, info: DatasetInfo, class_count: int | None):
     num_rows: list[list[float]] = []
     cat_rows: list[list[str]] = []
     labels: list = []
+    name = path.name
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -178,13 +179,14 @@ def _read_csv_part(path: Path, info: DatasetInfo, class_count: int | None):
                 raise SchemaError(
                     f"{path}: row {row_idx} has {len(row)} columns, expected {expected}"
                 )
-            num_rows.append(
-                [_parse_num_cell(row[j], path.name, row_idx, j) for j in range(n_num)]
-            )
-            cat_rows.append([row[n_num + j] for j in range(n_cat)])
-            labels.append(
-                _parse_label(row[-1], info.task, class_count, path.name, row_idx)
-            )
+            try:
+                num_rows.append([float(cell) if cell.strip() else math.nan
+                                 for cell in row[:n_num]])
+            except ValueError:  # parse again, for the first bad cell's message
+                num_rows.append([_parse_num_cell(cell, name, row_idx, j)
+                                 for j, cell in enumerate(row[:n_num])])
+            cat_rows.append(row[n_num:n_num + n_cat])
+            labels.append(_parse_label(row[-1], info.task, class_count, name, row_idx))
     num = np.asarray(num_rows, dtype=np.float64).reshape(len(labels), n_num)
     cat = _as_cat_array(cat_rows, n_cat)
     return num, cat, labels

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..data import TaskType
@@ -58,6 +61,9 @@ class DummyMethod(Method):
 # |b|^2), four times the worst case, and the fewest query rows per block
 _SCREEN_C = 16
 _MIN_BLOCK_ROWS = 32
+# the most floats a rescore chunk gathers (512 KiB, so its (features x pairs)
+# block can stay in a core's cache); a chunk never outgrows the training matrix
+_RESCORE_FLOATS = 1 << 16
 
 
 def _nearest(x, train, k, block_rows):
@@ -69,6 +75,7 @@ def _nearest(x, train, k, block_rows):
     norms = np.einsum("ij,ij->i", train, train)
     wide = ~(norms <= limit)
     norm_max = norms[~wide].max(initial=0.0)
+    chunk = max(1, min(len(train), _RESCORE_FLOATS // max(d, 1)))
 
     def block_nearest(block):
         query_norms = np.einsum("ij,ij->i", block, block)
@@ -86,10 +93,19 @@ def _nearest(x, train, k, block_rows):
         candidate[~(query_norms <= limit - norm_max)] = True
         rows, cols = np.nonzero(candidate)
         del candidate
-        # rescore: the exact sum, in column order
+        # rescore: the exact sum, in column order, over chunks of pairs
+        # gathered as C-contiguous (features x pairs) blocks whose rows are
+        # added one by one (a reduce over each pair's contiguous features
+        # would add them pairwise, and round differently)
         exact = np.zeros(len(rows))
-        for j in range(d):
-            exact += (block[rows, j] - train[cols, j]) ** 2
+        for start in range(0, len(rows), chunk):
+            squares = (block.take(rows[start:start + chunk], axis=0)
+                       - train.take(cols[start:start + chunk], axis=0))
+            squares *= squares
+            squares = squares.T.copy()
+            total = exact[start:start + chunk]
+            for j in range(d):
+                total += squares[j]
         # select: nan sorts last, ties go to the lowest index
         order = np.lexsort((cols, exact, rows))
         first = np.zeros(len(block), dtype=np.intp)
@@ -102,6 +118,44 @@ def _nearest(x, train, k, block_rows):
             block = x[start:start + block_rows]
             out[start:start + len(block)] = block_nearest(block)
     return out
+
+
+@dataclass(eq=False)
+class _Search:
+    """One memoized search: the digest of its query and training matrices,
+    and the read-only (queries × k) indices of the largest k searched."""
+
+    key: bytes
+    index: np.ndarray
+
+
+# the most recent search of any knn in the process; the key holds both
+# matrices, so callers need not pass or reset it
+_memo: _Search | None = None
+
+
+def _search_key(x: np.ndarray, train: np.ndarray) -> bytes:
+    """SHA-256 of both matrices, each with its shape, dtype and bytes."""
+    digest = hashlib.sha256()
+    for matrix in (x, train):
+        digest.update(repr((matrix.shape, matrix.dtype.str)).encode())
+        digest.update(np.ascontiguousarray(matrix).data)
+    return digest.digest()
+
+
+def _memo_nearest(x, train, k, block_rows):
+    """``_nearest``, served from the memo when the matrices match and no more
+    than the memoized k is asked for: the k nearest by (distance, index) are
+    the first k columns of any larger search. A miss drops the held entry,
+    then searches."""
+    global _memo
+    key = _search_key(x, train)
+    if _memo is None or _memo.key != key or _memo.index.shape[1] < k:
+        _memo = None
+        index = _nearest(x, train, k, block_rows)
+        index.flags.writeable = False
+        _memo = _Search(key, index)
+    return _memo.index[:, :k]
 
 
 class KNNMethod(Method):
@@ -124,7 +178,8 @@ class KNNMethod(Method):
       δ bounds the k-th exact distance from above. Every training row whose
       screened value minus δ does not pass that point is a candidate.
     - **Rescore.** Only candidate pairs get an exact distance, summed with
-      the same operations in the same order as a full distance matrix.
+      the same operations in the same order as a full distance matrix, over
+      chunks gathered as (features × pairs) blocks.
     - **Select.** One lexsort by (row, distance, index) picks the first k.
 
     The product only filters, so the result does not depend on the BLAS build
@@ -132,6 +187,13 @@ class KNNMethod(Method):
     nan, values near 1e154 and beyond) cannot be screened: such query rows
     take every training row as a candidate, and such training rows are a
     candidate for every query.
+
+    The most recent search is memoized, keyed by a SHA-256 of the query and
+    training matrices (shape, dtype and bytes of each), with the read-only
+    indices of the largest k searched on them. A predict with no larger k
+    takes their first k columns, which are exactly its own neighbors; so
+    tuning trials that change only ``n_neighbors``, and seeds that predict
+    the same rows, search once. Any other predict drops the entry first.
     """
 
     def _check_config(self):
@@ -148,7 +210,8 @@ class KNNMethod(Method):
         self._y = y_train
 
     def _neighbors(self, x) -> np.ndarray:
-        return _nearest(x, self._x, self._k, max(x.shape[1], _MIN_BLOCK_ROWS))
+        return _memo_nearest(x, self._x, self._k,
+                             max(x.shape[1], _MIN_BLOCK_ROWS))
 
     def _predict(self, x) -> Prediction:
         idx = self._neighbors(x)

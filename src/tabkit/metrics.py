@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import TaskType
 from .errors import MetricError
@@ -61,6 +60,20 @@ class MetricSet:
         if self.is_classification:
             return self.values["accuracy"], True
         return self.values["rmse"], False
+
+
+def rankdata(values) -> np.ndarray:
+    """Average ranks of the flattened values, 1 for the smallest, ties taking
+    the mean of their ranks; every rank is nan if any value is. The same
+    output as ``scipy.stats.rankdata``'s default, without the import of
+    ``scipy.stats``, which would be most of ``import tabkit``."""
+    values = np.ravel(values)
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    _, tie, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a run of n ties ends at rank `last`; its ranks average last - (n - 1) / 2
+    last = np.cumsum(counts)
+    return (last - (counts - 1) / 2)[tie]
 
 
 def _binary_auc(scores: np.ndarray, positive: np.ndarray) -> float:

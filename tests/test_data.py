@@ -79,6 +79,22 @@ def test_load_bad_numeric_cell_names_location(tmp_path):
     assert "oops" in message
 
 
+def test_load_padded_cells_parse_and_a_later_bad_cell_is_named(tmp_path):
+    _write_dataset(
+        tmp_path, "demo", BIN_INFO,
+        HEADER + " 1.5 ,  ,a,0\n nan ,-2e3,a,1\n", HEADER, HEADER + "1,2,a,0\n",
+    )
+    dataset, _ = load_dataset(tmp_path, "demo")
+    train = dataset.part_num("train")
+    assert train[0, 0] == 1.5 and train[1, 1] == -2000.0
+    assert np.isnan(train[0, 1]) and np.isnan(train[1, 0])
+    (tmp_path / "demo" / "test.csv").write_text(HEADER + "1, x 2 ,a,0\n")
+    with pytest.raises(ParseError) as excinfo:
+        load_dataset(tmp_path, "demo")
+    assert str(excinfo.value) == (
+        "test.csv: row 0, numerical column 1: cannot parse 'x 2' as a number")
+
+
 def test_load_label_out_of_range_raises(tmp_path):
     _write_dataset(
         tmp_path, "demo", BIN_INFO,

@@ -1,6 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import tabkit
 from tabkit.data import TaskType
 from tabkit.errors import MetricError
 from tabkit.methods.base import Prediction
@@ -12,6 +22,7 @@ from tabkit.metrics import (
     average_ranks,
     compute_metrics,
     metric_names,
+    rankdata,
 )
 
 
@@ -287,6 +298,34 @@ class TestRanks:
             expected = np.empty(m)
             expected[order] = np.arange(1, m + 1)
             np.testing.assert_array_equal(ranks, expected)
+
+
+class TestRankdata:
+    # few distinct values make ties; signed zeros tie, nan makes every rank nan
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=12),
+                      elements=st.one_of(
+                          st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf]),
+                          st.floats(-5.0, 5.0),
+                          st.just(np.nan))))
+    def test_matches_scipy(self, values):
+        expected = scipy.stats.rankdata(values)
+        got = rankdata(values)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @given(st.lists(st.integers(-3, 3), max_size=20))
+    def test_integers_match_scipy(self, values):
+        assert rankdata(values).tobytes() == \
+            scipy.stats.rankdata(values).tobytes()
+
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats would be most of the import time
+        code = "import sys, tabkit; print('scipy.stats' in sys.modules)"
+        src = str(Path(tabkit.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "False"
 
 
 class TestMetricSet:
