@@ -63,7 +63,9 @@ class Dataset:
     (N, d_cat) of strings with "" marking missing cells; ``labels`` is (N,)
     int64 for classification and float64 for regression. ``split`` maps each
     of train/val/test to a row-index array; the three sets are disjoint and
-    cover all rows. Instances are treated as immutable once built.
+    cover all rows. Instances are treated as immutable once built: the
+    pipeline memo keeps one digest per array object, so assign a new array
+    rather than modifying one in place.
     """
 
     num: np.ndarray

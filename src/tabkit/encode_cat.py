@@ -33,6 +33,7 @@ fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,35 +76,63 @@ class CategoricalEncoder:
     def width(self) -> int:
         return sum(table.shape[1] for table in self.tables)
 
-    def transform(self, cat: np.ndarray) -> np.ndarray:
-        """Inference-semantics encoding of categorical rows."""
+    def transform(self, cat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inference-semantics encoding of categorical rows, written into
+        ``out`` (an (n, width) array or view) when given."""
         if cat.shape[1] != len(self.tables):
             raise ShapeError(
                 f"encoder was fitted on {len(self.tables)} columns, got {cat.shape[1]}"
             )
-        return _side_by_side(cat.shape[0], self.width, (
-            table[self._rows(j, cat[:, j])] for j, table in enumerate(self.tables)
+        if out is None:
+            out = np.empty((cat.shape[0], self.width))
+        return _side_by_side(out, (
+            (table, self._rows(j, cat[:, j])) for j, table in enumerate(self.tables)
         ))
 
     def _rows(self, j: int, col: np.ndarray) -> np.ndarray:
         """The table row of each cell of column j."""
-        tokens, inverse = np.unique(col.astype(str), return_inverse=True)
+        tokens = _tokens(col)
         if self.vocabularies is None:
             n_buckets = len(self.tables[j])
-            rows = [fnv1a64(token) % n_buckets for token in tokens.tolist()]
+            buckets = {token: fnv1a64(token) % n_buckets for token in set(tokens)}
+            rows = [buckets[token] for token in tokens]
         else:
-            vocab = self.vocabularies[j]
-            rows = [vocab.get(token, len(vocab)) for token in tokens.tolist()]
-        return np.array(rows, dtype=np.intp)[inverse]
+            vocab, unseen = self.vocabularies[j], len(self.vocabularies[j])
+            rows = [vocab.get(token, unseen) for token in tokens]
+        return np.array(rows, dtype=np.intp)
 
 
-def _side_by_side(n: int, width: int, blocks) -> np.ndarray:
-    """One (n, width) matrix of the column blocks, left to right."""
-    out = np.empty((n, width))
+def _tokens(col: np.ndarray) -> list[str]:
+    """Each cell's token, as ``col.astype(str)`` renders it. A column of
+    ``str`` cells without NULs is its own tokens; any other column goes
+    through numpy, which renders non-``str`` cells its own way and drops
+    trailing NULs."""
+    cells = col.tolist()
+    if set(map(type, cells)) <= {str} and "\x00" not in "".join(cells):
+        return cells
+    return col.astype(str).tolist()
+
+
+# the most floats a table gather copies at once (128 KiB): on a 6,000-row,
+# 201-wide one-hot column, as fast as larger chunks and faster than one gather
+_GATHER_FLOATS = 1 << 14
+
+
+def _side_by_side(out: np.ndarray, blocks) -> np.ndarray:
+    """Write column blocks into ``out`` left to right, and return it. A block
+    is a (table, rows) pair: ``table[rows]`` for an index vector ``rows``,
+    gathered a few rows at a time so that no whole copy is made, or the
+    table itself when ``rows`` is None."""
     start = 0
-    for block in blocks:
-        out[:, start:start + block.shape[1]] = block
-        start += block.shape[1]
+    for table, rows in blocks:
+        view = out[:, start:start + table.shape[1]]
+        if rows is None:
+            view[...] = table
+        else:
+            step = max(1, _GATHER_FLOATS // table.shape[1])
+            for lo in range(0, len(rows), step):
+                view[lo:lo + step] = table[rows[lo:lo + step]]
+        start += table.shape[1]
     return out
 
 
@@ -186,21 +215,25 @@ def fit_categorical_encoder(
     class_count: int | None = None,
     seed: int = 0,
     n_buckets: int = DEFAULT_N_BUCKETS,
+    allocate: Callable[[int], np.ndarray] | None = None,
 ) -> tuple[CategoricalEncoder, np.ndarray]:
     """Fit all categorical columns and encode the training rows in one pass.
 
     Returns the fitted encoder (inference semantics via ``transform``) and
     the training-row matrix, which for leave-one-out and ordered statistics
-    differs from what ``transform`` would produce.
+    differs from what ``transform`` would produce. ``allocate(width)``, once
+    the encoder's width is known, gives the (n, width) array or view that the
+    training rows are written into; by default it is a new array.
     """
     if policy not in CAT_POLICIES:
         raise ValueError(f"unknown cat_policy {policy!r}")
     n, n_features = train_cat.shape
+    allocate = allocate or (lambda width: np.empty((n, width)))
     if policy == "hash":
         if n_buckets < 2:
             raise ValueError(f"n_buckets must be >= 2, got {n_buckets}")
         encoder = CategoricalEncoder(None, (np.eye(n_buckets),) * n_features)
-        return encoder, encoder.transform(train_cat)
+        return encoder, encoder.transform(train_cat, allocate(encoder.width))
     ys = permutation = None
     if policy in ("target", "loo", "catboost"):
         if targets is None or task is None:
@@ -217,6 +250,6 @@ def fit_categorical_encoder(
     encoder = CategoricalEncoder(
         tuple(vocab for vocab, _, _ in columns), tuple(table for _, table, _ in columns)
     )
-    return encoder, _side_by_side(n, encoder.width, (
-        rows if rows.ndim == 2 else table[rows] for _, table, rows in columns
+    return encoder, _side_by_side(allocate(encoder.width), (
+        (rows, None) if rows.ndim == 2 else (table, rows) for _, table, rows in columns
     ))

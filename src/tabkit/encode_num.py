@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TaskType
+from .encode_cat import _side_by_side
 from .errors import EncodeError, ShapeError
 from .splits import MIN_GAIN, gini_gains, variance_gains
 
@@ -242,16 +243,19 @@ class NumericEncoder:
         }[self.codec]
         return sum(widths(edges.n_bins) for edges in self.bins)
 
-    def transform(self, num: np.ndarray) -> np.ndarray:
+    def transform(self, num: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Each column's code, side by side, written into ``out`` (an
+        (n, width) array or view) when given."""
         if num.shape[1] != len(self.bins):
             raise ShapeError(
                 f"encoder was fitted on {len(self.bins)} columns, got {num.shape[1]}"
             )
-        if not self.bins:
-            return np.empty((num.shape[0], 0))
-        blocks = [_ENCODERS[self.codec](edges, num[:, j])
-                  for j, edges in enumerate(self.bins)]
-        return np.hstack(blocks)
+        if out is None:
+            out = np.empty((num.shape[0], self.width))
+        return _side_by_side(out, (
+            (_ENCODERS[self.codec](edges, num[:, j]), None)
+            for j, edges in enumerate(self.bins)
+        ))
 
 
 def fit_numeric_encoder(

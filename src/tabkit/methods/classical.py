@@ -76,19 +76,24 @@ def _nearest(x, train, k, block_rows):
     wide = ~(norms <= limit)
     norm_max = norms[~wide].max(initial=0.0)
     chunk = max(1, min(len(train), _RESCORE_FLOATS // max(d, 1)))
+    # the screen product and its partitioned copy, held for the whole search
+    product = np.empty((min(block_rows, x.shape[0]), len(train)), dtype=fi.dtype)
+    partitioned = np.empty_like(product)
 
     def block_nearest(block):
         query_norms = np.einsum("ij,ij->i", block, block)
         # screen: squared distance less the row constant ||a||^2
-        approx = block @ train.T
+        approx = np.matmul(block, train.T, out=product[:len(block)])
         approx *= -2.0
         approx += norms
         approx[:, wide] = np.inf
-        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        kth = partitioned[:len(block)]
+        np.copyto(kth, approx)
+        kth.partition(k - 1, axis=1)
+        kth = kth[:, k - 1]
         bound = (_SCREEN_C * (d + 2) * fi.eps / 2) * (query_norms + norm_max)
         bound += (d + 2) * fi.tiny
         candidate = approx <= (kth + 2.0 * bound)[:, None]
-        del approx  # free the block's larger arrays before rescoring
         candidate[:, wide] = True
         candidate[~(query_norms <= limit - norm_max)] = True
         rows, cols = np.nonzero(candidate)
@@ -243,10 +248,17 @@ class NCMMethod(Method):
         self._centroids = centroids
 
     def _predict(self, x) -> Prediction:
-        # one class at a time: memory stays O(rows x features)
-        dist = np.sqrt(np.stack(
-            [((x - c) ** 2).sum(axis=1) for c in self._centroids], axis=1))
-        return self._classify(_softmax(-dist))
+        # one class at a time, in one (rows x features) temporary; a cell far
+        # from a centroid squares to inf, a distance the softmax takes
+        squares = np.empty(x.shape)
+        dist = np.empty((x.shape[0], self.class_count))
+        with np.errstate(over="ignore"):
+            for c, centroid in enumerate(self._centroids):
+                np.subtract(x, centroid, out=squares)
+                np.square(squares, out=squares)
+                dist[:, c] = squares.sum(axis=1)
+        del squares
+        return self._classify(_softmax(-np.sqrt(dist)))
 
     def _state(self):
         return (self._centroids,)
@@ -275,13 +287,18 @@ class NaiveBayesMethod(Method):
         self._log_priors = np.log(np.clip(priors, 1e-300, None))
 
     def _predict(self, x) -> Prediction:
+        # one class at a time, in one (rows x features) temporary; a cell far
+        # from a class mean gives a -inf log-likelihood, which the softmax takes
         log_joint = np.empty((x.shape[0], self.class_count))
-        for c in range(self.class_count):
-            diff = x - self._means[c]
-            log_likelihood = -0.5 * (
-                np.log(2.0 * np.pi * self._vars[c]) + diff ** 2 / self._vars[c]
-            ).sum(axis=1)
-            log_joint[:, c] = self._log_priors[c] + log_likelihood
+        terms = np.empty(x.shape)
+        with np.errstate(over="ignore"):
+            for c in range(self.class_count):
+                np.subtract(x, self._means[c], out=terms)
+                np.square(terms, out=terms)
+                terms /= self._vars[c]
+                terms += np.log(2.0 * np.pi * self._vars[c])
+                log_joint[:, c] = self._log_priors[c] + -0.5 * terms.sum(axis=1)
+        del terms
         return self._classify(_softmax(log_joint))
 
     def _state(self):
@@ -301,18 +318,29 @@ class LinearRegressionMethod(Method):
         n, d = x_train.shape
         design = np.hstack([x_train, np.ones((n, 1))])
         gram = design.T @ design
-        penalty = np.full(d + 1, self.L2)
-        penalty[-1] = 0.0
-        gram += np.diag(penalty)
+        gram[np.diag_indices(d)] += self.L2  # the bias, last, is unpenalized
+        rhs = design.T @ y_train
+        del design  # free the design matrix before the solve
         try:
-            beta = np.linalg.solve(gram, design.T @ y_train)
+            beta = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError as exc:
             raise FitError(f"ridge system is singular: {exc}") from None
         self._weights = beta[:-1]
         self._bias = float(beta[-1])
 
     def _predict(self, x) -> Prediction:
-        return Prediction.regression(x @ self._weights + self._bias)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = x @ self._weights + self._bias
+            overflowed = ~np.isfinite(values)
+            if overflowed.any():
+                # score those rows again, scaled by the power of two that
+                # brings their largest cell below 1, and saturate the result
+                rows = x[overflowed]
+                scale = np.ldexp(1.0, -np.frexp(np.abs(rows).max(axis=1))[1])
+                scaled = (rows * scale[:, None]) @ self._weights + self._bias * scale
+                limit = np.finfo(np.float64).max * scale
+                values[overflowed] = np.clip(scaled, -limit, limit) / scale
+        return Prediction.regression(values)
 
     def _state(self):
         return (self._weights, self._bias)

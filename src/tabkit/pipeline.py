@@ -5,13 +5,20 @@ binned encoding; the categorical block is imputed and encoded under the
 chosen policy. Ordinal category indices are standard-scaled so that every
 downstream model sees comparably scaled inputs.
 
+A fit or transform allocates one (rows x width) matrix, and every stage
+writes its block straight into it: the numeric block on the left, then the
+categorical one.
+
 The most recent fit is memoized. Its key is a digest of the config, the task,
 the class count, the dataset's arrays (test rows included) and, under the
-``catboost`` policy only, the seed: no other stage reads the seed. A pipeline
-whose key matches takes the memoized stages and the read-only train matrix
-instead of fitting again, and the val matrix of the dataset it was fitted on
-is encoded once per entry. Only one entry is held; a fit with another key
-drops it before fitting.
+``catboost`` policy only, the seed: no other stage reads the seed. Each
+array's digest is computed once per array object and kept until the array is
+collected, so a ``Dataset``'s arrays must not be modified in place after a
+fit; assigning a new array to an attribute is fine. A pipeline whose key
+matches takes the memoized stages and the read-only train matrix instead of
+fitting again, and the val matrix of the dataset it was fitted on is encoded
+once per entry. Only one entry is held; a fit with another key drops it
+before fitting.
 """
 
 from __future__ import annotations
@@ -69,18 +76,38 @@ class _Fit:
 _memo: _Fit | None = None
 
 
+# digest of each array the memo has keyed, by id, until the array is collected
+_digests: dict[int, bytes] = {}
+
+
+def _array_digest(array: np.ndarray) -> bytes:
+    """SHA-256 of an array's pickle, computed once per array object."""
+    digest = _digests.get(id(array))
+    if digest is None:
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=5)
+        # no memo: twice as fast on object arrays of tokens, which hold no
+        # cycles, and equal cells pickle alike whether or not they share an
+        # object
+        pickler.fast = True
+        pickler.dump(array)
+        digest = hashlib.sha256(buffer.getbuffer()).digest()
+        _digests[id(array)] = digest
+        weakref.finalize(array, _digests.pop, id(array), None)
+    return digest
+
+
 def _fit_key(config: PipelineConfig, seed: int, dataset: Dataset,
              info: DatasetInfo) -> bytes:
-    """Digest of everything a fit reads."""
+    """Digest of everything a fit reads: the arrays by their cached digests,
+    the rest hashed on every call."""
     seed = seed if config.cat_policy == "catboost" else None
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=5)
-    # no memo: twice as fast on object arrays of tokens, which hold no
-    # cycles, and equal cells pickle alike whether or not they share an object
-    pickler.fast = True
-    pickler.dump((config, info.task, info.class_count, seed,
-                  dataset.num, dataset.cat, dataset.labels, dataset.split))
-    return hashlib.sha256(buffer.getbuffer()).digest()
+    key = hashlib.sha256(pickle.dumps(
+        (config, info.task, info.class_count, seed, tuple(dataset.split))))
+    for array in (dataset.num, dataset.cat, dataset.labels,
+                  *dataset.split.values()):
+        key.update(_array_digest(array))
+    return key.digest()
 
 
 def _read_only(matrix: np.ndarray) -> np.ndarray:
@@ -90,7 +117,9 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
 
 def _fit_stages(cfg: PipelineConfig, seed: int, dataset: Dataset,
                 info: DatasetInfo) -> tuple[tuple, np.ndarray]:
-    """Fit every stage on the train rows: (stages, encoded train matrix)."""
+    """Fit every stage on the train rows: (stages, encoded train matrix).
+    The matrix is allocated once the categorical encoder knows its width,
+    and each stage writes its block straight into it."""
     num = dataset.part_num("train")
     cat = dataset.part_cat("train")
     labels = dataset.part_labels("train")
@@ -107,8 +136,13 @@ def _fit_stages(cfg: PipelineConfig, seed: int, dataset: Dataset,
         num_encoder = fit_numeric_encoder(
             num, cfg.num_policy, targets=labels, task=info.task, n_bins=cfg.n_bins
         )
-        if num_encoder is not None:
-            num = num_encoder.transform(num)
+    num_width = num.shape[1] if num_encoder is None else num_encoder.width
+    out = None
+
+    def allocate(cat_width: int) -> np.ndarray:
+        nonlocal out
+        out = np.empty((len(labels), num_width + cat_width))
+        return out[:, num_width:]
 
     if cat.shape[1]:
         cat_encoder, cat_block = fit_categorical_encoder(
@@ -119,14 +153,19 @@ def _fit_stages(cfg: PipelineConfig, seed: int, dataset: Dataset,
             class_count=info.class_count,
             seed=seed,
             n_buckets=cfg.n_buckets,
+            allocate=allocate,
         )
         if cfg.cat_policy == "ordinal":
             ordinal_scaler = fit_normalizer(cat_block, "standard")
-            cat_block = ordinal_scaler.transform(cat_block)
+            ordinal_scaler.transform(cat_block, out=cat_block)
     else:
-        cat_block = np.empty((len(labels), 0))
+        allocate(0)
+    if num_encoder is None:
+        out[:, :num_width] = num
+    else:
+        num_encoder.transform(num, out=out[:, :num_width])
     stages = (imputer, normalizer, num_encoder, cat_encoder, ordinal_scaler)
-    return stages, np.hstack([num, cat_block])
+    return stages, out
 
 
 class FeaturePipeline:
@@ -181,21 +220,27 @@ class FeaturePipeline:
         return None
 
     def transform(self, num: np.ndarray, cat: np.ndarray) -> np.ndarray:
-        """Encode rows with inference semantics (no row identity)."""
+        """Encode rows with inference semantics (no row identity), each
+        stage writing its block straight into one output matrix."""
         if not self.is_fitted:
             raise FitError("pipeline is not fitted")
         num, cat = self._imputer.transform(num, cat)
+        num_width = (num.shape[1] if self._num_encoder is None
+                     else self._num_encoder.width)
+        cat_width = 0 if self._cat_encoder is None else self._cat_encoder.width
+        out = np.empty((num.shape[0], num_width + cat_width))
+        left, right = out[:, :num_width], out[:, num_width:]
         if self._normalizer is not None:
-            num = self._normalizer.transform(num)
-        if self._num_encoder is not None:
-            num = self._num_encoder.transform(num)
+            if self._num_encoder is None:
+                self._normalizer.transform(num, out=left)
+            else:
+                self._num_encoder.transform(self._normalizer.transform(num),
+                                            out=left)
         if self._cat_encoder is not None:
-            cat_block = self._cat_encoder.transform(cat)
+            self._cat_encoder.transform(cat, out=right)
             if self._ordinal_scaler is not None:
-                cat_block = self._ordinal_scaler.transform(cat_block)
-        else:
-            cat_block = np.empty((num.shape[0], 0))
-        return np.hstack([num, cat_block])
+                self._ordinal_scaler.transform(right, out=right)
+        return out
 
     def transform_part(self, dataset: Dataset, part: str) -> np.ndarray:
         """Encode one part of ``dataset``. The val part of the dataset this

@@ -186,27 +186,31 @@ class FittedNormalizer:
     quantiles: np.ndarray | None = None
     references: np.ndarray | None = None
 
-    def transform(self, num: np.ndarray) -> np.ndarray:
+    def transform(self, num: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The normalized columns, written into ``out`` (an array or view of
+        ``num``'s shape, ``num`` itself included) when given."""
         if num.shape[1] != self.n_columns:
             raise ShapeError(
                 f"normalizer was fitted on {self.n_columns} columns, "
                 f"got {num.shape[1]}"
             )
+        if out is None:
+            out = np.empty(num.shape)
         if self.kind == "quantile":
-            out = np.empty_like(num, dtype=np.float64)
             for j in range(self.n_columns):
                 out[:, j] = self._quantile_column(num[:, j], j)
             return out
-        out = num
+        finite = np.isfinite(num)
+        source = num
         if self.kind == "power":
-            out = np.empty_like(num, dtype=np.float64)
             for j in range(self.n_columns):
                 out[:, j] = _yeo_johnson(num[:, j], float(self.lambdas[j]))
+            source = out
         with np.errstate(over="ignore"):
-            out = (out - self.shift) / self.scale
+            np.subtract(source, self.shift, out=out)
+            np.divide(out, self.scale, out=out)
         # a finite cell stays finite: where the map overflows, it saturates
-        return np.clip(out, -_FLOAT_MAX, _FLOAT_MAX, out=out,
-                       where=np.isfinite(num))
+        return np.clip(out, -_FLOAT_MAX, _FLOAT_MAX, out=out, where=finite)
 
     def _quantile_column(self, col: np.ndarray, j: int) -> np.ndarray:
         table = self.quantiles[j]

@@ -1,0 +1,90 @@
+"""Finite in, finite out for the classical methods that score rows in closed form.
+
+A fit on ordinary rows, then query rows holding ±1e308 and NaN numeric cells
+and unseen tokens: every prediction is finite and every probability row sums
+to 1. Under ``standard`` normalization a ±1e308 cell stays near ±1e308, so a
+squared distance to it overflows; naive Bayes and NCM take that as an
+infinite distance instead of warning.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tabkit.data import TaskType
+from tabkit.encode_cat import CAT_POLICIES
+from tabkit.errors import FitError
+from tabkit.methods import MethodConfig, get_method
+from tabkit.pipeline import PipelineConfig
+from tabkit.preprocess import NORMALIZATIONS
+
+from conftest import dataset_from_arrays
+
+CLASSIFIERS = ("naive_bayes", "ncm")
+
+
+@st.composite
+def hostile_queries(draw):
+    """(method, dataset, info, config, num, cat): a fit on ordinary rows, and
+    query rows holding ±1e308 and NaN numeric cells and unseen tokens."""
+    name = draw(st.sampled_from([*CLASSIFIERS, "linear_regression"]))
+    if name == "linear_regression":
+        task = TaskType.REGRESSION
+    else:
+        task = draw(st.sampled_from([TaskType.BINCLASS, TaskType.MULTICLASS]))
+    n_train, d = draw(st.integers(4, 30)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = n_train + 3
+    num = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    cat = rng.choice(["a", "b", "c"], size=(n, 1)).astype(object)
+    if task is TaskType.REGRESSION:
+        labels = num @ rng.normal(size=d) + rng.normal(size=n)
+    else:
+        n_classes = 2 if task is TaskType.BINCLASS else 3
+        labels = rng.integers(0, n_classes, size=n)
+        labels[0] = n_classes - 1  # the class count is the largest label + 1
+    dataset, info = dataset_from_arrays(num, labels, task, cat=cat, n_val=3)
+    config = MethodConfig(pipeline=PipelineConfig(
+        normalization=draw(st.sampled_from(NORMALIZATIONS)),
+        cat_policy=draw(st.sampled_from(CAT_POLICIES))))
+    n_query = draw(st.integers(1, 6))
+    # listed twice: rows with several huge cells are the ones that overflow
+    cells = st.sampled_from([1e308, -1e308, 1e308, -1e308, np.nan, 0.5])
+    query_num = np.array(draw(st.lists(cells, min_size=n_query * d,
+                                       max_size=n_query * d))).reshape(n_query, d)
+    query_cat = np.array(draw(st.lists(st.sampled_from(["a", "unseen"]),
+                                       min_size=n_query, max_size=n_query)),
+                         dtype=object).reshape(n_query, 1)
+    return name, dataset, info, config, query_num, query_cat
+
+
+@given(hostile_queries())
+def test_hostile_rows_predict_finite(query):
+    name, dataset, info, config, num, cat = query
+    method = get_method(name)(config, info)
+    try:
+        method.fit(dataset, info)
+    except FitError:  # recorded by run_seeds
+        return
+    pred = method.predict(num, cat)
+    assert np.isfinite(pred.values).all()
+    if pred.probabilities is not None:
+        assert np.isfinite(pred.probabilities).all()
+        assert np.abs(pred.probabilities.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+def test_a_standard_scaled_extreme_cell_is_an_infinite_distance():
+    rng = np.random.default_rng(0)
+    num = rng.normal(size=(20, 2))
+    labels = np.arange(20) % 2
+    dataset, info = dataset_from_arrays(num, labels, TaskType.BINCLASS, n_val=2)
+    query = np.array([[1e308, 0.0], [-1e308, 1e308]])
+    cat = np.empty((2, 0), dtype=object)
+    for name in CLASSIFIERS:
+        method = get_method(name)(MethodConfig(), info)
+        method.fit(dataset, info)
+        pred = method.predict(query, cat)
+        assert np.isfinite(pred.probabilities).all(), name
+        assert np.allclose(pred.probabilities.sum(axis=1), 1.0), name
