@@ -21,7 +21,8 @@ _GD_GRAD_TOL = 1e-6
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     top = logits.max(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
+    # a finite logit far below the max falls to -inf, whose exp is 0
+    with np.errstate(over="ignore", invalid="ignore"):
         shifted = logits - top
     # an infinite row max turns inf - inf into nan; there the logits equal to
     # the max share the mass (an all -inf row becomes uniform)
@@ -31,6 +32,26 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
                                      shifted[infinite])
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _affine(x: np.ndarray, weights: np.ndarray, bias) -> np.ndarray:
+    """``x @ weights + bias``. A row with a value that overflows (inf, or nan
+    from cancelling infs) is scored again scaled by the power of two that
+    brings its largest cell below 1, and the result saturates at ±float64
+    max; every other row runs exactly the plain product."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = x @ weights + bias
+        overflowed = ~np.isfinite(values)
+        if values.ndim == 2:
+            overflowed = overflowed.any(axis=1)
+        if overflowed.any():
+            rows = x[overflowed]
+            scale = np.ldexp(1.0, -np.frexp(np.abs(rows).max(axis=1))[1])
+            per_row = scale if values.ndim == 1 else scale[:, None]
+            scaled = (rows * scale[:, None]) @ weights + bias * per_row
+            limit = np.finfo(np.float64).max * per_row
+            values[overflowed] = np.clip(scaled, -limit, limit) / per_row
+    return values
 
 
 class DummyMethod(Method):
@@ -329,18 +350,7 @@ class LinearRegressionMethod(Method):
         self._bias = float(beta[-1])
 
     def _predict(self, x) -> Prediction:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = x @ self._weights + self._bias
-            overflowed = ~np.isfinite(values)
-            if overflowed.any():
-                # score those rows again, scaled by the power of two that
-                # brings their largest cell below 1, and saturate the result
-                rows = x[overflowed]
-                scale = np.ldexp(1.0, -np.frexp(np.abs(rows).max(axis=1))[1])
-                scaled = (rows * scale[:, None]) @ self._weights + self._bias * scale
-                limit = np.finfo(np.float64).max * scale
-                values[overflowed] = np.clip(scaled, -limit, limit) / scale
-        return Prediction.regression(values)
+        return Prediction.regression(_affine(x, self._weights, self._bias))
 
     def _state(self):
         return (self._weights, self._bias)
@@ -385,7 +395,7 @@ class _GradientDescentClassifier(Method):
         self._bias = bias
 
     def _predict(self, x) -> Prediction:
-        return self._classify(_softmax(x @ self._weights + self._bias))
+        return self._classify(_softmax(_affine(x, self._weights, self._bias)))
 
     def _state(self):
         return (self._weights, self._bias)

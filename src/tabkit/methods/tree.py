@@ -21,19 +21,16 @@ CART's single tree, a forest's trees, or one boosting stage's per-class trees.
   trees x features x rows ids; with one row per tree a group's samples take
   at most ``_GROUP_TABLES`` times the training matrix's bytes, so memory
   follows the table, not the tree count.
-* Lock-step growth. Each step takes pending nodes from every tree of the
-  group still growing, and their split gains come from a few vectorized
-  kernel calls over nodes of similar size, padded at the end; one call never
-  covers more than the root's work (sample size x features drawn per node).
-  A forest that samples features takes, per tree, its next node in preorder
-  that draws a feature subset, plus the leaves pushed after it, which draw
-  none. Its growth is not depth-wise: each tree's generator yields the
-  subsets in depth-first preorder, so visiting nodes in another order would
-  draw other subsets and fit other trees. Trees that draw nothing (CART,
-  boosting, a forest using every feature) take all their pending nodes, a
-  level per step. Nodes are numbered in preorder once the trees are grown.
-* Feature subsets are drawn ahead in bulk: ``_feature_subsets`` replays
-  ``Generator.choice(d, k, replace=False)`` call for call.
+* Lock-step growth. Each step grows one level of every tree of the group
+  still growing, and their split gains come from a few vectorized kernel
+  calls over nodes of similar size, padded at the end; one call never covers
+  more than the root's work (sample size x features drawn per node). Nodes
+  are numbered in preorder once the trees are grown.
+* Feature subsets, for a forest that samples features, are drawn level by
+  level from each tree's own generator: one call per tree and step draws a
+  row of uniforms per node, in the level's left-to-right order, and a node
+  takes the first k of its row's stable argsort. A tree's subsets do not
+  depend on the trees it grows beside.
 * Split gains come from :mod:`tabkit.splits`, shared with target-aware
   binning; classification gains build no (rows, features, classes) block.
 
@@ -95,43 +92,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _feature_subsets(rng, d: int, k: int, count: int) -> np.ndarray:
-    """The next ``count`` draws of ``rng.choice(d, size=k, replace=False)``,
-    each sorted, leaving ``rng`` where those calls would leave it.
-
-    This replays choice's internals (its Floyd bounds, its bounded shuffle,
-    and where it switches to a full shuffle), checked draw for draw and for
-    the generator state on numpy 2.4.6; ``test_feature_subsets_replay_choice``
-    catches a numpy whose choice draws differently."""
-    if d > 10000 and k > d // 50:
-        # here choice partially shuffles all d indices instead
-        return np.sort([rng.choice(d, size=k, replace=False)
-                        for _ in range(count)], axis=1)
-    # choice's Floyd sampler draws one bounded integer per pick (bounds
-    # d - k .. d - 1), then shuffles the k picks (bounds k - 1 .. 1);
-    # integers() with those bounds consumes the generator identically
-    bounds = np.concatenate([np.arange(d - k, d), np.arange(k - 1, 0, -1)])
-    draws = rng.integers(0, np.tile(bounds, count), endpoint=True)
-    draws = draws.reshape(count, 2 * k - 1)
-    chosen = np.zeros((count, d), dtype=bool)
-    rows = np.arange(count)
-    for col, top in enumerate(range(d - k, d)):
-        pick = draws[:, col]
-        # Floyd: a pick already taken is replaced by the bound itself
-        pick = np.where(chosen[rows, pick], top, pick)
-        chosen[rows, pick] = True
-    return np.nonzero(chosen)[1].reshape(count, k)
-
-
-def _subset_stream(rng, d: int, k: int):
-    """``_feature_subsets`` one at a time, drawn ahead in doubling batches;
-    draws never taken only advance ``rng``, which nothing reads afterwards."""
-    count = 8
-    while True:
-        yield from _feature_subsets(rng, d, k, count)
-        count *= 2
-
-
 def _ranks(xt: np.ndarray) -> np.ndarray:
     """Each value's dense rank within its feature, for ``xt`` (features x
     rows): equal values share a rank, and nan takes the top rank, ``rows``,
@@ -155,7 +115,9 @@ class _Grower:
     ``xt`` is the training matrix transposed (features x rows) and ``ranks``
     its :func:`_ranks`; ``y`` holds one target row shared by every tree or
     one row per tree; ``samples`` is (trees, sample size), each tree's row
-    ids in sample order, and is partitioned in place.
+    ids in sample order, and is partitioned in place. With ``max_features``
+    below the feature count, ``rngs`` (one generator per tree) draw each
+    node's feature subset.
     """
 
     def __init__(self, xt, ranks, y, samples, *, classification, n_classes,
@@ -177,8 +139,7 @@ class _Grower:
         self.min_leaf = min_leaf
         self.sample_features = max_features is not None and max_features < self.d
         self.k = max_features if self.sample_features else self.d
-        if self.sample_features:
-            self._subsets = [_subset_stream(rng, self.d, self.k) for rng in rngs]
+        self.rngs = rngs
         # no kernel call covers more (nodes x features x positions) than the
         # root's work, and no other per-step pass more rows
         self.block = self.n * max(self.k, 1)
@@ -193,27 +154,14 @@ class _Grower:
     # ---- growth -----------------------------------------------------------
     def grow(self) -> list[_Tree]:
         n_trees = len(self.samples)
-        # pending nodes in push order, one row each, in the first six record
-        # columns
-        pending = np.zeros((n_trees, 6), dtype=np.intp)
-        pending[:, 0] = np.arange(n_trees)
-        pending[:, 2] = self.n
-        pending[:, 4] = -1
+        # one level per step, one row per node in the first six record
+        # columns, by tree and then left to right
+        step = np.zeros((n_trees, 6), dtype=np.intp)
+        step[:, 0] = np.arange(n_trees)
+        step[:, 2] = self.n
+        step[:, 4] = -1
         done = 0
-        while len(pending):
-            if self.sample_features:
-                # per tree, the next node in preorder that draws a feature
-                # subset, and the leaves pushed after it, which draw none
-                tree, size, depth = pending[:, 0], pending[:, 2], pending[:, 3]
-                draws = np.flatnonzero(
-                    (depth < self.max_depth) & (size >= 2 * self.min_leaf))
-                last_draw = np.full(n_trees, -1)
-                np.maximum.at(last_draw, tree[draws], draws)
-                now = np.arange(len(pending)) >= last_draw[tree]
-                step, pending = pending[now], pending[~now]
-            else:
-                # nothing is drawn, so order is free: a whole level per step
-                step, pending = pending, pending[:0]
+        while len(step):
             t, lo, size, depth = step[:, :4].T
             end = done + len(step)
             self._reserve(end)
@@ -221,24 +169,20 @@ class _Grower:
             self._value[done:end] = self._values(t, lo, size)
             feature, threshold = self._nodes[done:end, 6], self._threshold[done:end]
             feature[:], threshold[:] = -1, 0.0
-            if self.d:
-                cand = np.flatnonzero(
-                    (depth < self.max_depth) & (size >= 2 * self.min_leaf))
-                f, thr, n_left, ok = self._best_splits(
-                    t[cand], lo[cand], size[cand])
-                s, n_left = cand[ok], n_left[ok]
-                feature[s], threshold[s] = f[ok], thr[ok]
-                self._partition(t[s], lo[s], size[s], n_left, f[ok], thr[ok])
-                # right children, then left ones: each tree's left child is
-                # its last pushed, so preorder takes it next
-                kids = np.concatenate([step[s], step[s]])
-                kids[:len(s), 1] += n_left
-                kids[:len(s), 2] -= n_left
-                kids[len(s):, 2] = n_left
-                kids[:, 3] += 1
-                kids[:, 4] = np.tile(done + s, 2)
-                kids[:, 5] = np.repeat([1, 0], len(s))
-                pending = np.concatenate([pending, kids])
+            cand = np.flatnonzero((depth < self.max_depth)
+                                  & (size >= 2 * self.min_leaf) & (self.d > 0))
+            f, thr, n_left, ok = self._best_splits(t[cand], lo[cand], size[cand])
+            s, n_left = cand[ok], n_left[ok]
+            feature[s], threshold[s] = f[ok], thr[ok]
+            self._partition(t[s], lo[s], size[s], n_left, f[ok], thr[ok])
+            # each split's left child, then its right one
+            step = np.repeat(step[s], 2, axis=0)
+            step[0::2, 2] = n_left
+            step[1::2, 1] += n_left
+            step[1::2, 2] -= n_left
+            step[:, 3] += 1
+            step[:, 4] = np.repeat(done + s, 2)
+            step[:, 5] = np.tile([0, 1], len(s))
             done = end
         return self._assemble(done)
 
@@ -346,7 +290,7 @@ class _Grower:
         if not m:
             return feature, threshold, n_left, ok
         if self.sample_features:
-            feats = np.array([next(self._subsets[i]) for i in t.tolist()])
+            feats = self._subsets(t)
         else:
             feats = np.broadcast_to(np.arange(self.d), (m, self.d))
         # nodes of similar size share a kernel call, largest first
@@ -365,6 +309,17 @@ class _Grower:
              ok[sel]) = self._kernel(t[sel], lo[sel], size[sel], feats[sel])
             first = stop
         return feature, threshold, n_left, ok
+
+    def _subsets(self, t) -> np.ndarray:
+        """Each node's feature subset, k distinct ids in ascending order. Per
+        tree, one call draws a row of uniforms per node, in the step's order
+        (``t`` is sorted), and a node takes the first k of its row's stable
+        argsort; another tree's draws never change a tree's subsets."""
+        counts = np.bincount(t, minlength=len(self.rngs)).tolist()
+        return np.concatenate([
+            np.sort(np.argsort(rng.random((count, self.d)), axis=1,
+                               kind="stable")[:, :self.k], axis=1)
+            for rng, count in zip(self.rngs, counts) if count])
 
     def _kernel(self, t, lo, size, feats):
         m, span = len(t), int(size.max())

@@ -1,10 +1,11 @@
-"""Finite in, finite out for the classical methods that score rows in closed form.
+"""Finite in, finite out for the classical and tree methods.
 
 A fit on ordinary rows, then query rows holding ±1e308 and NaN numeric cells
 and unseen tokens: every prediction is finite and every probability row sums
 to 1. Under ``standard`` normalization a ±1e308 cell stays near ±1e308, so a
 squared distance to it overflows; naive Bayes and NCM take that as an
-infinite distance instead of warning.
+infinite distance instead of warning. A linear score can overflow too, or sum
++inf and -inf into nan; the linear methods score such a row again, scaled.
 """
 
 from __future__ import annotations
@@ -13,27 +14,34 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tabkit.data import TaskType
+from tabkit.data import DatasetInfo, TaskType
 from tabkit.encode_cat import CAT_POLICIES
 from tabkit.errors import FitError
 from tabkit.methods import MethodConfig, get_method
+from tabkit.methods.classical import _softmax
 from tabkit.pipeline import PipelineConfig
 from tabkit.preprocess import NORMALIZATIONS
 
 from conftest import dataset_from_arrays
 
 CLASSIFIERS = ("naive_bayes", "ncm")
+# methods that take classification tasks only, regression only, or either
+CLASSIFICATION_ONLY = (*CLASSIFIERS, "logreg", "svm")
+ANY_TASK = ("dummy", "knn", "cart", "random_forest", "gbdt")
 
 
 @st.composite
 def hostile_queries(draw):
     """(method, dataset, info, config, num, cat): a fit on ordinary rows, and
     query rows holding ±1e308 and NaN numeric cells and unseen tokens."""
-    name = draw(st.sampled_from([*CLASSIFIERS, "linear_regression"]))
+    name = draw(st.sampled_from(
+        [*CLASSIFICATION_ONLY, "linear_regression", *ANY_TASK]))
     if name == "linear_regression":
         task = TaskType.REGRESSION
-    else:
+    elif name in CLASSIFICATION_ONLY:
         task = draw(st.sampled_from([TaskType.BINCLASS, TaskType.MULTICLASS]))
+    else:
+        task = draw(st.sampled_from(list(TaskType)))
     n_train, d = draw(st.integers(4, 30)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = n_train + 3
@@ -46,7 +54,9 @@ def hostile_queries(draw):
         labels = rng.integers(0, n_classes, size=n)
         labels[0] = n_classes - 1  # the class count is the largest label + 1
     dataset, info = dataset_from_arrays(num, labels, task, cat=cat, n_val=3)
-    config = MethodConfig(pipeline=PipelineConfig(
+    # knn's default five neighbors can outnumber the training rows
+    model = {"n_neighbors": draw(st.integers(1, 4))} if name == "knn" else {}
+    config = MethodConfig(model=model, pipeline=PipelineConfig(
         normalization=draw(st.sampled_from(NORMALIZATIONS)),
         cat_policy=draw(st.sampled_from(CAT_POLICIES))))
     n_query = draw(st.integers(1, 6))
@@ -88,3 +98,18 @@ def test_a_standard_scaled_extreme_cell_is_an_infinite_distance():
         pred = method.predict(query, cat)
         assert np.isfinite(pred.probabilities).all(), name
         assert np.allclose(pred.probabilities.sum(axis=1), 1.0), name
+
+
+def test_cancelling_infinite_terms_are_scored_again_scaled():
+    # the first logit sums 2e308 and -2e308, inf and -inf in float64, into
+    # nan; exactly it is 0, below the second logit, 1e308
+    info = DatasetInfo(task=TaskType.BINCLASS, n_num_features=2,
+                       n_cat_features=0, class_count=2, name="table")
+    for name in ("logreg", "svm"):
+        method = get_method(name)(MethodConfig(), info)
+        method._weights = np.array([[2.0, 1.0], [-2.0, 0.0]])
+        method._bias = np.zeros(2)
+        pred = method._predict(np.array([[1e308, 1e308], [1.0, 2.0]]))
+        np.testing.assert_array_equal(pred.probabilities[0], [0.0, 1.0])
+        expected = _softmax(np.array([[-2.0, 1.0]]))[0]
+        np.testing.assert_array_equal(pred.probabilities[1], expected)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -126,17 +128,17 @@ class TestCART:
 
 class TestRandomForest:
     def test_degenerate_forest_equals_cart(self):
+        # one tree on every row, drawing all the encoded features: CART's tree
         dataset, info = make_classification(seed=5)
-        d = 12  # encoded width upper bound; any value >= width disables sampling
+        cart = fit_method(CARTMethod, dataset, info, model={"max_depth": 6})
+        width = cart.pipeline.transform_part(dataset, "train").shape[1]
         forest = fit_method(
             RandomForestMethod, dataset, info,
-            model={"n_trees": 1, "bootstrap": False, "max_features": d,
+            model={"n_trees": 1, "bootstrap": False, "max_features": width,
                    "max_depth": 6},
         )
-        cart = fit_method(CARTMethod, dataset, info, model={"max_depth": 6})
-        f_pred = forest.predict_part(dataset, "test")
-        c_pred = cart.predict_part(dataset, "test")
-        np.testing.assert_array_equal(f_pred.values, c_pred.values)
+        expected = pickle.dumps((cart.pipeline.state(), (cart._state(),)))
+        assert forest.fitted_state() == expected
 
     def test_probabilities_are_vote_fractions(self):
         dataset, info = make_classification(seed=6)

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,8 +23,10 @@ from tabkit.methods.tree import (
     CARTMethod,
     GBDTMethod,
     RandomForestMethod,
-    _feature_subsets,
+    _Grower,
     _groups,
+    _ranks,
+    _samples,
 )
 
 # few distinct values make ties; signed zeros compare equal; the extreme
@@ -160,14 +162,31 @@ def test_lockstep_groups_match_oracle(cls, task, n_classes, model):
     assert state == pickle.dumps(expected)
 
 
-@pytest.mark.parametrize("d,k", [(7, 3), (40, 39), (10001, 200), (10001, 201)])
-def test_feature_subsets_replay_choice(d, k):
-    # (10001, 201) is where choice stops using Floyd's sampler
-    ours, reference = np.random.default_rng([4, 2]), np.random.default_rng([4, 2])
-    expected = [np.sort(reference.choice(d, size=k, replace=False))
-                for _ in range(5)]
-    np.testing.assert_array_equal(_feature_subsets(ours, d, k, 5), expected)
-    assert ours.bit_generator.state == reference.bit_generator.state
+@given(st.integers(2, 60).flatmap(
+           lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+       st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(any),
+       st.integers(0, 3))
+@example((10001, 201), [3, 0, 2], 4)  # where choice switched algorithms
+def test_feature_subsets_are_sorted_distinct_ids(dk, nodes, seed):
+    # one step's subsets: per tree, its nodes' subsets in order, each k
+    # sorted distinct ids in [0, d), drawn as the oracle draws them node by
+    # node from that tree's generator alone
+    d, k = dk
+    xt = np.zeros((d, 2))
+    rngs = [np.random.default_rng([seed, t]) for t in range(len(nodes))]
+    grower = _Grower(xt, _ranks(xt), np.zeros(2), _samples(2, len(nodes)),
+                     classification=False, n_classes=0, max_depth=1,
+                     min_leaf=1, max_features=k, rngs=rngs)
+    t = np.repeat(np.arange(len(nodes)), nodes)
+    subsets = grower._subsets(t)
+    assert subsets.shape == (len(t), k)
+    assert (np.diff(subsets, axis=1) > 0).all()
+    assert subsets.min() >= 0 and subsets.max() < d
+    expected = []
+    for tree, count in enumerate(nodes):
+        rng = np.random.default_rng([seed, tree])
+        expected += [tree_oracle.feature_subset(rng, d, k) for _ in range(count)]
+    np.testing.assert_array_equal(subsets, expected)
 
 
 @pytest.mark.parametrize("cls,model", [

@@ -1,10 +1,12 @@
-"""Reference tree grower: the recursive, re-sorting-per-node growth that the
-batched engine in ``tabkit.methods.tree`` replaced, plus the forest and
-boosting loops around it.
+"""Reference tree grower: a breadth-first grower that re-sorts every node's
+rows, plus the forest and boosting loops around it.
 
 Each node re-sorts its rows per feature and evaluates every split with a dense
-gain array, so it is slow but plainly correct. The equivalence tests require
-the engine's fitted state to be byte-identical to what these functions build.
+gain array, so it is slow but plainly correct. Nodes are visited level by
+level, left to right; a node that may split draws its own feature subset with
+one plain call, and the finished tree is numbered in preorder. The
+equivalence tests require the engine's fitted state to be byte-identical to
+what these functions build.
 """
 
 from __future__ import annotations
@@ -95,53 +97,86 @@ class OracleTree:
         return self.value[node]
 
 
+def feature_subset(rng, d, k):
+    """One node's feature subset: the first k of a stable argsort of d
+    uniforms, in ascending order."""
+    return np.sort(np.argsort(rng.random(d), kind="stable")[:k])
+
+
+def best_split(x, y, feats, *, classification, n_classes, min_leaf):
+    """(feature, threshold, left mask) of the best split of the node holding
+    ``x`` and ``y`` over the features ``feats``, or None if it does not
+    split."""
+    n = len(y)
+    xs = x[:, feats]
+    order = np.argsort(xs, axis=0, kind="stable")
+    x_sorted = np.take_along_axis(xs, order, axis=0)
+    y_sorted = y[order]
+    gains = _split_gains(x_sorted, y_sorted, classification, n_classes)
+    positions = np.arange(1, n)[:, None]
+    valid = (
+        (x_sorted[:-1] < x_sorted[1:])
+        & (positions >= min_leaf)
+        & (n - positions >= min_leaf)
+    )
+    gains = np.where(valid, gains, -np.inf)
+    # feature-major argmax: ties resolve to the lowest feature index,
+    # then the lowest threshold
+    flat = np.ascontiguousarray(gains.T).ravel()
+    best = int(np.argmax(flat))
+    if flat[best] <= 1e-12:
+        return None
+    f_local, pos = divmod(best, n - 1)
+    feature = int(feats[f_local])
+    threshold = float(
+        (x_sorted[pos, f_local] + x_sorted[pos + 1, f_local]) / 2.0
+    )
+    left_mask = x[:, feature] < threshold
+    if not left_mask.any() or left_mask.all():
+        return None  # midpoint rounded onto a boundary value
+    return feature, threshold, left_mask
+
+
 def build_tree(x, y, *, classification, n_classes, max_depth, min_leaf,
                max_features=None, rng=None) -> OracleTree:
-    tree = OracleTree()
     d = x.shape[1]
+    sample = max_features is not None and max_features < d
+    # breadth-first, left to right: a node is appended after every node of
+    # a shallower level and after its left sibling
+    nodes = [{"rows": np.arange(x.shape[0]), "depth": 0}]
+    i = 0
+    while i < len(nodes):
+        node = nodes[i]
+        i += 1
+        rows, depth = node["rows"], node["depth"]
+        node["value"] = _leaf_value(y[rows], classification, n_classes)
+        if depth >= max_depth or len(rows) < 2 * min_leaf or d == 0:
+            continue
+        feats = feature_subset(rng, d, max_features) if sample else np.arange(d)
+        split = best_split(x[rows], y[rows], feats, classification=classification,
+                           n_classes=n_classes, min_leaf=min_leaf)
+        if split is None:
+            continue
+        feature, threshold, left_mask = split
+        left = {"rows": rows[left_mask], "depth": depth + 1}
+        right = {"rows": rows[~left_mask], "depth": depth + 1}
+        node["split"] = (feature, threshold, left, right)
+        nodes += [left, right]
 
-    def grow(rows: np.ndarray, depth: int) -> int:
-        node = tree.add_node(_leaf_value(y[rows], classification, n_classes))
-        n = len(rows)
-        if depth >= max_depth or n < 2 * min_leaf or d == 0:
-            return node
-        if max_features is not None and max_features < d:
-            feats = np.sort(rng.choice(d, size=max_features, replace=False))
-        else:
-            feats = np.arange(d)
-        xs = x[np.ix_(rows, feats)]
-        order = np.argsort(xs, axis=0, kind="stable")
-        x_sorted = np.take_along_axis(xs, order, axis=0)
-        y_sorted = y[rows][order]
-        gains = _split_gains(x_sorted, y_sorted, classification, n_classes)
-        positions = np.arange(1, n)[:, None]
-        valid = (
-            (x_sorted[:-1] < x_sorted[1:])
-            & (positions >= min_leaf)
-            & (n - positions >= min_leaf)
-        )
-        gains = np.where(valid, gains, -np.inf)
-        # feature-major argmax: ties resolve to the lowest feature index,
-        # then the lowest threshold
-        flat = np.ascontiguousarray(gains.T).ravel()
-        best = int(np.argmax(flat))
-        if flat[best] <= 1e-12:
-            return node
-        f_local, pos = divmod(best, n - 1)
-        feature = int(feats[f_local])
-        threshold = float(
-            (x_sorted[pos, f_local] + x_sorted[pos + 1, f_local]) / 2.0
-        )
-        left_mask = x[rows, feature] < threshold
-        if not left_mask.any() or left_mask.all():
-            return node  # midpoint rounded onto a boundary value
-        tree.feature[node] = feature
-        tree.threshold[node] = threshold
-        tree.left[node] = grow(rows[left_mask], depth + 1)
-        tree.right[node] = grow(rows[~left_mask], depth + 1)
-        return node
+    tree = OracleTree()
 
-    grow(np.arange(x.shape[0]), 0)
+    def number(node) -> int:
+        """Add ``node`` and its subtree to ``tree`` in preorder."""
+        at = tree.add_node(node["value"])
+        if "split" in node:
+            feature, threshold, left, right = node["split"]
+            tree.feature[at] = feature
+            tree.threshold[at] = threshold
+            tree.left[at] = number(left)
+            tree.right[at] = number(right)
+        return at
+
+    number(nodes[0])
     return tree.finalize()
 
 
