@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..data import TaskType
 from ..errors import ConfigError, FitError
+from ..pipeline import _array_digest
 from .base import Method, Prediction
 
 CLASSIFICATION_TASKS = (TaskType.BINCLASS, TaskType.MULTICLASS)
@@ -160,22 +160,13 @@ class _Search:
 _memo: _Search | None = None
 
 
-def _search_key(x: np.ndarray, train: np.ndarray) -> bytes:
-    """SHA-256 of both matrices, each with its shape, dtype and bytes."""
-    digest = hashlib.sha256()
-    for matrix in (x, train):
-        digest.update(repr((matrix.shape, matrix.dtype.str)).encode())
-        digest.update(np.ascontiguousarray(matrix).data)
-    return digest.digest()
-
-
 def _memo_nearest(x, train, k, block_rows):
     """``_nearest``, served from the memo when the matrices match and no more
     than the memoized k is asked for: the k nearest by (distance, index) are
     the first k columns of any larger search. A miss drops the held entry,
     then searches."""
     global _memo
-    key = _search_key(x, train)
+    key = _array_digest(x) + _array_digest(train)
     if _memo is None or _memo.key != key or _memo.index.shape[1] < k:
         _memo = None
         index = _nearest(x, train, k, block_rows)
@@ -214,12 +205,14 @@ class KNNMethod(Method):
     take every training row as a candidate, and such training rows are a
     candidate for every query.
 
-    The most recent search is memoized, keyed by a SHA-256 of the query and
-    training matrices (shape, dtype and bytes of each), with the read-only
-    indices of the largest k searched on them. A predict with no larger k
-    takes their first k columns, which are exactly its own neighbors; so
-    tuning trials that change only ``n_neighbors``, and seeds that predict
-    the same rows, search once. Any other predict drops the entry first.
+    The most recent search is memoized, keyed by the digests of the query
+    and training matrices (``pipeline._array_digest``, computed once per
+    array object, so neither may be modified in place after a predict), with
+    the read-only indices of the largest k searched on them. A predict with
+    no larger k takes their first k columns, which are exactly its own
+    neighbors; so tuning trials that change only ``n_neighbors``, and seeds
+    that predict the same rows, search once. Any other predict drops the
+    entry first.
     """
 
     def _check_config(self):
@@ -329,23 +322,54 @@ class NaiveBayesMethod(Method):
         return self._means.size + self._vars.size + self._log_priors.size
 
 
+# the largest share of nonzero cells at which linear_regression builds X'X
+# from a sparse copy of the training matrix (one-hot tables are about 1 %)
+_SPARSE_GRAM_DENSITY = 1 / 20
+
+
 class LinearRegressionMethod(Method):
-    """Ridge regression via the normal equations; the bias is unpenalized."""
+    """Ridge regression via the normal equations; the bias is unpenalized.
+
+    The (d + 1) × (d + 1) system is built from the training matrix itself,
+    with no design matrix: the bias row and column of the Gram are the column
+    sums, its corner is the row count, and the last entry of the right-hand
+    side is the sum of the targets. ``X'X`` and ``X'y`` come from a
+    ``scipy.sparse`` CSC copy of the matrix when at most 1 in 20 of its cells
+    is nonzero, and from the dense product otherwise. A system that is not
+    finite, or whose solution is not, fails the fit.
+    """
 
     task_types = (TaskType.REGRESSION,)
     L2 = 1e-6
 
     def _fit(self, x_train, y_train, x_val, y_val):
         n, d = x_train.shape
-        design = np.hstack([x_train, np.ones((n, 1))])
-        gram = design.T @ design
+        gram = np.empty((d + 1, d + 1))
+        rhs = np.empty(d + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.count_nonzero(x_train) <= _SPARSE_GRAM_DENSITY * x_train.size:
+                from scipy import sparse  # not at import: it adds to start-up
+
+                csc = sparse.csc_array(x_train)
+                product = (csc.T @ csc).tocoo()
+                gram[:d, :d] = 0.0
+                gram[product.row, product.col] = product.data
+                rhs[:d] = csc.T @ y_train
+            else:
+                np.matmul(x_train.T, x_train, out=gram[:d, :d])
+                rhs[:d] = x_train.T @ y_train
+            gram[d, :d] = gram[:d, d] = x_train.sum(axis=0)
+            gram[d, d] = n
+            rhs[d] = y_train.sum()
+        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+            raise FitError("ridge system is not finite")
         gram[np.diag_indices(d)] += self.L2  # the bias, last, is unpenalized
-        rhs = design.T @ y_train
-        del design  # free the design matrix before the solve
         try:
             beta = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError as exc:
             raise FitError(f"ridge system is singular: {exc}") from None
+        if not np.isfinite(beta).all():
+            raise FitError("ridge solution is not finite")
         self._weights = beta[:-1]
         self._bias = float(beta[-1])
 

@@ -120,7 +120,10 @@ def _yeo_johnson(col: np.ndarray, lam: float) -> np.ndarray:
 def yeo_johnson_log_likelihood(col: np.ndarray, lam: float) -> float:
     """Profile Gaussian log-likelihood of the transformed column."""
     transformed = _yeo_johnson(col, lam)
-    var = float(np.var(transformed))
+    # a cell near the float64 limit squares to inf, or an infinite cell turns
+    # the deviations to nan: either is no likelihood
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(np.var(transformed))
     if not math.isfinite(var) or var <= 0.0:
         return -math.inf
     jacobian = float(np.sum(np.sign(col) * np.log1p(np.abs(col))))
@@ -232,7 +235,10 @@ def fit_normalizer(train_num: np.ndarray, kind: str) -> FittedNormalizer:
 
     if kind == "standard":
         shift = train_num.mean(axis=0)
-        scale = train_num.std(axis=0)
+        # a deviation past about 1.3e154 squares to inf: an infinite scale
+        # maps the column to 0
+        with np.errstate(over="ignore"):
+            scale = train_num.std(axis=0)
         scale = np.where(scale < _EPS_STD, 1.0, scale)
         return FittedNormalizer(kind=kind, n_columns=n_cols, shift=shift, scale=scale)
     if kind == "minmax":
@@ -258,7 +264,8 @@ def fit_normalizer(train_num: np.ndarray, kind: str) -> FittedNormalizer:
         transformed = np.empty_like(train_num, dtype=np.float64)
         for j in range(n_cols):
             transformed[:, j] = _yeo_johnson(train_num[:, j], float(lambdas[j]))
-        scale = transformed.std(axis=0)
+        with np.errstate(over="ignore"):  # as under "standard"
+            scale = transformed.std(axis=0)
         return FittedNormalizer(
             kind=kind, n_columns=n_cols, shift=transformed.mean(axis=0),
             scale=np.where(scale < _EPS_STD, 1.0, scale), lambdas=lambdas

@@ -10,6 +10,8 @@ infinite distance instead of warning. A linear score can overflow too, or sum
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,6 +85,33 @@ def test_hostile_rows_predict_finite(query):
     if pred.probabilities is not None:
         assert np.isfinite(pred.probabilities).all()
         assert np.abs(pred.probabilities.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+@given(st.sampled_from([1e150, -1e150, 1e200, -1e200, 1e308, -1e308]),
+       st.sampled_from(NORMALIZATIONS), st.integers(0, 2 ** 32 - 1))
+def test_an_extreme_training_cell_fails_or_predicts_finite(value, kind, seed):
+    # squares of such cells overflow in the normalizer's statistics and in
+    # the ridge system; neither may warn, and a fit on a system that is not
+    # finite raises instead of predicting nan
+    rng = np.random.default_rng(seed)
+    n_train, d = 20, 3
+    num = rng.normal(size=(n_train + 7, d))
+    labels = num @ rng.normal(size=d) + rng.normal(size=n_train + 7)
+    num[rng.integers(n_train), rng.integers(d)] = value
+    cat = rng.choice(["a", "b", "c"], size=(n_train + 7, 1)).astype(object)
+    dataset, info = dataset_from_arrays(num[:-4], labels[:-4],
+                                        TaskType.REGRESSION, cat=cat[:-4],
+                                        n_val=3)
+    method = get_method("linear_regression")(
+        MethodConfig(pipeline=PipelineConfig(normalization=kind)), info)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            method.fit(dataset, info)
+        except FitError:
+            return
+        pred = method.predict(num[-4:], cat[-4:])  # ordinary rows
+    assert np.isfinite(pred.values).all()
 
 
 def test_a_standard_scaled_extreme_cell_is_an_infinite_distance():

@@ -19,6 +19,7 @@ import tabkit.methods.classical as classical
 from tabkit.cli import main
 from tabkit.data import save_dataset
 from tabkit.methods import MethodConfig, get_method
+from tabkit.pipeline import _array_digest
 
 from conftest import make_classification, make_regression
 from test_knn_search import searches
@@ -118,7 +119,7 @@ def test_memo_holds_one_read_only_entry(searched):
     first, second = rng.normal(size=(10, 3)), rng.normal(size=(12, 3))
     served = classical._memo_nearest(first, x_train, 4, 8)
     classical._memo_nearest(second, x_train, 4, 8)
-    assert classical._memo.key == classical._search_key(second, x_train)
+    assert classical._memo.key == _array_digest(second) + _array_digest(x_train)
     again = classical._memo_nearest(first, x_train, 2, 8)
     assert searched == [4, 4, 2]  # the first entry was dropped
     for index in (served, again, classical._memo.index):

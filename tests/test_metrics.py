@@ -318,14 +318,25 @@ class TestRankdata:
         assert rankdata(values).tobytes() == \
             scipy.stats.rankdata(values).tobytes()
 
-    def test_import_leaves_scipy_stats_out(self):
-        # scipy.stats would be most of the import time
-        code = "import sys, tabkit; print('scipy.stats' in sys.modules)"
-        src = str(Path(tabkit.__file__).resolve().parent.parent)
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}).stdout
-        assert out.strip() == "False"
+
+@pytest.fixture(scope="module")
+def modules_after_import():
+    """The names in ``sys.modules`` of a fresh interpreter that imported
+    tabkit and nothing else."""
+    code = "import sys, tabkit; print(*sys.modules)"
+    src = str(Path(tabkit.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    return set(out.split())
+
+
+# each would add to the start-up of every run: scipy.stats would be most of
+# it, and linear_regression imports scipy.sparse only when it takes it
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse",
+                                    "scipy.linalg"])
+def test_import_leaves_scipy_module_out(module, modules_after_import):
+    assert module not in modules_after_import
 
 
 class TestMetricSet:
