@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -37,25 +36,7 @@ from .report import (
 )
 from .tune import SearchSpace, parse_space, tune_hyper_parameters, write_trials_csv
 
-__all__ = ["RunArgs", "get_args", "main"]
-
-
-@dataclass(frozen=True)
-class RunArgs:
-    model_type: str
-    dataset: str
-    dataset_path: str
-    max_epoch: int | None
-    batch_size: int | None
-    seed_num: int
-    normalization: str
-    num_nan_policy: str
-    cat_nan_policy: str
-    cat_policy: str
-    num_policy: str
-    n_trials: int
-    tune: bool
-    output_dir: str
+__all__ = ["get_args", "main"]
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -123,27 +104,12 @@ def _unwrap(document: dict, model_type: str) -> dict:
     )
 
 
-def get_args(argv=None) -> tuple[str, RunArgs, dict, SearchSpace]:
+def get_args(argv=None) -> tuple[str, argparse.Namespace, dict, SearchSpace]:
     """Parse argv into (command, args, default hyperparameters, opt space)."""
-    namespace = build_parser().parse_args(argv)
-    args = RunArgs(
-        model_type=namespace.model_type,
-        dataset=namespace.dataset,
-        dataset_path=(namespace.dataset_path
-                      or os.environ.get("TALENT_DATA")
-                      or "./data"),
-        max_epoch=namespace.max_epoch,
-        batch_size=namespace.batch_size,
-        seed_num=namespace.seed_num,
-        normalization=namespace.normalization,
-        num_nan_policy=namespace.num_nan_policy,
-        cat_nan_policy=namespace.cat_nan_policy,
-        cat_policy=namespace.cat_policy,
-        num_policy=namespace.num_policy,
-        n_trials=namespace.n_trials,
-        tune=namespace.tune in ("True", "true"),
-        output_dir=namespace.output_dir,
-    )
+    args = build_parser().parse_args(argv)
+    args.dataset_path = (args.dataset_path or os.environ.get("TALENT_DATA")
+                         or "./data")
+    args.tune = args.tune in ("True", "true")
     default_doc = _config_document("default", args.model_type)
     default_config = (_unwrap(default_doc, args.model_type)
                       if default_doc else {})
@@ -151,10 +117,10 @@ def get_args(argv=None) -> tuple[str, RunArgs, dict, SearchSpace]:
     if space_doc is None:
         space_doc = {args.model_type: {"model": {}, "training": {}}}
     space = parse_space(space_doc)
-    return namespace.command, args, default_config, space
+    return args.command, args, default_config, space
 
 
-def _run(command: str, args: RunArgs, default_config: dict,
+def _run(command: str, args: argparse.Namespace, default_config: dict,
          space: SearchSpace) -> int:
     method_cls = get_method(args.model_type)
     wants_deep = command == "deep"

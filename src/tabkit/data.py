@@ -102,14 +102,6 @@ class Dataset:
         return len(self.split[part])
 
 
-def _as_cat_array(rows: list[list[str]], n_cols: int) -> np.ndarray:
-    arr = np.empty((len(rows), n_cols), dtype=object)
-    for i, row in enumerate(rows):
-        for j in range(n_cols):
-            arr[i, j] = row[j]
-    return arr
-
-
 def _parse_num_cell(token: str, file: str, row: int, col: int) -> float:
     token = token.strip()
     if token == "":
@@ -190,7 +182,7 @@ def _read_csv_part(path: Path, info: DatasetInfo, class_count: int | None):
             cat_rows.append(row[n_num:n_num + n_cat])
             labels.append(_parse_label(row[-1], info.task, class_count, name, row_idx))
     num = np.asarray(num_rows, dtype=np.float64).reshape(len(labels), n_num)
-    cat = _as_cat_array(cat_rows, n_cat)
+    cat = np.array(cat_rows, dtype=object).reshape(len(labels), n_cat)
     return num, cat, labels
 
 

@@ -24,8 +24,9 @@ CART's single tree, a forest's trees, or one boosting stage's per-class trees.
 * Lock-step growth. Each step grows one level of every tree of the group
   still growing, and their split gains come from a few vectorized kernel
   calls over nodes of similar size, padded at the end; one call never covers
-  more than the root's work (sample size x features drawn per node). Nodes
-  are numbered in preorder once the trees are grown.
+  more than the root's work (sample size x features drawn per node). Each
+  tree's nodes are numbered in the order grown: level by level, left to
+  right.
 * Feature subsets, for a forest that samples features, are drawn level by
   level from each tree's own generator: one call per tree and step draws a
   row of uniforms per node, in the level's left-to-right order, and a node
@@ -143,31 +144,29 @@ class _Grower:
         # no kernel call covers more (nodes x features x positions) than the
         # root's work, and no other per-step pass more rows
         self.block = self.n * max(self.k, 1)
-        # node records in the order grown: tree, lo, size, depth, parent record
-        # (-1 for a root), side (0 left, 1 right), split feature (-1 for a
-        # leaf); then threshold and value
+        # node records in the order grown: tree, lo, size, split feature (-1
+        # for a leaf); then threshold and value
         cap = 16 * n_trees
-        self._nodes = np.empty((cap, 7), dtype=np.int32)
+        self._nodes = np.empty((cap, 4), dtype=np.int32)
         self._threshold = np.empty(cap)
         self._value = np.empty((cap, n_classes if classification else 1))
 
     # ---- growth -----------------------------------------------------------
     def grow(self) -> list[_Tree]:
         n_trees = len(self.samples)
-        # one level per step, one row per node in the first six record
+        # one level per step, one row per node in the first three record
         # columns, by tree and then left to right
-        step = np.zeros((n_trees, 6), dtype=np.intp)
+        step = np.zeros((n_trees, 3), dtype=np.intp)
         step[:, 0] = np.arange(n_trees)
         step[:, 2] = self.n
-        step[:, 4] = -1
-        done = 0
+        done = depth = 0
         while len(step):
-            t, lo, size, depth = step[:, :4].T
+            t, lo, size = step.T
             end = done + len(step)
             self._reserve(end)
-            self._nodes[done:end, :6] = step
+            self._nodes[done:end, :3] = step
             self._value[done:end] = self._values(t, lo, size)
-            feature, threshold = self._nodes[done:end, 6], self._threshold[done:end]
+            feature, threshold = self._nodes[done:end, 3], self._threshold[done:end]
             feature[:], threshold[:] = -1, 0.0
             cand = np.flatnonzero((depth < self.max_depth)
                                   & (size >= 2 * self.min_leaf) & (self.d > 0))
@@ -180,10 +179,7 @@ class _Grower:
             step[0::2, 2] = n_left
             step[1::2, 1] += n_left
             step[1::2, 2] -= n_left
-            step[:, 3] += 1
-            step[:, 4] = np.repeat(done + s, 2)
-            step[:, 5] = np.tile([0, 1], len(s))
-            done = end
+            done, depth = end, depth + 1
         return self._assemble(done)
 
     def _reserve(self, count: int):
@@ -198,45 +194,28 @@ class _Grower:
             setattr(self, name, new)
 
     def _assemble(self, total: int) -> list[_Tree]:
-        """Number each tree's nodes in preorder and scatter the records into
-        tree-major arrays."""
-        tree, lo, size, depth, parent, side, feature = self._nodes[:total].T
-        threshold, value = self._threshold[:total], self._value[:total]
+        """Scatter the records into tree-major arrays, each tree's nodes in
+        the order grown: level by level, left to right."""
+        tree, lo, size, feature = self._nodes[:total].T
         leaf = feature < 0
-        self._leaves = (tree[leaf], lo[leaf], size[leaf], value[leaf, 0])
+        self._leaves = (tree[leaf], lo[leaf], size[leaf],
+                        self._value[:total][leaf, 0])
         count = np.bincount(tree, minlength=len(self.samples))
         start = np.cumsum(count) - count
-        by_depth = np.argsort(depth, kind="stable")
-        bounds = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2))
-        levels = [by_depth[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        # subtree sizes, deepest level first
-        subtree = np.ones(total, dtype=np.intp)
-        for at in levels[:0:-1]:
-            np.add.at(subtree, parent[at], subtree[at])
-        is_left = (parent >= 0) & (side == 0)
-        is_right = (parent >= 0) & (side == 1)
-        left_size = np.zeros(total, dtype=np.intp)
-        left_size[parent[is_left]] = subtree[is_left]
-        del subtree
-        # preorder: a left child follows its parent, a right child follows
-        # its parent's left subtree
-        pre = np.zeros(total, dtype=np.intp)
-        for at in levels[1:]:
-            up = parent[at]
-            pre[at] = pre[up] + 1 + side[at] * left_size[up]
-        del levels, by_depth, left_size
-        at = start[tree] + pre
-        feat = np.empty(total, dtype=np.int64)
-        feat[at] = feature
-        thr = np.empty(total)
-        thr[at] = threshold
-        val = np.empty_like(value)
-        val[at] = value
-        left = np.full(total, -1, dtype=np.int64)
-        left[at[parent[is_left]]] = pre[is_left]
-        right = np.full(total, -1, dtype=np.int64)
-        right[at[parent[is_right]]] = pre[is_right]
-        del self._nodes, self._threshold, self._value
+        order = np.argsort(tree, kind="stable")
+        feat = feature[order].astype(np.int64)
+        thr = self._threshold[order]
+        val = self._value[order]
+        del self._nodes, self._threshold, self._value, tree, lo, size, feature
+        del leaf, order
+        # children follow in their parents' order, so a tree's j-th split
+        # node (from 0) has children 2j + 1 and 2j + 2
+        split = feat >= 0
+        j = np.cumsum(split)
+        j -= np.repeat((j - split)[start], count)
+        left = np.where(split, 2 * j - 1, -1)
+        right = np.where(split, 2 * j, -1)
+        del split, j
         return [
             _Tree(feat[a:b], thr[a:b], left[a:b], right[a:b], val[a:b])
             for a, b in zip(start.tolist(), (start + count).tolist())

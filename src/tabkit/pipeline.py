@@ -32,19 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DatasetInfo
-from .encode_cat import (
-    DEFAULT_N_BUCKETS,
-    CategoricalEncoder,
-    fit_categorical_encoder,
-)
-from .encode_num import DEFAULT_N_BINS, NumericEncoder, fit_numeric_encoder
+from .encode_cat import DEFAULT_N_BUCKETS, fit_categorical_encoder
+from .encode_num import DEFAULT_N_BINS, fit_numeric_encoder
 from .errors import FitError
-from .preprocess import (
-    FittedImputer,
-    FittedNormalizer,
-    fit_imputer,
-    fit_normalizer,
-)
+from .preprocess import fit_imputer, fit_normalizer
 
 
 @dataclass(frozen=True)
@@ -174,17 +165,15 @@ class FeaturePipeline:
     def __init__(self, config: PipelineConfig | None = None, seed: int = 0):
         self.config = config or PipelineConfig()
         self.seed = seed
-        self._imputer: FittedImputer | None = None
-        self._normalizer: FittedNormalizer | None = None
-        self._num_encoder: NumericEncoder | None = None
-        self._cat_encoder: CategoricalEncoder | None = None
-        self._ordinal_scaler: FittedNormalizer | None = None
+        # imputer, normalizer, numeric encoder, categorical encoder, ordinal
+        # scaler; a stage a fit does not use is None
+        self._stages: tuple = (None,) * 5
         self._key: bytes | None = None
         self._fitted_on = None  # weak reference to the dataset of the last fit
 
     @property
     def is_fitted(self) -> bool:
-        return self._imputer is not None
+        return self._stages[0] is not None
 
     def fit_transform_train(self, dataset: Dataset, info: DatasetInfo) -> np.ndarray:
         """Fit every stage on the train rows and return their encoded,
@@ -195,8 +184,7 @@ class FeaturePipeline:
             _memo = None
             stages, train = _fit_stages(self.config, self.seed, dataset, info)
             _memo = _Fit(key, stages, _read_only(train))
-        (self._imputer, self._normalizer, self._num_encoder,
-         self._cat_encoder, self._ordinal_scaler) = _memo.stages
+        self._stages = _memo.stages
         self._key = key
         self._fitted_on = weakref.ref(dataset)
         return _memo.train
@@ -224,22 +212,22 @@ class FeaturePipeline:
         stage writing its block straight into one output matrix."""
         if not self.is_fitted:
             raise FitError("pipeline is not fitted")
-        num, cat = self._imputer.transform(num, cat)
-        num_width = (num.shape[1] if self._num_encoder is None
-                     else self._num_encoder.width)
-        cat_width = 0 if self._cat_encoder is None else self._cat_encoder.width
+        (imputer, normalizer, num_encoder, cat_encoder,
+         ordinal_scaler) = self._stages
+        num, cat = imputer.transform(num, cat)
+        num_width = num.shape[1] if num_encoder is None else num_encoder.width
+        cat_width = 0 if cat_encoder is None else cat_encoder.width
         out = np.empty((num.shape[0], num_width + cat_width))
         left, right = out[:, :num_width], out[:, num_width:]
-        if self._normalizer is not None:
-            if self._num_encoder is None:
-                self._normalizer.transform(num, out=left)
+        if normalizer is not None:
+            if num_encoder is None:
+                normalizer.transform(num, out=left)
             else:
-                self._num_encoder.transform(self._normalizer.transform(num),
-                                            out=left)
-        if self._cat_encoder is not None:
-            self._cat_encoder.transform(cat, out=right)
-            if self._ordinal_scaler is not None:
-                self._ordinal_scaler.transform(right, out=right)
+                num_encoder.transform(normalizer.transform(num), out=left)
+        if cat_encoder is not None:
+            cat_encoder.transform(cat, out=right)
+            if ordinal_scaler is not None:
+                ordinal_scaler.transform(right, out=right)
         return out
 
     def transform_part(self, dataset: Dataset, part: str) -> np.ndarray:
@@ -255,12 +243,4 @@ class FeaturePipeline:
 
     def state(self) -> tuple:
         """The fitted stages, for equality and persistence checks."""
-        return (
-            self.config,
-            self.seed,
-            self._imputer,
-            self._normalizer,
-            self._num_encoder,
-            self._cat_encoder,
-            self._ordinal_scaler,
-        )
+        return (self.config, self.seed, *self._stages)

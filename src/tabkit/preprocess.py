@@ -159,6 +159,9 @@ def _fit_yeo_johnson_lambda(col: np.ndarray) -> float:
     grid = np.linspace(-5.0, 5.0, 21)
     scores = [yeo_johnson_log_likelihood(col, lam) for lam in grid]
     best = int(np.argmax(scores))
+    # no lambda keeps the column's variance finite: leave it as it is
+    if scores[best] == -math.inf:
+        return 1.0
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
     refined = _golden_section_max(lambda lam: yeo_johnson_log_likelihood(col, lam), lo, hi)

@@ -185,6 +185,22 @@ class TestNormalizers:
             for grid_lam in range(-5, 6):
                 assert best >= yeo_johnson_log_likelihood(col, float(grid_lam)) - 1e-9
 
+    def test_power_keeps_a_column_no_lambda_can_scale(self):
+        # +-1e200 overflow every lambda's transform or its variance, so every
+        # grid score is -inf; the column is left as it is, and its infinite
+        # spread maps it to 0, as under standard
+        rng = np.random.default_rng(0)
+        col = rng.normal(size=(20, 1))
+        col[3, 0], col[7, 0] = 1e200, -1e200
+        assert all(yeo_johnson_log_likelihood(col[:, 0], float(lam)) == -np.inf
+                   for lam in range(-5, 6))
+        norm = fit_normalizer(col, "power")
+        assert norm.lambdas[0] == 1.0
+        out = norm.transform(col)
+        np.testing.assert_array_equal(out, np.zeros_like(col))
+        np.testing.assert_array_equal(
+            out, fit_normalizer(col, "standard").transform(col))
+
     def test_transform_row_order_invariant(self):
         rng = np.random.default_rng(5)
         train = rng.normal(size=(50, 3))

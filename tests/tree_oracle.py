@@ -3,8 +3,8 @@ rows, plus the forest and boosting loops around it.
 
 Each node re-sorts its rows per feature and evaluates every split with a dense
 gain array, so it is slow but plainly correct. Nodes are visited level by
-level, left to right; a node that may split draws its own feature subset with
-one plain call, and the finished tree is numbered in preorder. The
+level, left to right, and numbered in that order; a node that may split draws
+its own feature subset with one plain call. The
 equivalence tests require the engine's fitted state to be byte-identical to
 what these functions build.
 """
@@ -160,23 +160,16 @@ def build_tree(x, y, *, classification, n_classes, max_depth, min_leaf,
         feature, threshold, left_mask = split
         left = {"rows": rows[left_mask], "depth": depth + 1}
         right = {"rows": rows[~left_mask], "depth": depth + 1}
-        node["split"] = (feature, threshold, left, right)
+        node["split"] = (feature, threshold, len(nodes), len(nodes) + 1)
         nodes += [left, right]
 
+    # each node's id is its position in ``nodes``
     tree = OracleTree()
-
-    def number(node) -> int:
-        """Add ``node`` and its subtree to ``tree`` in preorder."""
-        at = tree.add_node(node["value"])
+    for at, node in enumerate(nodes):
+        tree.add_node(node["value"])
         if "split" in node:
-            feature, threshold, left, right = node["split"]
-            tree.feature[at] = feature
-            tree.threshold[at] = threshold
-            tree.left[at] = number(left)
-            tree.right[at] = number(right)
-        return at
-
-    number(nodes[0])
+            (tree.feature[at], tree.threshold[at], tree.left[at],
+             tree.right[at]) = node["split"]
     return tree.finalize()
 
 
