@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import FitError, ShapeError
 
@@ -26,6 +25,29 @@ NAN_TOKEN = "__nan__"
 _EPS_STD = 1e-12
 _FLOAT_MAX = np.finfo(np.float64).max
 _CDF_CLIP = 1e-7
+
+# Cephes' ndtri, the rational approximation scipy.special.ndtri compiles: its
+# set for exp(-2) < p < 1 - exp(-2), and its tail set for sqrt(-2 log p) < 8,
+# which covers every p in [_CDF_CLIP, 1 - _CDF_CLIP]. Coefficients run from
+# the highest power down; a leading 1.0 stands for Cephes' p1evl.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
 
 
 @dataclass(frozen=True)
@@ -180,8 +202,9 @@ class FittedNormalizer:
     by standard scaling of the transformed training column. Where a finite
     cell would overflow, these maps saturate at the largest float64; inf and
     NaN cells pass through them. ``quantile`` stores a reference quantile
-    table per column and maps through the empirical CDF to a probit (normal)
-    output.
+    table per column and maps through the empirical CDF, clipped to
+    [1e-7, 1 - 1e-7], to a probit (normal) output. The probit is a numpy
+    port of Cephes' ``ndtri``, with the bytes of ``scipy.special.ndtri``.
     """
 
     kind: str
@@ -225,7 +248,38 @@ class FittedNormalizer:
         forward = np.interp(col, table, refs)
         backward = -np.interp(-col, -table[::-1], -refs[::-1])
         cdf = np.clip(0.5 * (forward + backward), _CDF_CLIP, 1.0 - _CDF_CLIP)
-        return ndtri(cdf)
+        return _ndtri(cdf)
+
+
+def _horner(x: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
+    value = coefficients[0]
+    for c in coefficients[1:]:
+        value = value * x + c
+    return value
+
+
+def _libm_log(values: np.ndarray) -> np.ndarray:
+    # math.log is the C library's log, which the compiled ndtri calls; numpy's
+    # vectorized log is off from it by 1-3 ulp on some tail inputs
+    return np.fromiter(map(math.log, values.tolist()), np.float64, values.size)
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each ``p`` in [1e-7, 1 - 1e-7], NaN
+    passing through, with the bytes of ``scipy.special.ndtri``."""
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.empty_like(y)
+    central = y > _EXP_M2
+    c = y[central] - 0.5
+    c2 = c * c
+    out[central] = (c + c * (c2 * _horner(c2, _P0) / _horner(c2, _Q0))) * _SQRT_2PI
+    tail = ~central
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x = x - _libm_log(x) / x - z * _horner(z, _P1) / _horner(z, _Q1)
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
 
 
 def fit_normalizer(train_num: np.ndarray, kind: str) -> FittedNormalizer:
@@ -274,7 +328,8 @@ def fit_normalizer(train_num: np.ndarray, kind: str) -> FittedNormalizer:
             scale=np.where(scale < _EPS_STD, 1.0, scale), lambdas=lambdas
         )
     # quantile
-    n_refs = min(1000, train_num.shape[0])
+    # one row gets two references, so it maps as a constant column does
+    n_refs = max(2, min(1000, train_num.shape[0]))
     references = np.linspace(0.0, 1.0, n_refs)
     quantiles = np.stack(
         [np.quantile(train_num[:, j], references) for j in range(n_cols)]

@@ -1,17 +1,29 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import ndtri
 
+import tabkit.pipeline as pipeline_module
+import tabkit.preprocess as preprocess
 from tabkit.errors import FitError, ShapeError
+from tabkit.pipeline import FeaturePipeline, PipelineConfig
 from tabkit.preprocess import (
     NAN_TOKEN,
     NORMALIZATIONS,
     FittedImputer,
+    _ndtri,
     _yeo_johnson,
     fit_imputer,
     fit_normalizer,
     yeo_johnson_log_likelihood,
 )
+
+from conftest import make_classification
 
 
 def _col(values):
@@ -127,8 +139,9 @@ class TestNormalizers:
 
     def test_constant_column_degenerate_outputs(self):
         col = _col([7.0, 7.0, 7.0, 7.0])
-        for kind in NORMALIZATIONS:
-            norm = fit_normalizer(col, kind)
+        # one training row is a constant column too
+        for kind, train in itertools.product(NORMALIZATIONS, (col, col[:1])):
+            norm = fit_normalizer(train, kind)
             out = norm.transform(col)
             # maxabs keeps x / max|x| = 1; every other kind collapses to 0
             expected = 1.0 if kind == "maxabs" else 0.0
@@ -261,3 +274,61 @@ class TestNormalizers:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             fit_normalizer(_col([1, 2]), "zscore")
+
+
+def probit_bytes(p):
+    """The bytes of ``_ndtri`` and of its oracle, ``scipy.special.ndtri``."""
+    p = np.asarray(p, dtype=np.float64)
+    return _ndtri(p).tobytes(), ndtri(p).tobytes()
+
+
+class TestNdtri:
+    """The quantile normalizer's probit, a numpy port of Cephes' ndtri, has
+    the bytes of the compiled one over the clipped CDF range."""
+
+    def test_clip_ends_and_half(self):
+        ours, oracle = probit_bytes([1e-7, 1.0 - 1e-7, 0.5])
+        assert ours == oracle
+
+    def test_either_side_of_the_central_set(self):
+        edges = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0)])
+        ours, oracle = probit_bytes(np.concatenate(
+            [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]))
+        assert ours == oracle
+
+    def test_a_million_samples(self):
+        # half uniform, half log-spaced toward both clip ends, where the
+        # tail set takes its logs
+        rng = np.random.default_rng(20240611)
+        toward_ends = 10.0 ** rng.uniform(-7.0, -0.5, 250_000)
+        p = np.concatenate([rng.uniform(1e-7, 1.0 - 1e-7, 500_000),
+                            toward_ends, 1.0 - toward_ends])
+        ours, oracle = probit_bytes(p)
+        assert ours == oracle
+
+    @given(hnp.arrays(np.float64, st.integers(1, 40),
+                      elements=st.floats(1e-7, 1.0 - 1e-7)))
+    def test_any_clipped_probability(self, p):
+        ours, oracle = probit_bytes(p)
+        assert ours == oracle
+
+    def test_nan_passes_through(self):
+        out = _ndtri(np.array([np.nan, 0.25, np.nan, 0.95]))
+        assert np.isnan(out[[0, 2]]).all()
+        assert out[[1, 3]].tobytes() == ndtri(np.array([0.25, 0.95])).tobytes()
+
+
+def test_quantile_pipeline_bytes_equal_the_scipy_probit(monkeypatch):
+    dataset, info = make_classification(n_rows=10_000, n_num=8, seed=14,
+                                        missing_rate=0.02)
+    config = PipelineConfig(normalization="quantile")
+
+    def encode():
+        monkeypatch.setattr(pipeline_module, "_memo", None)
+        pipeline = FeaturePipeline(config, seed=0)
+        train = pipeline.fit_transform_train(dataset, info)
+        return train.tobytes(), pipeline.transform_part(dataset, "test").tobytes()
+
+    ours = encode()
+    monkeypatch.setattr(preprocess, "_ndtri", ndtri)
+    assert encode() == ours
