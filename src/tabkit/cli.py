@@ -173,13 +173,16 @@ def _run(command: str, args: argparse.Namespace, default_config: dict,
         model=model_config, training=training_config, pipeline=pipeline,
         dataset_name=args.dataset,
     )
+    # results.csv keeps no error text, so each failed seed's goes to stderr
+    for record in records:
+        if not record.ok:
+            print(f"seed {record.seed}: {record.error}", file=sys.stderr)
     if not any(r.ok for r in records):
-        # nothing to rank; keep the per-seed errors and name the first
+        # nothing to rank; keep the per-seed records
         results_path = os.path.join(args.output_dir, "results.csv")
         write_results_csv(results_path, records)
-        first = records[0]
-        print(f"error: all {len(records)} seed(s) failed (see {results_path}); "
-              f"seed {first.seed}: {first.error}", file=sys.stderr)
+        print(f"error: all {len(records)} seed(s) failed (see {results_path})",
+              file=sys.stderr)
         return 1
     table = rank_methods(records)
     paths = emit_report(table, records, args.output_dir)

@@ -86,9 +86,6 @@ class Dataset:
     def n_cat_features(self) -> int:
         return self.cat.shape[1]
 
-    def indices(self, part: str) -> np.ndarray:
-        return self.split[part]
-
     def part_num(self, part: str) -> np.ndarray:
         return self.num[self.split[part]]
 

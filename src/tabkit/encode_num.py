@@ -60,7 +60,6 @@ class BinEdges:
     """Strictly increasing boundaries b_0 < ... < b_B covering the train range."""
 
     edges: np.ndarray
-    scheme: str
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.float64)
@@ -75,8 +74,8 @@ class BinEdges:
         return len(self.edges) - 1
 
 
-def _degenerate_edges(value: float, scheme: str) -> BinEdges:
-    return BinEdges(np.array([value - 0.5, value + 0.5]), scheme)
+def _degenerate_edges(value: float) -> BinEdges:
+    return BinEdges(np.array([value - 0.5, value + 0.5]))
 
 
 def compute_quantile_bins(train_col: np.ndarray, n_bins: int = DEFAULT_N_BINS) -> BinEdges:
@@ -85,8 +84,8 @@ def compute_quantile_bins(train_col: np.ndarray, n_bins: int = DEFAULT_N_BINS) -
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
     edges = np.unique(np.quantile(train_col, np.linspace(0.0, 1.0, n_bins + 1)))
     if len(edges) < 2:
-        return _degenerate_edges(float(edges[0]), "quantile")
-    return BinEdges(edges, "quantile")
+        return _degenerate_edges(float(edges[0]))
+    return BinEdges(edges)
 
 
 def _best_split(xs, ys, min_leaf, n_classes):
@@ -131,7 +130,7 @@ def compute_target_bins(
 
     lo, hi = float(np.min(train_col)), float(np.max(train_col))
     if lo == hi:
-        return _degenerate_edges(lo, "target")
+        return _degenerate_edges(lo)
 
     min_leaf = max(1, len(train_col) // (4 * n_bins))
     order = np.argsort(train_col, kind="stable")
@@ -159,7 +158,7 @@ def compute_target_bins(
         push(start, at)
         push(at, stop)
 
-    return BinEdges(np.unique(np.array([lo, *thresholds, hi])), "target")
+    return BinEdges(np.unique(np.array([lo, *thresholds, hi])))
 
 
 def _check_finite(x: np.ndarray) -> None:

@@ -322,21 +322,15 @@ class NaiveBayesMethod(Method):
         return self._means.size + self._vars.size + self._log_priors.size
 
 
-# the largest share of nonzero cells at which linear_regression builds X'X
-# from a sparse copy of the training matrix (one-hot tables are about 1 %)
-_SPARSE_GRAM_DENSITY = 1 / 20
-
-
 class LinearRegressionMethod(Method):
     """Ridge regression via the normal equations; the bias is unpenalized.
 
     The (d + 1) × (d + 1) system is built from the training matrix itself,
     with no design matrix: the bias row and column of the Gram are the column
     sums, its corner is the row count, and the last entry of the right-hand
-    side is the sum of the targets. ``X'X`` and ``X'y`` come from a
-    ``scipy.sparse`` CSC copy of the matrix when at most 1 in 20 of its cells
-    is nonzero, and from the dense product otherwise. A system that is not
-    finite, or whose solution is not, fails the fit.
+    side is the sum of the targets. ``X'X`` is written by the dense product
+    straight into the Gram and ``X'y`` into the right-hand side. A system that
+    is not finite, or whose solution is not, fails the fit.
     """
 
     task_types = (TaskType.REGRESSION,)
@@ -347,17 +341,8 @@ class LinearRegressionMethod(Method):
         gram = np.empty((d + 1, d + 1))
         rhs = np.empty(d + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            if np.count_nonzero(x_train) <= _SPARSE_GRAM_DENSITY * x_train.size:
-                from scipy import sparse  # not at import: it adds to start-up
-
-                csc = sparse.csc_array(x_train)
-                product = (csc.T @ csc).tocoo()
-                gram[:d, :d] = 0.0
-                gram[product.row, product.col] = product.data
-                rhs[:d] = csc.T @ y_train
-            else:
-                np.matmul(x_train.T, x_train, out=gram[:d, :d])
-                rhs[:d] = x_train.T @ y_train
+            np.matmul(x_train.T, x_train, out=gram[:d, :d])
+            rhs[:d] = x_train.T @ y_train
             gram[d, :d] = gram[:d, d] = x_train.sum(axis=0)
             gram[d, d] = n
             rhs[d] = y_train.sum()

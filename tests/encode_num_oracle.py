@@ -111,7 +111,7 @@ def target_bins(train_col, targets, task, n_bins=DEFAULT_N_BINS):
 
     lo, hi = float(np.min(train_col)), float(np.max(train_col))
     if lo == hi:
-        return _degenerate_edges(lo, "target"), False
+        return _degenerate_edges(lo), False
 
     classification = task.is_classification
     min_leaf = max(1, len(train_col) // (4 * n_bins))
@@ -133,5 +133,5 @@ def target_bins(train_col, targets, task, n_bins=DEFAULT_N_BINS):
 
     edges = np.unique(np.array([lo, *thresholds, hi]))
     if len(edges) < 2:
-        return _degenerate_edges(lo, "target"), near_tie
-    return BinEdges(edges, "target"), near_tie
+        return _degenerate_edges(lo), near_tie
+    return BinEdges(edges), near_tie

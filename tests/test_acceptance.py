@@ -38,7 +38,7 @@ from conftest import make_classification, make_regression
 
 def random_edges(rng, n_bins: int) -> BinEdges:
     cuts = np.sort(rng.choice(np.arange(-50, 50), size=n_bins + 1, replace=False))
-    return BinEdges(cuts.astype(np.float64), "quantile")
+    return BinEdges(cuts.astype(np.float64))
 
 
 def test_criterion_1_encoder_property_suite():
@@ -54,7 +54,7 @@ def test_criterion_1_encoder_property_suite():
 
     # Johnson codes: consecutive bins differ in exactly one bit, all distinct
     for n_bins in range(2, 65):
-        edges = BinEdges(np.arange(n_bins + 1, dtype=np.float64), "quantile")
+        edges = BinEdges(np.arange(n_bins + 1, dtype=np.float64))
         centers = np.arange(n_bins) + 0.5
         rows = encode_johnson(edges, centers)
         assert rows.shape == (n_bins, (n_bins + 1) // 2)

@@ -7,6 +7,8 @@ import pytest
 import tabkit.methods.base as method_base
 from tabkit.cli import get_args, main
 from tabkit.data import save_dataset
+from tabkit.errors import FitError
+from tabkit.methods.classical import KNNMethod
 
 from conftest import make_classification, make_regression
 
@@ -177,11 +179,29 @@ class TestRuns:
         assert code == 1
         err = capsys.readouterr().err
         assert "seed 0: non-finite training loss" in err
+        assert "seed 1: non-finite training loss" in err
         # the per-seed records are written before ranking gives up
         results = workspace / "out" / "results.csv"
         assert results.read_text().splitlines() == [
             "dataset,method,seed,time_s,size", "demo,mlp,0,,", "demo,mlp,1,,"]
         assert not (workspace / "out" / "ranks.csv").exists()
+
+    def test_some_failed_seeds_reported(self, workspace, monkeypatch, capsys):
+        fit = KNNMethod._fit
+
+        def fit_failing_odd_seeds(self, *arrays):
+            if self.config.seed % 2:
+                raise FitError(f"odd seed {self.config.seed}")
+            return fit(self, *arrays)
+
+        monkeypatch.setattr(KNNMethod, "_fit", fit_failing_odd_seeds)
+        code = main(["classical", "--model_type", "knn", "--dataset", "demo",
+                     "--seed_num", "4", "--output_dir", "out"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "4 seed(s) (2 seed(s) failed)" in captured.out
+        assert captured.err.splitlines() == ["seed 1: odd seed 1",
+                                             "seed 3: odd seed 3"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_tuning_keeps_trial_log(self, workspace, capsys):

@@ -24,7 +24,7 @@ from tabkit.preprocess import NORMALIZATIONS, fit_normalizer
 
 
 def edges_of(*values):
-    return BinEdges(np.array(values, dtype=float), "quantile")
+    return BinEdges(np.array(values, dtype=float))
 
 
 class TestQuantileBins:
@@ -291,7 +291,7 @@ class TestCodecs:
 
     def test_johnson_adjacent_codes_differ_in_one_bit(self):
         for n_bins in range(2, 65):
-            edges = BinEdges(np.arange(n_bins + 1, dtype=float), "quantile")
+            edges = BinEdges(np.arange(n_bins + 1, dtype=float))
             centers = np.arange(n_bins) + 0.5
             codes = encode_johnson(edges, centers)
             assert codes.shape == (n_bins, (n_bins + 1) // 2)

@@ -319,15 +319,34 @@ class TestRankdata:
             scipy.stats.rankdata(values).tobytes()
 
 
+# a linear_regression fit on a one-hot table: 400 × 398, 1.3 % of cells nonzero
+FIT_ONE_HOT = """
+import numpy as np
+import tabkit
+rng = np.random.default_rng(0)
+n, task = 600, tabkit.TaskType.REGRESSION
+cat = rng.integers(0, 100, size=(n, 4)).astype(str).astype(object)
+rows = rng.permutation(n)
+split = {"train": rows[:400], "val": rows[400:500], "test": rows[500:]}
+dataset = tabkit.Dataset(rng.normal(size=(n, 1)), cat, rng.normal(size=n),
+                         task, split)
+info = tabkit.DatasetInfo(task, 1, 4)
+record, = tabkit.run_seeds("linear_regression", dataset, info, 1)
+assert record.ok, record.error
+"""
+
+
 @pytest.fixture(scope="module")
 def modules_after_import():
-    """For ``tabkit`` and its console entry point ``tabkit.cli``, the names
-    in ``sys.modules`` of a fresh interpreter that imported it and nothing
-    else."""
+    """The names in ``sys.modules`` of a fresh interpreter that imported
+    ``tabkit`` or its console entry point ``tabkit.cli`` and nothing else,
+    and of one that then fit linear_regression on a one-hot table."""
     src = str(Path(tabkit.__file__).resolve().parent.parent)
     loaded = {}
-    for entry in ("tabkit", "tabkit.cli"):
-        code = f"import sys, {entry}; print(*sys.modules)"
+    for entry, code in (("tabkit", "import tabkit"),
+                        ("tabkit.cli", "import tabkit.cli"),
+                        ("one-hot fit", FIT_ONE_HOT)):
+        code += "\nimport sys; print(*sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}).stdout
@@ -336,8 +355,8 @@ def modules_after_import():
 
 
 # each would add to the start-up of every run (scipy.special alone would
-# double it); linear_regression imports scipy.sparse only when it takes it.
-# "scipy" stands for the package and every submodule
+# double it), and a run needs none. "scipy" stands for the package and every
+# submodule
 @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.sparse",
                                     "scipy.linalg"])
 def test_import_leaves_scipy_module_out(module, modules_after_import):
