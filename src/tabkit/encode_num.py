@@ -24,7 +24,7 @@ import numpy as np
 from .data import TaskType
 from .encode_cat import _side_by_side
 from .errors import EncodeError, ShapeError
-from .splits import MIN_GAIN, gini_gains, variance_gains
+from .splits import MIN_GAIN, gini_gains, target_scale, variance_gains
 
 DEFAULT_N_BINS = 48
 
@@ -140,6 +140,7 @@ def compute_target_bins(
         n_classes = len(classes)
     else:
         ys, n_classes = targets[order].astype(np.float64), 0
+        ys *= target_scale(ys)
     # leaves that can split, largest gain first, then the first pushed
     heap, pushed = [], itertools.count()
 

@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from ..splits import MIN_GAIN, gini_gains, variance_gains
+from ..splits import MIN_GAIN, gini_gains, target_scale, variance_gains
 from .base import Method, Prediction, positive_int
 from .classical import _softmax
 
@@ -130,6 +130,8 @@ class _Grower:
         self.ranks = ranks.ravel()
         y = np.atleast_2d(y).astype(np.int32 if classification else np.float64)
         self.y = np.ascontiguousarray(y).ravel()
+        # leaf values come from the raw targets, split gains from scaled ones
+        self.scale = 1.0 if classification else target_scale(self.y)
         self.y_offset = (np.arange(n_trees) if len(y) > 1
                          else np.zeros(n_trees, dtype=np.intp)) * self.n_rows
         self.samples = samples
@@ -330,6 +332,8 @@ class _Grower:
         ys = np.take(self.y, self.y_offset[t][:, None] + rows)
         ys = np.take(ys, (node * span)[:, None, None] + order)
         del order
+        if self.scale != 1.0:
+            ys *= self.scale
         n_left = np.arange(1, span, dtype=np.float64)
         # clipped past a node's end, where no position is valid anyway
         n_right = np.maximum(size[:, None] - n_left, 1.0)[:, None, :]

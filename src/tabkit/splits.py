@@ -7,7 +7,8 @@ span): one node's targets sorted by one feature per line, padded after slot
 span - 1): the node's impurity minus its children's.
 
 * :func:`variance_gains`: squared error, sum(y^2) - sum(y)^2 / n per side,
-  from prefix sums of y and of y^2. It overwrites ``ys``.
+  from prefix sums of y and of y^2. It overwrites ``ys``. Callers scale the
+  targets by :func:`target_scale` first, so the squared sums cannot overflow.
 * :func:`gini_gains`: size-weighted Gini, n - sum_c count_c^2 / n per side,
   over integer labels 0..``n_classes`` - 1, one class at a time. The counts
   are squared in float64 (an int32 square wraps past 46,340 rows); they and
@@ -17,10 +18,28 @@ span - 1): the node's impurity minus its children's.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # a split must gain more than this; smaller gains are rounding noise
 MIN_GAIN = 1e-12
+# below this no sum of fewer than 2^256 targets squares past the float range
+_HUGE_TARGET = 2.0 ** 256
+
+
+def target_scale(y) -> float:
+    """What to multiply regression targets by before :func:`variance_gains`:
+    1, or for targets reaching 2^256 the power of two that brings the largest
+    below 1. A power of two scales every target, square and sum exactly (short
+    of subnormals), so each gain is the raw targets' gain, as a float range
+    without overflow would give it, times the scale squared: splits rank the
+    same. ``MIN_GAIN`` then applies in the scaled units. Ordinary targets are
+    left as they are."""
+    top = float(np.max(np.abs(y), initial=0.0))
+    if not top >= _HUGE_TARGET:
+        return 1.0
+    return math.ldexp(1.0, -math.frexp(top)[1])  # inf gives 1
 
 
 def variance_gains(ys, node, last, n_left, n_right):

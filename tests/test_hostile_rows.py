@@ -114,6 +114,35 @@ def test_an_extreme_training_cell_fails_or_predicts_finite(value, kind, seed):
     assert np.isfinite(pred.values).all()
 
 
+@given(st.sampled_from(["cart", "random_forest", "gbdt"]),
+       st.sampled_from([1e150, -1e150, 1e200, -1e200, 1e300, -1e300]),
+       st.sampled_from(["none", "T_bins"]), st.integers(0, 2 ** 32 - 1))
+def test_extreme_regression_targets_fit_or_fail(name, scale, num_policy, seed):
+    # squared sums of such targets overflow; the trees and target-aware
+    # binning scale them by a power of two for their split gains, so a fit
+    # neither warns nor raises anything but FitError
+    rng = np.random.default_rng(seed)
+    n_train, d = 20, 3
+    num = rng.normal(size=(n_train + 7, d))
+    labels = num @ rng.normal(size=d) + rng.normal(size=n_train + 7)
+    labels[rng.random(n_train + 7) < 0.7] *= scale  # some stay ordinary
+    cat = rng.choice(["a", "b", "c"], size=(n_train + 7, 1)).astype(object)
+    dataset, info = dataset_from_arrays(num[:-4], labels[:-4],
+                                        TaskType.REGRESSION, cat=cat[:-4],
+                                        n_val=3)
+    method = get_method(name)(
+        MethodConfig(model={"n_trees": 10}, pipeline=PipelineConfig(
+            num_policy=num_policy)), info)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            method.fit(dataset, info)
+        except FitError:
+            return
+        pred = method.predict(num[-4:], cat[-4:])  # ordinary rows
+    assert np.isfinite(pred.values).all()
+
+
 def test_a_standard_scaled_extreme_cell_is_an_infinite_distance():
     rng = np.random.default_rng(0)
     num = rng.normal(size=(20, 2))

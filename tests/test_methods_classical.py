@@ -1,11 +1,15 @@
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tabkit.data import DatasetInfo, TaskType
 from tabkit.errors import FitError, TabkitError
-from tabkit.methods import MethodConfig, get_method
+from tabkit.methods import MethodConfig, classical, get_method
 from tabkit.methods.classical import (
     DummyMethod,
     KNNMethod,
@@ -14,6 +18,8 @@ from tabkit.methods.classical import (
     LogisticRegressionMethod,
     NaiveBayesMethod,
     NCMMethod,
+    _pair_counts,
+    _ridge_system,
     _softmax,
 )
 from tabkit.methods.mlp import MLPMethod
@@ -177,6 +183,70 @@ class TestNaiveBayes:
         assert np.isfinite(pred.probabilities).all()
 
 
+@st.composite
+def one_hot_tables(draw, binary=False):
+    """(x, y): one-hot blocks, numeric columns that hold exact zeros, and
+    all-zero columns, in a drawn column order. With ``binary`` every cell is
+    0 or 1 and every target an integer, so every sum of the system is exact."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = [np.zeros((n, draw(st.integers(0, 2))))]
+    for tokens in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)):
+        columns.append(np.eye(tokens)[rng.integers(0, tokens, size=n)])
+    for _ in range(draw(st.integers(0, 3))):
+        column = (rng.integers(0, 2, size=n).astype(np.float64) if binary
+                  else rng.normal(size=n) * 10.0 ** rng.integers(-3, 4))
+        column[rng.random(n) < 0.5] = 0.0
+        columns.append(column[:, None])
+    x = np.hstack(columns)
+    x = np.ascontiguousarray(x[:, rng.permutation(x.shape[1])])
+    y = (rng.integers(-5, 6, size=n).astype(np.float64) if binary
+         else rng.normal(size=n))
+    return x, y
+
+
+def dense_system(x, y):
+    """The oracle: the normal equations of the design matrix [x, 1]."""
+    design = np.hstack([x, np.ones((len(x), 1))])
+    return design.T @ design, design.T @ y
+
+
+class TestRidgeSystem:
+    @given(one_hot_tables())
+    def test_pairs_match_the_dense_products(self, table):
+        x, y = table
+        gram, rhs = _ridge_system(x, y, np.count_nonzero(x, axis=1))
+        expected_gram, expected_rhs = dense_system(x, y)
+        # each entry is a sum of at most 30 products: both sides round it
+        # within a few ulps of the sum of the products' magnitudes
+        bound_gram, bound_rhs = dense_system(np.abs(x), np.abs(y))
+        assert (np.abs(gram - expected_gram) <= 1e-13 * bound_gram).all()
+        assert (np.abs(rhs - expected_rhs) <= 1e-13 * bound_rhs).all()
+        # a row a chunk adds every entry's products in the same order
+        with mock.patch.object(classical, "_CHUNK_PAIRS", 1):
+            chunked = _ridge_system(x, y, np.count_nonzero(x, axis=1))
+        assert [a.tobytes() for a in chunked] == [gram.tobytes(), rhs.tobytes()]
+
+    @given(one_hot_tables(binary=True))
+    def test_exact_sums_are_bit_equal(self, table):
+        x, y = table
+        expected = [a.tobytes() for a in dense_system(x, y)]
+        for nnz in (np.count_nonzero(x, axis=1), None):
+            assert [a.tobytes() for a in _ridge_system(x, y, nnz)] == expected
+
+    @given(one_hot_tables(), st.sampled_from([np.nan, np.inf, -np.inf, 1e200,
+                                              -1e200]), st.data())
+    def test_a_cell_that_is_not_finite_fails_both_paths(self, table, cell, data):
+        x, y = table
+        x[data.draw(st.integers(0, len(x) - 1)),
+          data.draw(st.integers(0, x.shape[1] - 1))] = cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for nnz in (np.count_nonzero(x, axis=1), None):
+                with pytest.raises(FitError, match="^ridge system is not finite$"):
+                    _ridge_system(x, y, nnz)
+
+
 class TestLinearRegression:
     def test_exact_recovery(self):
         x = np.linspace(-1.0, 1.0, 21)
@@ -209,23 +279,45 @@ class TestLinearRegression:
     def test_one_hot_fit_memory_stays_below_the_table(self):
         # encode-10k's one-hot regression table: 8 columns of 200 tokens and
         # 3 numeric columns over 6,000 rows, 1 % of cells nonzero
-        rng = np.random.default_rng(4)
-        n, blocks, tokens = 6000, 8, 200
-        x = np.zeros((n, 3 + blocks * tokens))
-        x[:, :3] = rng.normal(size=(n, 3))
-        codes = rng.integers(0, tokens, size=(n, blocks))
-        x[np.arange(n)[:, None], 3 + codes + tokens * np.arange(blocks)] = 1.0
-        y = rng.normal(size=n)
-        method = LinearRegressionMethod(MethodConfig(), REGRESSION_INFO)
-        tracemalloc.start()
-        try:
-            method._fit(x, y, x[:0], y[:0])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        x, y = one_hot_table(numeric=3, blocks=8, tokens=200)
+        assert _pair_counts(x) is not None
+        peak = fit_peak(x, y)
         # a design matrix with the bias column would be more than the table;
-        # the (d + 1)² system is 0.27 of it, and the fit peaks at about 0.30
+        # the (d + 1)² system is 0.27 of it, and the fit peaks at 0.30
         assert peak <= 0.5 * x.nbytes
+
+    def test_wide_rows_fit_in_chunks_of_pairs(self):
+        # 40 nonzeros a row among 1,600 columns: the rows' in-row pairs, each
+        # an index and a product, would take twice the table at once
+        x, y = one_hot_table(numeric=0, blocks=40, tokens=40)
+        nnz = _pair_counts(x)
+        assert nnz is not None
+        assert 16 * np.square(nnz + 1).sum() > 2 * x.nbytes
+        gram_bytes = 8 * (x.shape[1] + 1) ** 2
+        # the fit peaks at the Gram plus 0.03 of the table
+        assert fit_peak(x, y) <= gram_bytes + 0.25 * x.nbytes
+
+
+def one_hot_table(numeric, blocks, tokens, n=6000):
+    """``numeric`` normal columns, then ``blocks`` one-hot blocks of
+    ``tokens`` columns each, over ``n`` rows, and a normal target."""
+    rng = np.random.default_rng(4)
+    x = np.zeros((n, numeric + blocks * tokens))
+    x[:, :numeric] = rng.normal(size=(n, numeric))
+    codes = rng.integers(0, tokens, size=(n, blocks))
+    x[np.arange(n)[:, None], numeric + codes + tokens * np.arange(blocks)] = 1.0
+    return x, rng.normal(size=n)
+
+
+def fit_peak(x, y) -> int:
+    """tracemalloc's peak over one linear_regression fit on ``x``."""
+    method = LinearRegressionMethod(MethodConfig(), REGRESSION_INFO)
+    tracemalloc.start()
+    try:
+        method._fit(x, y, x[:0], y[:0])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGradientDescentClassifiers:

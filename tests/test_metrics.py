@@ -319,10 +319,17 @@ class TestRankdata:
             scipy.stats.rankdata(values).tobytes()
 
 
-# a linear_regression fit on a one-hot table: 400 × 398, 1.3 % of cells nonzero
+# a linear_regression fit on a one-hot table: 400 × 398, 1.3 % of cells
+# nonzero, which the cost rule sends down the in-row pair path
 FIT_ONE_HOT = """
 import numpy as np
 import tabkit
+from tabkit.methods import classical
+fit, paths = classical.LinearRegressionMethod._fit, []
+def spy(self, x_train, *rest):
+    paths.append(classical._pair_counts(x_train) is not None)
+    return fit(self, x_train, *rest)
+classical.LinearRegressionMethod._fit = spy
 rng = np.random.default_rng(0)
 n, task = 600, tabkit.TaskType.REGRESSION
 cat = rng.integers(0, 100, size=(n, 4)).astype(str).astype(object)
@@ -333,6 +340,7 @@ dataset = tabkit.Dataset(rng.normal(size=(n, 1)), cat, rng.normal(size=n),
 info = tabkit.DatasetInfo(task, 1, 4)
 record, = tabkit.run_seeds("linear_regression", dataset, info, 1)
 assert record.ok, record.error
+assert paths == [True], paths
 """
 
 

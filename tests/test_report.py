@@ -96,11 +96,14 @@ class TestRunSeeds:
         assert all(not r.ok for r in records)
         assert all("n_trees must be >= 1" in r.error for r in records)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_any_exception_is_recorded_per_seed(self):
-        # squaring a node's target sum near 1e200 overflows a Python float
+    def test_any_exception_is_recorded_per_seed(self, monkeypatch):
+        def overflow(self, x_train, y_train, x_val, y_val):
+            raise OverflowError("synthetic overflow")
+
+        monkeypatch.setattr(methods_registry.get_method("cart"), "_fit",
+                            overflow)
         num = np.random.default_rng(0).normal(size=(30, 2))
-        labels = np.where(np.arange(30) % 2, 1e200, -1e200)
+        labels = np.where(np.arange(30) % 2, 1.0, -1.0)
         dataset, info = dataset_from_arrays(num, labels, TaskType.REGRESSION,
                                             n_test=6)
         records = run_seeds("cart", dataset, info, seed_num=3)

@@ -3,6 +3,7 @@
 Fitted state must be byte-identical to ``tree_oracle`` on tables with tied
 values, nan and infinite features, duplicate rows, constant columns, and every
 depth and leaf-size setting, and when trees grow in several lock-step groups;
+targets whose squares overflow split as their power-of-two scaled copy does;
 memory must scale with the table, not with the class or tree count.
 """
 
@@ -28,15 +29,15 @@ from tabkit.methods.tree import (
     _ranks,
     _samples,
 )
+from tabkit.splits import target_scale
 
-# few distinct values make ties; signed zeros compare equal; the extreme
-# targets overflow: squared sums turn into inf and nan gains, and a node's
-# impurity, squared as a Python float, raises OverflowError
+# few distinct values make ties; signed zeros compare equal
 VALUES = st.one_of(
     st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]),
     st.floats(-100.0, 100.0, allow_nan=False),
 )
-TARGETS = st.one_of(VALUES, st.sampled_from([1e200, -1e200]))
+# squared sums of such targets overflow, and the oracle's with them
+EXTREME_TARGETS = st.sampled_from([1e200, -1e200, 1e300, -1e300])
 # nan ranks after every value and no split falls next to it
 FEATURES = st.one_of(VALUES, st.sampled_from([np.nan, np.inf, -np.inf]))
 
@@ -54,7 +55,7 @@ def problems(draw):
     task = draw(st.sampled_from(list(TaskType)))
     if task is TaskType.REGRESSION:
         n_classes = None
-        y = draw(hnp.arrays(np.float64, n, elements=TARGETS))
+        y = draw(hnp.arrays(np.float64, n, elements=VALUES))
     else:
         n_classes = 2 if task is TaskType.BINCLASS else draw(st.integers(3, 4))
         y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_classes - 1)))
@@ -63,24 +64,16 @@ def problems(draw):
     return x, y, task, n_classes, model
 
 
-def outcome(fit):
-    """Pickled fitted state, or the type of what the fit raised: squared
-    targets near the float limit overflow in both growers."""
-    try:
-        return pickle.dumps(fit())
-    except ArithmeticError as err:
-        return type(err)
-
-
-def fitted_state(cls, x, y, task, n_classes, model, seed=0):
+def fit_state(cls, x, y, task, n_classes, model, seed=0):
     info = DatasetInfo(task=task, n_num_features=x.shape[1], n_cat_features=0,
                        class_count=n_classes, name="table")
     method = cls(MethodConfig(model=model, seed=seed), info)
+    method._fit(x, y, x[:0], y[:0])
+    return method._state()
 
-    def fit():
-        method._fit(x, y, x[:0], y[:0])
-        return method._state()
-    return outcome(fit)
+
+def fitted_state(*args, **kwargs):
+    return pickle.dumps(fit_state(*args, **kwargs))
 
 
 def oracle_args(task, n_classes):
@@ -92,7 +85,7 @@ def oracle_args(task, n_classes):
 @given(problems())
 def test_cart_matches_oracle(problem):
     x, y, task, n_classes, model = problem
-    expected = outcome(lambda: tree_oracle.cart_state(
+    expected = pickle.dumps(tree_oracle.cart_state(
         x, y, model=model, **oracle_args(task, n_classes)))
     assert fitted_state(CARTMethod, *problem) == expected
 
@@ -104,7 +97,7 @@ def test_forest_matches_oracle(problem, n_trees, bootstrap, max_features, seed):
     x, y, task, n_classes, model = problem
     model = dict(model, n_trees=n_trees, bootstrap=bootstrap,
                  max_features=max_features)
-    expected = outcome(lambda: tree_oracle.forest_state(
+    expected = pickle.dumps(tree_oracle.forest_state(
         x, y, model=model, seed=seed, **oracle_args(task, n_classes)))
     state = fitted_state(RandomForestMethod, x, y, task, n_classes, model, seed)
     assert state == expected
@@ -115,10 +108,38 @@ def test_forest_matches_oracle(problem, n_trees, bootstrap, max_features, seed):
 def test_boosting_matches_oracle(problem, n_trees, learning_rate):
     x, y, task, n_classes, model = problem
     model = dict(model, n_trees=n_trees, learning_rate=learning_rate)
-    expected = outcome(lambda: tree_oracle.boosting_state(
+    expected = pickle.dumps(tree_oracle.boosting_state(
         x, y, model=model, **oracle_args(task, n_classes)))
     state = fitted_state(GBDTMethod, x, y, task, n_classes, model)
     assert state == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(problems(), st.data(), st.integers(1, 3), st.integers(0, 3))
+def test_extreme_targets_split_as_their_scaled_copy(problem, data, n_trees,
+                                                    seed):
+    # the engine scales such targets by a power of two for the split gains
+    # only; the oracle, given the scaled copy, must grow the same splits, and
+    # the leaves keep the raw targets' means
+    x, _, _, _, model = problem
+    y = data.draw(hnp.arrays(np.float64, len(x),
+                             elements=st.one_of(VALUES, EXTREME_TARGETS)))
+    y[0] = data.draw(EXTREME_TARGETS)
+    scale = target_scale(y)
+    assert scale < 1.0
+    regression = {"regression": True, "n_classes": 0}
+    forest = dict(model, n_trees=n_trees)
+    for got, expected in (
+            ([fit_state(CARTMethod, x, y, TaskType.REGRESSION, None, model)],
+             [tree_oracle.cart_state(x, y * scale, model=model, **regression)]),
+            (fit_state(RandomForestMethod, x, y, TaskType.REGRESSION, None,
+                       forest, seed),
+             tree_oracle.forest_state(x, y * scale, model=forest, seed=seed,
+                                      **regression))):
+        assert len(got) == len(expected)
+        for tree, reference in zip(got, expected):
+            assert pickle.dumps(tree[:4]) == pickle.dumps(reference[:4])
+            assert np.isfinite(tree[4]).all()
 
 
 def test_deep_forest_matches_oracle():
