@@ -16,6 +16,7 @@ import numpy as np
 from ..data import Dataset, DatasetInfo, TaskType
 from ..errors import ConfigError, FitError
 from ..pipeline import FeaturePipeline, PipelineConfig
+from ..splits import target_scale
 
 # timing source for fit(); module-level so tests can substitute a fake clock
 _clock = time.perf_counter
@@ -40,12 +41,24 @@ def positive_int(cfg: dict, key: str, default: int) -> int:
     return value
 
 
+def scale_targets(*arrays) -> tuple:
+    """``(scale, *arrays)``: the smallest ``splits.target_scale`` of the
+    arrays, and each array times it, so that squares of their values and
+    differences cannot overflow. A power of two scales exactly; at scale 1
+    the arrays are returned as they are."""
+    scale = min(map(target_scale, arrays))
+    if scale != 1.0:
+        arrays = [array * scale for array in arrays]
+    return scale, *arrays
+
+
 def validation_score(predicted, truth, classification: bool) -> float:
     """Model-selection score, higher is better: the accuracy of predicted
     labels, or the negated RMSE of predicted values."""
     if classification:
         return float(np.mean(predicted == truth))
-    return -float(np.sqrt(np.mean((predicted - truth) ** 2)))
+    scale, predicted, truth = scale_targets(predicted, truth)
+    return -float(np.sqrt(np.mean((predicted - truth) ** 2))) / scale
 
 
 @dataclass(frozen=True)

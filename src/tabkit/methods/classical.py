@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..data import TaskType
 from ..errors import ConfigError, FitError
-from ..pipeline import _array_digest
+from ..pipeline import _Memo, _array_digest, _read_only
 from .base import Method, Prediction
 
 CLASSIFICATION_TASKS = (TaskType.BINCLASS, TaskType.MULTICLASS)
@@ -146,18 +144,9 @@ def _nearest(x, train, k, block_rows):
     return out
 
 
-@dataclass(eq=False)
-class _Search:
-    """One memoized search: the digest of its query and training matrices,
-    and the read-only (queries × k) indices of the largest k searched."""
-
-    key: bytes
-    index: np.ndarray
-
-
 # the most recent search of any knn in the process; the key holds both
 # matrices, so callers need not pass or reset it
-_memo: _Search | None = None
+_memo = _Memo()
 
 
 def _memo_nearest(x, train, k, block_rows):
@@ -165,14 +154,10 @@ def _memo_nearest(x, train, k, block_rows):
     than the memoized k is asked for: the k nearest by (distance, index) are
     the first k columns of any larger search. A miss drops the held entry,
     then searches."""
-    global _memo
-    key = _array_digest(x) + _array_digest(train)
-    if _memo is None or _memo.key != key or _memo.index.shape[1] < k:
-        _memo = None
-        index = _nearest(x, train, k, block_rows)
-        index.flags.writeable = False
-        _memo = _Search(key, index)
-    return _memo.index[:, :k]
+    index = _memo.get(_array_digest(x) + _array_digest(train),
+                      lambda: _read_only(_nearest(x, train, k, block_rows)),
+                      lambda index: index.shape[1] >= k)
+    return index[:, :k]
 
 
 class KNNMethod(Method):
@@ -205,12 +190,12 @@ class KNNMethod(Method):
     take every training row as a candidate, and such training rows are a
     candidate for every query.
 
-    The most recent search is memoized, keyed by the digests of the query
-    and training matrices (``pipeline._array_digest``, computed once per
-    array object, so neither may be modified in place after a predict), with
-    the read-only indices of the largest k searched on them. A predict with
-    no larger k takes their first k columns, which are exactly its own
-    neighbors; so tuning trials that change only ``n_neighbors``, and seeds
+    The most recent search is memoized (``pipeline._Memo``), keyed by the
+    digests of the query and training matrices (``pipeline._array_digest``,
+    computed once per array object, so neither may be modified in place after
+    a predict), with the read-only indices of the largest k searched on them.
+    A predict with no larger k takes their first k columns, which are exactly
+    its own neighbors; so tuning trials that change only ``n_neighbors``, and seeds
     that predict the same rows, search once. Any other predict drops the
     entry first.
     """

@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DivergenceError
-from .base import Method, Prediction, positive_int, validation_score
+from .base import (Method, Prediction, positive_int, scale_targets,
+                   validation_score)
 from .classical import _softmax
 
 BETA1 = 0.9
@@ -171,9 +172,11 @@ class MLPMethod(Method):
         x_train, x_val = _float32(x_train), _float32(x_val)
 
         if self.is_regression:
-            # learn on standardized targets; predictions are mapped back
-            self._y_mean = float(y_train.mean())
-            self._y_std = float(y_train.std())
+            # learn on standardized targets, their moments taken in scaled
+            # units so that squares cannot overflow; predictions are mapped back
+            scale, y = scale_targets(y_train)
+            self._y_mean = float(y.mean()) / scale
+            self._y_std = float(y.std()) / scale
             if self._y_std < 1e-12:
                 self._y_std = 1.0
             y_fit = ((y_train - self._y_mean) / self._y_std).astype(np.float32)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import TaskType
 from .errors import MetricError
-from .methods.base import Prediction
+from .methods.base import Prediction, scale_targets, validation_score
 
 __all__ = [
     "CLASSIFICATION_METRICS",
@@ -126,9 +126,11 @@ def _classification_metrics(pred: np.ndarray, probs: np.ndarray,
 
 
 def _regression_metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
+    rmse = -validation_score(pred, truth, classification=False)
+    # R2 is a ratio of squared sums, which a power of two scales alike
+    scale, pred, truth = scale_targets(pred, truth)
     residual = pred - truth
-    mae = float(np.mean(np.abs(residual)))
-    rmse = float(np.sqrt(np.mean(residual ** 2)))
+    mae = float(np.mean(np.abs(residual))) / scale
     ss_res = float(np.sum(residual ** 2))
     ss_tot = float(np.sum((truth - truth.mean()) ** 2))
     if ss_tot == 0.0:

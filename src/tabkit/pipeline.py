@@ -55,19 +55,33 @@ class _Fit:
     matrix once a pipeline has asked for it, and the seconds the first
     ``Method.fit`` served from it measured."""
 
-    key: bytes
     stages: tuple
     train: np.ndarray
     val: np.ndarray | None = None
     seconds: float | None = None
 
 
+class _Memo:
+    """One value and its key. ``get`` returns the held value if the key
+    matches and ``fits(value)`` holds; otherwise it drops the value before
+    computing and holding the next, so at most one is alive at a time."""
+
+    key = value = None
+
+    def get(self, key, compute, fits=lambda value: True):
+        if self.key != key or not fits(self.value):
+            self.key = self.value = None
+            self.value = compute()
+            self.key = key
+        return self.value
+
+
 # the most recent fit of any pipeline in the process; the key holds every
 # input the fit reads, so callers need not pass or reset it
-_memo: _Fit | None = None
+_memo = _Memo()
 
 
-# digest of each array the memo has keyed, by id, until the array is collected
+# digest of each array a memo has keyed, by id, until the array is collected
 _digests: dict[int, bytes] = {}
 
 
@@ -107,10 +121,10 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
 
 
 def _fit_stages(cfg: PipelineConfig, seed: int, dataset: Dataset,
-                info: DatasetInfo) -> tuple[tuple, np.ndarray]:
-    """Fit every stage on the train rows: (stages, encoded train matrix).
-    The matrix is allocated once the categorical encoder knows its width,
-    and each stage writes its block straight into it."""
+                info: DatasetInfo) -> _Fit:
+    """Fit every stage on the train rows, with their read-only encoded
+    matrix. The matrix is allocated once the categorical encoder knows its
+    width, and each stage writes its block straight into it."""
     num = dataset.part_num("train")
     cat = dataset.part_cat("train")
     labels = dataset.part_labels("train")
@@ -156,7 +170,7 @@ def _fit_stages(cfg: PipelineConfig, seed: int, dataset: Dataset,
     else:
         num_encoder.transform(num, out=out[:, :num_width])
     stages = (imputer, normalizer, num_encoder, cat_encoder, ordinal_scaler)
-    return stages, out
+    return _Fit(stages, _read_only(out))
 
 
 class FeaturePipeline:
@@ -178,16 +192,13 @@ class FeaturePipeline:
     def fit_transform_train(self, dataset: Dataset, info: DatasetInfo) -> np.ndarray:
         """Fit every stage on the train rows and return their encoded,
         read-only matrix; a fit of the memoized key reuses its stages."""
-        global _memo
         key = _fit_key(self.config, self.seed, dataset, info)
-        if _memo is None or _memo.key != key:
-            _memo = None
-            stages, train = _fit_stages(self.config, self.seed, dataset, info)
-            _memo = _Fit(key, stages, _read_only(train))
-        self._stages = _memo.stages
+        fit = _memo.get(key, lambda: _fit_stages(self.config, self.seed,
+                                                 dataset, info))
+        self._stages = fit.stages
         self._key = key
         self._fitted_on = weakref.ref(dataset)
-        return _memo.train
+        return fit.train
 
     def fit_seconds(self, measured: float) -> float:
         """The seconds charged for this pipeline's fit: those the first
@@ -203,9 +214,7 @@ class FeaturePipeline:
 
     def _entry(self) -> _Fit | None:
         """The memo entry this pipeline was last fitted from, while held."""
-        if _memo is not None and _memo.key == self._key:
-            return _memo
-        return None
+        return _memo.value if _memo.key == self._key else None
 
     def transform(self, num: np.ndarray, cat: np.ndarray) -> np.ndarray:
         """Encode rows with inference semantics (no row identity), each

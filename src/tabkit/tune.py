@@ -33,6 +33,7 @@ from .data import Dataset, DatasetInfo
 from .errors import SpaceError, TuningError, describe_failure
 from .methods import MethodConfig, get_method
 from .methods.base import validation_score
+from .metrics import average_ranks
 from .pipeline import PipelineConfig
 
 __all__ = [
@@ -65,49 +66,33 @@ def _require_arity(args, n: int, path: str) -> None:
         raise SpaceError(f"{path}: expected {n} arguments, got {len(args)}")
 
 
+# each bounded leaf's tag: its sampler and its value type
+_BOUNDED = {
+    "uniform": (lambda rng, lo, hi: rng.uniform(lo, hi), float),
+    "loguniform": (lambda rng, lo, hi:
+                   math.exp(rng.uniform(math.log(lo), math.log(hi))), float),
+    "int": (lambda rng, lo, hi: rng.integers(lo, hi + 1), int),
+}
+
+
 @dataclass(frozen=True)
-class Uniform:
+class Bounded:
+    """A number in [lo, hi], drawn by its tag's sampler."""
+
+    tag: str
     lo: float
     hi: float
 
     def sample(self, rng: np.random.Generator):
-        return float(rng.uniform(self.lo, self.hi))
+        draw, kind = _BOUNDED[self.tag]
+        return kind(draw(rng, self.lo, self.hi))
 
     def contains(self, value) -> bool:
-        return isinstance(value, (int, float)) and self.lo <= value <= self.hi
+        kind = _BOUNDED[self.tag][1]
+        return isinstance(value, (int, kind)) and self.lo <= value <= self.hi
 
     def serialize(self) -> list:
-        return ["uniform", self.lo, self.hi]
-
-
-@dataclass(frozen=True)
-class LogUniform:
-    lo: float
-    hi: float
-
-    def sample(self, rng: np.random.Generator):
-        return float(math.exp(rng.uniform(math.log(self.lo), math.log(self.hi))))
-
-    def contains(self, value) -> bool:
-        return isinstance(value, (int, float)) and self.lo <= value <= self.hi
-
-    def serialize(self) -> list:
-        return ["loguniform", self.lo, self.hi]
-
-
-@dataclass(frozen=True)
-class IntUniform:
-    lo: int
-    hi: int
-
-    def sample(self, rng: np.random.Generator):
-        return int(rng.integers(self.lo, self.hi + 1))
-
-    def contains(self, value) -> bool:
-        return isinstance(value, int) and self.lo <= value <= self.hi
-
-    def serialize(self) -> list:
-        return ["int", self.lo, self.hi]
+        return [self.tag, self.lo, self.hi]
 
 
 @dataclass(frozen=True)
@@ -146,28 +131,23 @@ class Maybe:
 
 @dataclass(frozen=True)
 class MLPLayers:
-    """Layer-count times shared-width composite for MLP hidden sizes."""
+    """Layer-count times shared-width composite for MLP hidden sizes: an
+    ``int`` count and a ``loguniform`` width, rounded."""
 
-    n_min: int
-    n_max: int
-    w_min: float
-    w_max: float
+    count: Bounded
+    width: Bounded
 
     def sample(self, rng: np.random.Generator):
-        n = int(rng.integers(self.n_min, self.n_max + 1))
-        width = int(round(math.exp(
-            rng.uniform(math.log(self.w_min), math.log(self.w_max))
-        )))
-        return [width] * n
+        n = self.count.sample(rng)
+        return [round(self.width.sample(rng))] * n
 
     def contains(self, value) -> bool:
-        if not isinstance(value, list) or not self.n_min <= len(value) <= self.n_max:
-            return False
-        return (len(set(value)) == 1
-                and all(self.w_min <= w <= self.w_max for w in value))
+        return (isinstance(value, list) and self.count.contains(len(value))
+                and len(set(value)) == 1 and self.width.contains(value[0]))
 
     def serialize(self) -> list:
-        return ["$mlp_d_layers", self.n_min, self.n_max, self.w_min, self.w_max]
+        return ["$mlp_d_layers", self.count.lo, self.count.hi,
+                self.width.lo, self.width.hi]
 
 
 def _parse_leaf(spec, path: str):
@@ -182,63 +162,41 @@ def _parse_leaf(spec, path: str):
             raise SpaceError(f"{path}: '?' spec is missing its default value")
         inner = _parse_leaf([tag[1:], *args[1:]], path)
         return Maybe(default=args[0], inner=inner)
-    if tag == "uniform":
+    if tag in _BOUNDED:
         _require_arity(args, 2, path)
-        lo, hi = (_require_number(a, path) for a in args)
-        if lo > hi:
-            raise SpaceError(f"{path}: lower bound {lo} exceeds upper bound {hi}")
-        return Uniform(lo, hi)
-    if tag == "loguniform":
-        _require_arity(args, 2, path)
-        lo, hi = (_require_number(a, path) for a in args)
-        if lo <= 0:
+        require = _require_number if _BOUNDED[tag][1] is float else _require_int
+        lo, hi = (require(a, path) for a in args)
+        if tag == "loguniform" and lo <= 0:
             raise SpaceError(f"{path}: loguniform needs a positive lower bound, "
                              f"got {lo}")
         if lo > hi:
             raise SpaceError(f"{path}: lower bound {lo} exceeds upper bound {hi}")
-        return LogUniform(lo, hi)
-    if tag == "int":
-        _require_arity(args, 2, path)
-        lo, hi = (_require_int(a, path) for a in args)
-        if lo > hi:
-            raise SpaceError(f"{path}: lower bound {lo} exceeds upper bound {hi}")
-        return IntUniform(lo, hi)
+        return Bounded(tag, lo, hi)
     if tag == "categorical":
         if not args:
             raise SpaceError(f"{path}: categorical needs at least one choice")
         return Categorical(tuple(args))
     if tag == "$mlp_d_layers":
         _require_arity(args, 4, path)
-        n_min = _require_int(args[0], path)
-        n_max = _require_int(args[1], path)
-        w_min = _require_number(args[2], path)
-        w_max = _require_number(args[3], path)
+        n_min, n_max = (_require_int(a, path) for a in args[:2])
+        w_min, w_max = (_require_number(a, path) for a in args[2:])
         if n_min < 1 or n_min > n_max:
             raise SpaceError(f"{path}: invalid layer-count bounds "
                              f"[{n_min}, {n_max}]")
         if w_min <= 0 or w_min > w_max:
             raise SpaceError(f"{path}: invalid width bounds [{w_min}, {w_max}]")
-        return MLPLayers(n_min, n_max, w_min, w_max)
+        return MLPLayers(Bounded("int", n_min, n_max),
+                         Bounded("loguniform", w_min, w_max))
     raise SpaceError(f"{path}: unknown distribution tag {tag!r}")
 
 
-def _parse_node(node, path: str):
+def _map_leaves(node, leaf, path: str = ""):
+    """``node`` with each value that is not a mapping replaced by
+    ``leaf(value, path)``, in document order."""
     if isinstance(node, dict):
-        return {key: _parse_node(value, f"{path}.{key}")
+        return {key: _map_leaves(value, leaf, f"{path}.{key}")
                 for key, value in node.items()}
-    return _parse_leaf(node, path)
-
-
-def _serialize_node(node):
-    if isinstance(node, dict):
-        return {key: _serialize_node(value) for key, value in node.items()}
-    return node.serialize()
-
-
-def _sample_node(node, rng: np.random.Generator):
-    if isinstance(node, dict):
-        return {key: _sample_node(value, rng) for key, value in node.items()}
-    return node.sample(rng)
+    return leaf(node, path)
 
 
 def _contains_node(node, value) -> bool:
@@ -257,7 +215,8 @@ class SearchSpace:
     groups: dict
 
     def serialize(self) -> dict:
-        return {self.name: _serialize_node(self.groups)}
+        return {self.name: _map_leaves(self.groups,
+                                       lambda leaf, _: leaf.serialize())}
 
     def contains(self, assignment: dict) -> bool:
         return _contains_node(self.groups, assignment)
@@ -279,14 +238,14 @@ def parse_space(document) -> SearchSpace:
         if not isinstance(node, dict):
             raise SpaceError(f"{name}.{group}: expected a parameter mapping, "
                              f"got {node!r}")
-        groups[group] = _parse_node(node, f"{name}.{group}")
+        groups[group] = _map_leaves(node, _parse_leaf, f"{name}.{group}")
     return SearchSpace(name=name, groups=groups)
 
 
 def sample_trial(space: SearchSpace, rng_seed) -> dict:
     """Draw one assignment from every leaf of the space, in document order."""
     rng = np.random.default_rng(rng_seed)
-    return _sample_node(space.groups, rng)
+    return _map_leaves(space.groups, lambda leaf, _: leaf.sample(rng))
 
 
 @dataclass(frozen=True)
@@ -321,11 +280,8 @@ def _merge(base: dict, overrides: dict) -> dict:
 
 def _ranked(trials: list[TrialResult]) -> tuple[TrialResult, ...]:
     scored = [t for t in trials if t.score is not None]
-    ranks = {}
-    for t in scored:
-        better = sum(1 for o in scored if o.score > t.score)
-        tied = sum(1 for o in scored if o.score == t.score)
-        ranks[t.trial] = better + (tied + 1) / 2
+    ranks = average_ranks([t.score for t in scored], higher_is_better=True)
+    ranks = dict(zip((t.trial for t in scored), ranks.tolist()))
     return tuple(replace(t, rank=ranks.get(t.trial)) for t in trials)
 
 

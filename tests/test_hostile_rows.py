@@ -11,20 +11,23 @@ infinite distance instead of warning. A linear score can overflow too, or sum
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tabkit.data import DatasetInfo, TaskType
 from tabkit.encode_cat import CAT_POLICIES
 from tabkit.errors import FitError
-from tabkit.methods import MethodConfig, get_method
+from tabkit.methods import MethodConfig, get_method, registered_methods
 from tabkit.methods.classical import _softmax
+from tabkit.metrics import compute_metrics
 from tabkit.pipeline import PipelineConfig
 from tabkit.preprocess import NORMALIZATIONS
 
-from conftest import dataset_from_arrays
+from conftest import dataset_from_arrays, make_regression
 
 CLASSIFIERS = ("naive_bayes", "ncm")
 # methods that take classification tasks only, regression only, or either
@@ -141,6 +144,31 @@ def test_extreme_regression_targets_fit_or_fail(name, scale, num_policy, seed):
             return
         pred = method.predict(num[-4:], cat[-4:])  # ordinary rows
     assert np.isfinite(pred.values).all()
+
+
+REGRESSORS = [name for name in registered_methods()
+              if TaskType.REGRESSION in get_method(name).task_types]
+SMALL = {"random_forest": {"model": {"n_trees": 5}},
+         "gbdt": {"model": {"n_trees": 5}},
+         "mlp": {"model": {"d_layers": [16]}, "training": {"max_epoch": 20}}}
+
+
+@pytest.mark.parametrize("name", REGRESSORS)
+def test_scores_of_huge_regression_targets_are_finite(name):
+    # squared residuals and target deviations near 1e200 overflow; the
+    # metrics, the validation score and the MLP's target moments scale them
+    # by a power of two first (pytest turns a RuntimeWarning into an error)
+    dataset, info = make_regression(n_rows=60, seed=0)
+    dataset = replace(dataset, labels=dataset.labels * 1e200)
+    small = SMALL.get(name, {})
+    method = get_method(name)(MethodConfig(
+        model=small.get("model", {}), training=small.get("training", {})), info)
+    method.fit(dataset, info)
+    metrics = compute_metrics(method.predict_part(dataset, "test"),
+                              dataset.part_labels("test"), info.task)
+    assert np.isfinite(list(metrics.values.values())).all()
+    if name == "mlp":  # early stopping kept a best epoch
+        assert np.isfinite(method.validation_score)
 
 
 def test_a_standard_scaled_extreme_cell_is_an_infinite_distance():

@@ -19,7 +19,7 @@ import tabkit.methods.classical as classical
 from tabkit.cli import main
 from tabkit.data import save_dataset
 from tabkit.methods import MethodConfig, get_method
-from tabkit.pipeline import _array_digest
+from tabkit.pipeline import _Memo, _array_digest
 
 from conftest import make_classification, make_regression
 from test_knn_search import searches
@@ -27,7 +27,7 @@ from test_knn_search import searches
 
 @pytest.fixture(autouse=True)
 def empty_memo(monkeypatch):
-    monkeypatch.setattr(classical, "_memo", None)
+    monkeypatch.setattr(classical, "_memo", _Memo())
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ def test_warm_predict_equals_cold(make, searched, monkeypatch):
         warm = [method.predict_part(dataset, part) for method in methods]
         assert searched == [5, 17, 32]
         for method, a in zip(methods, warm):
-            monkeypatch.setattr(classical, "_memo", None)
+            monkeypatch.setattr(classical, "_memo", _Memo())
             b = method.predict_part(dataset, part)
             assert a.values.tobytes() == b.values.tobytes()
             if a.probabilities is not None:
@@ -122,7 +122,7 @@ def test_memo_holds_one_read_only_entry(searched):
     assert classical._memo.key == _array_digest(second) + _array_digest(x_train)
     again = classical._memo_nearest(first, x_train, 2, 8)
     assert searched == [4, 4, 2]  # the first entry was dropped
-    for index in (served, again, classical._memo.index):
+    for index in (served, again, classical._memo.value):
         assert not index.flags.writeable
         with pytest.raises(ValueError):
             index[0, 0] = 1

@@ -50,7 +50,7 @@ POLICY_CONFIGS = (
 
 @pytest.fixture(autouse=True)
 def empty_memo(monkeypatch):
-    monkeypatch.setattr(pipeline_module, "_memo", None)
+    monkeypatch.setattr(pipeline_module, "_memo", pipeline_module._Memo())
 
 
 @pytest.fixture
@@ -106,7 +106,7 @@ def exact(matrix: np.ndarray) -> tuple:
 def test_warm_fit_equals_cold_fit(name, pipeline, stage_fits):
     dataset, info = table_for(name)
     cold = outcome(fit_method(name, dataset, info, pipeline), dataset)
-    pipeline_module._memo = None
+    pipeline_module._memo = pipeline_module._Memo()
     # another method with another seed builds the entry; only catboost's
     # fit reads the seed, so there the seed must match to hit
     primer_seed = 1 if pipeline.cat_policy == "catboost" else 0
@@ -260,8 +260,8 @@ def test_fit_after_any_memo_equals_cold_fit(table, config, seed, primer,
     dataset, info = TABLES[table]
     if same:
         primer, primer_seed = config, seed
-    pipeline_module._memo = None
+    pipeline_module._memo = pipeline_module._Memo()
     cold = encoded(dataset, info, config, seed)
-    pipeline_module._memo = None
+    pipeline_module._memo = pipeline_module._Memo()
     encoded(dataset, info, primer, primer_seed)
     assert encoded(dataset, info, config, seed) == cold

@@ -38,7 +38,7 @@ from test_pipeline_memo import (  # noqa: F401
 
 def assert_matches_oracle(table, config, seed=0):
     dataset, info = TABLES[table]
-    pipeline_module._memo = None
+    pipeline_module._memo = pipeline_module._Memo()
     pipeline = FeaturePipeline(config, seed=seed)
     train = pipeline.fit_transform_train(dataset, info)
     stages, want = pipeline_oracle.fit(config, seed, dataset, info)

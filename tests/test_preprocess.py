@@ -324,7 +324,7 @@ def test_quantile_pipeline_bytes_equal_the_scipy_probit(monkeypatch):
     config = PipelineConfig(normalization="quantile")
 
     def encode():
-        monkeypatch.setattr(pipeline_module, "_memo", None)
+        monkeypatch.setattr(pipeline_module, "_memo", pipeline_module._Memo())
         pipeline = FeaturePipeline(config, seed=0)
         train = pipeline.fit_transform_train(dataset, info)
         return train.tobytes(), pipeline.transform_part(dataset, "test").tobytes()

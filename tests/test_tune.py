@@ -1,23 +1,31 @@
+import csv
+import json
+import math
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tabkit.methods as methods_registry
 from tabkit.errors import SpaceError, TuningError
 from tabkit.methods.classical import DummyMethod
 from tabkit.tune import (
+    Bounded,
     Categorical,
-    IntUniform,
-    LogUniform,
     Maybe,
     MLPLayers,
     SearchSpace,
-    Uniform,
+    TrialResult,
+    _ranked,
     parse_space,
     sample_trial,
     tune_hyper_parameters,
+    write_trials_csv,
 )
 
-from conftest import make_classification
+from conftest import make_classification, make_regression
 
 MLP_SPACE_DOC = {
     "mlp": {
@@ -37,11 +45,13 @@ class TestParse:
     def test_mlp_document(self):
         space = parse_space(MLP_SPACE_DOC)
         assert space.name == "mlp"
-        assert space.groups["model"]["d_layers"] == MLPLayers(1, 8, 64.0, 512.0)
-        assert space.groups["model"]["dropout"] == Maybe(0.0, Uniform(0.0, 0.5))
-        assert space.groups["training"]["lr"] == LogUniform(1e-05, 0.01)
+        assert space.groups["model"]["d_layers"] == MLPLayers(
+            Bounded("int", 1, 8), Bounded("loguniform", 64.0, 512.0))
+        assert space.groups["model"]["dropout"] == Maybe(
+            0.0, Bounded("uniform", 0.0, 0.5))
+        assert space.groups["training"]["lr"] == Bounded("loguniform", 1e-05, 0.01)
         assert space.groups["training"]["weight_decay"] == Maybe(
-            0.0, LogUniform(1e-06, 0.001)
+            0.0, Bounded("loguniform", 1e-06, 0.001)
         )
 
     def test_round_trip(self):
@@ -54,7 +64,7 @@ class TestParse:
             "n_neighbors": ["int", 1, 32],
             "metric": ["categorical", "l2", "l1"],
         }}})
-        assert space.groups["model"]["n_neighbors"] == IntUniform(1, 32)
+        assert space.groups["model"]["n_neighbors"] == Bounded("int", 1, 32)
         assert space.groups["model"]["metric"] == Categorical(("l2", "l1"))
 
     def test_nonpositive_loguniform_rejected(self):
@@ -97,14 +107,14 @@ class TestSampling:
             assert sample_trial(space, [0, trial])["model"]["a"] == 0.3
 
     def test_loguniform_bounds_and_median(self):
-        dist = LogUniform(1e-5, 1e-2)
+        dist = Bounded("loguniform", 1e-5, 1e-2)
         rng = np.random.default_rng(0)
         draws = np.array([dist.sample(rng) for _ in range(1000)])
         assert ((draws >= 1e-5) & (draws <= 1e-2)).all()
         assert 3e-5 <= np.median(draws) <= 3e-3
 
     def test_int_is_inclusive(self):
-        dist = IntUniform(1, 3)
+        dist = Bounded("int", 1, 3)
         rng = np.random.default_rng(1)
         draws = {dist.sample(rng) for _ in range(200)}
         assert draws == {1, 2, 3}
@@ -116,7 +126,7 @@ class TestSampling:
         assert draws == {"a", "b", "c"}
 
     def test_maybe_emits_default_about_half_the_time(self):
-        dist = Maybe(0.0, Uniform(0.5, 1.0))
+        dist = Maybe(0.0, Bounded("uniform", 0.5, 1.0))
         rng = np.random.default_rng(3)
         draws = [dist.sample(rng) for _ in range(400)]
         fraction = sum(1 for d in draws if d == 0.0) / len(draws)
@@ -124,7 +134,7 @@ class TestSampling:
         assert all(d == 0.0 or 0.5 <= d <= 1.0 for d in draws)
 
     def test_mlp_layers_shape(self):
-        dist = MLPLayers(1, 8, 64, 512)
+        dist = MLPLayers(Bounded("int", 1, 8), Bounded("loguniform", 64, 512))
         rng = np.random.default_rng(4)
         for _ in range(500):
             layers = dist.sample(rng)
@@ -251,3 +261,72 @@ class TestTuning:
         dataset, info = make_classification(seed=7)
         with pytest.raises(ValueError):
             tune_hyper_parameters("knn", self.SPACE, dataset, info, n_trials=0)
+
+
+# ---- what tuning runs depend on, pinned from one version to the next -------
+
+def packaged_space(name):
+    path = resources.files("tabkit") / "configs" / "opt_space" / f"{name}.json"
+    return parse_space(json.loads(path.read_text()))
+
+
+PINNED_DRAWS = {
+    "knn": [{"model": {"n_neighbors": k}, "training": {}}
+            for k in (17, 32, 17, 15, 23)],
+    "mlp": [
+        {"model": {"d_layers": [204] * 5, "dropout": 0.4782569087376693},
+         "training": {"lr": 1.4991513509218875e-05, "weight_decay": 0.0}},
+        {"model": {"d_layers": [148] * 8, "dropout": 0.07255011760773877},
+         "training": {"lr": 2.2179722698874637e-05, "weight_decay": 0.0}},
+        {"model": {"d_layers": [383] * 5, "dropout": 0.0},
+         "training": {"lr": 8.925320611405147e-05, "weight_decay": 0.0}},
+        {"model": {"d_layers": [103] * 4, "dropout": 0.0},
+         "training": {"lr": 0.0002188163864877958,
+                      "weight_decay": 4.557761005040597e-06}},
+        {"model": {"d_layers": [200] * 6, "dropout": 0.0},
+         "training": {"lr": 0.0001278526588377969, "weight_decay": 0.0}},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DRAWS))
+def test_packaged_space_draws_are_pinned(name):
+    space = packaged_space(name)
+    draws = [sample_trial(space, [0, trial]) for trial in range(1, 6)]
+    assert repr(draws) == repr(PINNED_DRAWS[name])
+
+
+def test_trials_csv_rank_column_is_pinned(tmp_path):
+    dataset, info = make_regression(seed=1)
+    space = parse_space({"knn": {"model": {"n_neighbors": ["int", 1, 10]}}})
+    result = tune_hyper_parameters("knn", space, dataset, info, n_trials=8,
+                                   base_model={"n_neighbors": 5})
+    write_trials_csv(tmp_path / "trials.csv", result.trials)
+    with open(tmp_path / "trials.csv", newline="") as handle:
+        ranks = [row["rank"] for row in csv.DictReader(handle)]
+    # trials 0, 4 and 6 draw k = 5 and tie, as do trials 1 and 3 (k = 6)
+    assert ranks == ["7.0", "4.5", "3.0", "4.5", "7.0", "1.0", "7.0", "2.0"]
+
+
+def rank_oracle(scores):
+    """The trial log's rank rule: 1 = best, ties averaged, as the trials
+    scored better plus (tied + 1) / 2; None for a failed trial."""
+    return [None if s is None else
+            sum(1 for o in scores if o is not None and o > s)
+            + (sum(1 for o in scores if o is not None and o == s) + 1) / 2
+            for s in scores]
+
+
+SCORES = st.lists(st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]),
+    st.floats(allow_nan=False)), max_size=30)
+
+
+@given(SCORES)
+def test_trial_ranks_follow_the_oracle(scores):
+    trials = [TrialResult(trial=i, assignment={}, score=s)
+              for i, s in enumerate(scores)]
+    ranks = [t.rank for t in _ranked(trials)]
+    # repr is what trials.csv writes: equal floats, and floats only
+    assert [repr(r) for r in ranks] == [repr(r) for r in rank_oracle(scores)]
