@@ -7,7 +7,7 @@ import numpy as np
 from ..data import TaskType
 from ..errors import ConfigError, FitError
 from ..pipeline import _Memo, _array_digest, _read_only
-from .base import Method, Prediction
+from .base import Method, Prediction, scale_targets
 
 CLASSIFICATION_TASKS = (TaskType.BINCLASS, TaskType.MULTICLASS)
 
@@ -58,7 +58,9 @@ class DummyMethod(Method):
 
     def _fit(self, x_train, y_train, x_val, y_val):
         if self.is_regression:
-            self._mean = float(y_train.mean())
+            # taken in scaled units, so that the sum cannot overflow
+            scale, y = scale_targets(y_train)
+            self._mean = float(y.mean()) / scale
         else:
             counts = np.bincount(y_train, minlength=self.class_count)
             self._probs = counts / counts.sum()
@@ -220,7 +222,8 @@ class KNNMethod(Method):
     def _predict(self, x) -> Prediction:
         idx = self._neighbors(x)
         if self.is_regression:
-            return Prediction.regression(self._y[idx].mean(axis=1))
+            scale, y = scale_targets(self._y)
+            return Prediction.regression(y[idx].mean(axis=1) / scale)
         votes = np.zeros((x.shape[0], self.class_count))
         for c in range(self.class_count):
             votes[:, c] = (self._y[idx] == c).sum(axis=1)

@@ -23,10 +23,12 @@ CART's single tree, a forest's trees, or one boosting stage's per-class trees.
   follows the table, not the tree count.
 * Lock-step growth. Each step grows one level of every tree of the group
   still growing, and their split gains come from a few vectorized kernel
-  calls over nodes of similar size, padded at the end; one call never covers
-  more than the root's work (sample size x features drawn per node). Each
-  tree's nodes are numbered in the order grown: level by level, left to
-  right.
+  calls over nodes of similar size, padded at the end. One call covers at
+  most the root's work (sample size x features drawn per node) or
+  ``_KERNEL_CELLS``, whichever is larger: the floor keeps a forest's deep
+  levels, whose nodes are small and draw few features, from paying numpy's
+  fixed per-call cost on a few thousand cells. Each tree's nodes are numbered
+  in the order grown: level by level, left to right.
 * Feature subsets, for a forest that samples features, are drawn level by
   level from each tree's own generator: one call per tree and step draws a
   row of uniforms per node, in the level's left-to-right order, and a node
@@ -48,12 +50,15 @@ import math
 import numpy as np
 
 from ..splits import MIN_GAIN, gini_gains, target_scale, variance_gains
-from .base import Method, Prediction, positive_int
+from .base import Method, Prediction, positive_int, scale_targets
 from .classical import _softmax
 
 # the samples of trees grown in lock-step take at most this many times the
 # training matrix's bytes
 _GROUP_TABLES = 2
+# the fewest (node, feature, position) cells a kernel call may cover: 64 KiB
+# per float64 temporary, which stays in a core's L2 cache
+_KERNEL_CELLS = 2 ** 13
 
 
 class _Tree:
@@ -110,6 +115,29 @@ def _ranks(xt: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _means(labels, size, scale) -> np.ndarray:
+    """Mean of each node's run of ``labels`` (``size`` values each, in
+    order), taken in the split gains' scaled units so that no sum overflows.
+    Nodes of one size are summed as the rows of a (nodes x size) block: a
+    row-wise reduce of a C-contiguous block is one pairwise sum per row, so
+    each mean rounds as numpy's mean of that node's targets does."""
+    if scale != 1.0:
+        labels = labels * scale
+    ends = np.cumsum(size)
+    starts = ends - size
+    counts = np.bincount(size)
+    sums = np.empty(len(size))
+    # a node whose size no other node has is summed from its own slice
+    alone = np.flatnonzero(counts[size] == 1)
+    sums[alone] = [np.add.reduce(labels[a:b]) for a, b in
+                   zip(starts[alone].tolist(), ends[alone].tolist())]
+    for s in np.flatnonzero(counts > 1).tolist():
+        same = np.flatnonzero(size == s)
+        sums[same] = np.take(labels,
+                             starts[same][:, None] + np.arange(s)).sum(axis=1)
+    return sums / size / scale
+
+
 class _Grower:
     """Grows one tree per sample, all on the same training matrix.
 
@@ -144,8 +172,9 @@ class _Grower:
         self.k = max_features if self.sample_features else self.d
         self.rngs = rngs
         # no kernel call covers more (nodes x features x positions) than the
-        # root's work, and no other per-step pass more rows
-        self.block = self.n * max(self.k, 1)
+        # root's work or _KERNEL_CELLS, whichever is larger, and no other
+        # per-step pass more rows
+        self.block = max(self.n * max(self.k, 1), _KERNEL_CELLS)
         # node records in the order grown: tree, lo, size, split feature (-1
         # for a leaf); then threshold and value
         cap = 16 * n_trees
@@ -233,11 +262,12 @@ class _Grower:
         return out
 
     # ---- per-step work ----------------------------------------------------
-    def _batches(self, size) -> list[np.ndarray]:
+    def _batches(self, size) -> list[slice]:
         """Runs of consecutive nodes holding about ``block`` rows."""
-        work = np.cumsum(size)
-        cuts = np.flatnonzero(np.diff((work - size) // self.block)) + 1
-        return np.split(np.arange(len(size)), cuts)
+        starts = np.cumsum(size) - size
+        cuts = np.flatnonzero(np.diff(starts // self.block)) + 1
+        bounds = [0, *cuts.tolist(), len(size)]
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
     def _values(self, t, lo, size) -> np.ndarray:
         """Leaf value of each node: class frequencies, or the mean target."""
@@ -247,17 +277,13 @@ class _Grower:
             labels = np.take(self.y, np.repeat(self.y_offset[t[at]], size[at])
                              + rows)
             if self.classification:
-                c = self.n_classes
-                seg = np.repeat(np.arange(len(at)), size[at])
-                counts = np.bincount(seg * c + labels, minlength=len(at) * c)
-                counts = counts.reshape(len(at), c)
+                c, m = self.n_classes, len(size[at])
+                seg = np.repeat(np.arange(m), size[at])
+                counts = np.bincount(seg * c + labels, minlength=m * c)
+                counts = counts.reshape(m, c)
                 out[at] = counts / counts.sum(axis=1, keepdims=True)
                 continue
-            # one pairwise sum per node, over its rows in sample order, so
-            # each mean rounds as numpy's mean of that node's targets does
-            ends = np.cumsum(size[at]).tolist()
-            sums = [np.add.reduce(labels[a:b]) for a, b in zip([0, *ends], ends)]
-            out[at, 0] = np.array(sums, dtype=np.float64) / size[at]
+            out[at, 0] = _means(labels, size[at], self.scale)
         return out
 
     def _best_splits(self, t, lo, size):
@@ -468,10 +494,12 @@ class RandomForestMethod(Method):
 
     def _predict(self, x) -> Prediction:
         if self.is_regression:
+            # summed in scaled units, so that the total cannot overflow
+            scale = min(target_scale(tree.value) for tree in self._trees)
             total = np.zeros(x.shape[0])
             for tree in self._trees:
-                total += tree.predict_values(x)[:, 0]
-            return Prediction.regression(total / len(self._trees))
+                total += scale * tree.predict_values(x)[:, 0]
+            return Prediction.regression(total / len(self._trees) / scale)
         votes = np.zeros((x.shape[0], self.class_count))
         for tree in self._trees:
             winner = np.argmax(tree.predict_values(x), axis=1)
@@ -521,7 +549,8 @@ class GBDTMethod(Method):
 
         # regression is the one-column case of the per-class residuals
         if self.is_regression:
-            self._init = np.array([float(y_train.mean())])
+            scale, y = scale_targets(y_train)
+            self._init = np.array([float(y.mean()) / scale])
             target = y_train[:, None]
         else:
             priors = np.bincount(y_train, minlength=self.class_count) / n

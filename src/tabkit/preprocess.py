@@ -124,31 +124,52 @@ def fit_imputer(
     return FittedImputer(num_fill=num_fill, cat_fill=tuple(cat_fill))
 
 
-def _yeo_johnson(col: np.ndarray, lam: float) -> np.ndarray:
-    out = np.empty_like(col, dtype=np.float64)
+def _yeo_johnson_logs(col: np.ndarray) -> tuple:
+    """The part of the Yeo-Johnson transform no lambda changes: the masks of
+    the cells at or above 0 and of the rest, and ``log1p`` of each side's
+    magnitude."""
     pos = col >= 0
+    neg = ~pos
+    with np.errstate(over="ignore", invalid="ignore"):
+        return pos, neg, np.log1p(col[pos]), np.log1p(-col[neg])
+
+
+def _yeo_johnson(col: np.ndarray, lam: float, logs: tuple | None = None) -> np.ndarray:
+    pos, neg, log_pos, log_neg = logs or _yeo_johnson_logs(col)
+    out = np.empty_like(col, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         if abs(lam) < 1e-12:
-            out[pos] = np.log1p(col[pos])
+            out[pos] = log_pos
         else:
-            out[pos] = np.expm1(lam * np.log1p(col[pos])) / lam
+            out[pos] = np.expm1(lam * log_pos) / lam
         if abs(lam - 2.0) < 1e-12:
-            out[~pos] = -np.log1p(-col[~pos])
+            out[neg] = -log_neg
         else:
-            out[~pos] = -np.expm1((2.0 - lam) * np.log1p(-col[~pos])) / (2.0 - lam)
+            out[neg] = -np.expm1((2.0 - lam) * log_neg) / (2.0 - lam)
     return out
 
 
-def yeo_johnson_log_likelihood(col: np.ndarray, lam: float) -> float:
-    """Profile Gaussian log-likelihood of the transformed column."""
-    transformed = _yeo_johnson(col, lam)
+def _log_jacobian(col: np.ndarray) -> float:
+    # +inf and -inf cells sum to nan here, but then no lambda's transform has
+    # a finite variance, so that Jacobian is never read
+    with np.errstate(invalid="ignore"):
+        return float(np.sum(np.sign(col) * np.log1p(np.abs(col))))
+
+
+def yeo_johnson_log_likelihood(col: np.ndarray, lam: float, logs: tuple | None = None,
+                               jacobian: float | None = None) -> float:
+    """Profile Gaussian log-likelihood of the transformed column. A fit that
+    scores many lambdas passes the column's ``logs`` (:func:`_yeo_johnson_logs`)
+    and ``jacobian`` (:func:`_log_jacobian`), which no lambda changes."""
+    transformed = _yeo_johnson(col, lam, logs)
     # a cell near the float64 limit squares to inf, or an infinite cell turns
     # the deviations to nan: either is no likelihood
     with np.errstate(over="ignore", invalid="ignore"):
         var = float(np.var(transformed))
     if not math.isfinite(var) or var <= 0.0:
         return -math.inf
-    jacobian = float(np.sum(np.sign(col) * np.log1p(np.abs(col))))
+    if jacobian is None:
+        jacobian = _log_jacobian(col)
     return -0.5 * len(col) * math.log(var) + (lam - 1.0) * jacobian
 
 
@@ -178,16 +199,21 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-6,
 def _fit_yeo_johnson_lambda(col: np.ndarray) -> float:
     if np.all(col == col[0]):
         return 1.0
+    logs, jacobian = _yeo_johnson_logs(col), _log_jacobian(col)
+
+    def log_likelihood(lam):
+        return yeo_johnson_log_likelihood(col, lam, logs, jacobian)
+
     grid = np.linspace(-5.0, 5.0, 21)
-    scores = [yeo_johnson_log_likelihood(col, lam) for lam in grid]
+    scores = [log_likelihood(lam) for lam in grid]
     best = int(np.argmax(scores))
     # no lambda keeps the column's variance finite: leave it as it is
     if scores[best] == -math.inf:
         return 1.0
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    refined = _golden_section_max(lambda lam: yeo_johnson_log_likelihood(col, lam), lo, hi)
-    if yeo_johnson_log_likelihood(col, refined) >= scores[best]:
+    refined = _golden_section_max(log_likelihood, lo, hi)
+    if log_likelihood(refined) >= scores[best]:
         return float(refined)
     return float(grid[best])
 

@@ -171,6 +171,24 @@ def test_scores_of_huge_regression_targets_are_finite(name):
         assert np.isfinite(method.validation_score)
 
 
+@pytest.mark.parametrize("name", ANY_TASK)
+def test_means_of_targets_near_the_float_maximum_are_finite(name):
+    # the largest target is 1.05e308: a sum of 60 such targets overflows, so
+    # dummy's mean, knn's neighbour mean, the leaf means, the forest's
+    # average over trees and boosting's initial mean are taken scaled by a
+    # power of two (pytest turns a RuntimeWarning into an error)
+    dataset, info = make_regression(n_rows=60, seed=0)
+    dataset = replace(dataset, labels=dataset.labels * 1e307)
+    assert np.isfinite(dataset.labels).all()
+    method = get_method(name)(MethodConfig(
+        model=SMALL.get(name, {}).get("model", {})), info)
+    method.fit(dataset, info)
+    metrics = compute_metrics(method.predict_part(dataset, "test"),
+                              dataset.part_labels("test"), info.task)
+    assert set(metrics.values) == {"mae", "rmse", "r2"}
+    assert np.isfinite(list(metrics.values.values())).all()
+
+
 def test_a_standard_scaled_extreme_cell_is_an_infinite_distance():
     rng = np.random.default_rng(0)
     num = rng.normal(size=(20, 2))

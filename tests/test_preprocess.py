@@ -16,6 +16,7 @@ from tabkit.preprocess import (
     NAN_TOKEN,
     NORMALIZATIONS,
     FittedImputer,
+    _fit_yeo_johnson_lambda,
     _ndtri,
     _yeo_johnson,
     fit_imputer,
@@ -23,6 +24,7 @@ from tabkit.preprocess import (
     yeo_johnson_log_likelihood,
 )
 
+import yeo_johnson_oracle
 from conftest import make_classification
 
 
@@ -197,6 +199,15 @@ class TestNormalizers:
             best = yeo_johnson_log_likelihood(col, lam)
             for grid_lam in range(-5, 6):
                 assert best >= yeo_johnson_log_likelihood(col, float(grid_lam)) - 1e-9
+
+    @given(hnp.arrays(np.float64, st.integers(1, 60), elements=st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.sampled_from([1e200, -1e200, 1e308, np.inf, -np.inf]))))
+    def test_yeo_johnson_lambda_is_the_per_call_fit_bit_for_bit(self, col):
+        # the lambda-free logs and Jacobian are computed once per column
+        got = np.float64(_fit_yeo_johnson_lambda(col))
+        expected = np.float64(yeo_johnson_oracle.fit_lambda(col))
+        assert got.tobytes() == expected.tobytes()
 
     def test_power_keeps_a_column_no_lambda_can_scale(self):
         # +-1e200 overflow every lambda's transform or its variance, so every

@@ -3,6 +3,7 @@
 Fitted state must be byte-identical to ``tree_oracle`` on tables with tied
 values, nan and infinite features, duplicate rows, constant columns, and every
 depth and leaf-size setting, and when trees grow in several lock-step groups;
+it must not depend on how many nodes a kernel call or a per-step pass takes;
 targets whose squares overflow split as their power-of-two scaled copy does;
 memory must scale with the table, not with the class or tree count.
 """
@@ -26,6 +27,7 @@ from tabkit.methods.tree import (
     RandomForestMethod,
     _Grower,
     _groups,
+    _means,
     _ranks,
     _samples,
 )
@@ -208,6 +210,92 @@ def test_feature_subsets_are_sorted_distinct_ids(dk, nodes, seed):
         rng = np.random.default_rng([seed, tree])
         expected += [tree_oracle.feature_subset(rng, d, k) for _ in range(count)]
     np.testing.assert_array_equal(subsets, expected)
+
+
+_GROWER_INIT = _Grower.__init__
+
+
+def _use_block(monkeypatch, rule):
+    """Make every grower take ``rule(grower)`` as its block."""
+    def patched(self, *args, **kwargs):
+        _GROWER_INIT(self, *args, **kwargs)
+        self.block = rule(self)
+
+    monkeypatch.setattr(_Grower, "__init__", patched)
+
+
+def _root_work(grower):
+    return grower.n * max(grower.k, 1)
+
+
+@pytest.mark.parametrize("cls,model", [
+    (CARTMethod, {}),
+    (RandomForestMethod, {"n_trees": 6, "bootstrap": True}),
+    (RandomForestMethod, {"n_trees": 6, "bootstrap": False}),
+    (GBDTMethod, {"n_trees": 3}),
+])
+@pytest.mark.parametrize("task", [TaskType.MULTICLASS, TaskType.REGRESSION])
+def test_batching_does_not_change_the_trees(monkeypatch, cls, model, task):
+    # the engine's block, then one node per kernel call and per pass, then
+    # the root's work
+    rng = np.random.default_rng(11)
+    x = np.round(rng.normal(size=(240, 6)), 1)  # ties
+    if task is TaskType.REGRESSION:
+        n_classes, y = None, x[:, 0] - x[:, 2] ** 2 + rng.normal(size=240)
+    else:
+        n_classes, y = 3, rng.integers(0, 3, size=240)
+    states = [fitted_state(cls, x, y, task, n_classes, model, seed=2)]
+    for rule in (lambda grower: 1, _root_work):
+        _use_block(monkeypatch, rule)
+        states.append(fitted_state(cls, x, y, task, n_classes, model, seed=2))
+    assert states[0] == states[1] == states[2]
+
+
+# numpy's pairwise sum adds runs below 8 in order, unrolls runs up to 128 by
+# 8, and splits longer ones in halves
+NODE_SIZES = st.one_of(st.integers(1, 7), st.integers(8, 128),
+                       st.integers(129, 700))
+
+
+@given(st.lists(st.tuples(NODE_SIZES, st.integers(1, 40)), min_size=1,
+                max_size=6),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 2.0 ** -300]))
+@example([(8193, 1), (3, 5)], 0, 1.0)
+@example([(20000, 1), (1, 30), (200, 3)], 1, 2.0 ** -300)
+def test_leaf_means_are_per_node_pairwise_sums(sizes, seed, scale):
+    # each (size, repeats) pair is that many nodes of one size, shuffled
+    size = np.repeat(*np.array(sizes).T)
+    rng = np.random.default_rng(seed)
+    size = rng.permutation(size)
+    labels = rng.normal(size=int(size.sum())) * 10.0 ** rng.integers(
+        -8, 9, size=int(size.sum()))
+    if scale != 1.0:
+        labels /= scale * 2.0 ** 20  # as large as the engine scales down
+    ends = np.cumsum(size).tolist()
+    expected = np.array([np.add.reduce(labels[a:b] * scale)
+                         for a, b in zip([0, *ends], ends)]) / size / scale
+    assert _means(labels, size, scale).tobytes() == expected.tobytes()
+
+
+def test_forest_kernel_calls_have_a_floor(monkeypatch):
+    # a 100-tree forest draws 4 of 14 features per node, so a call sized by
+    # the root's work covers 2,400 cells; the floor halves the calls at least
+    rng = np.random.default_rng(4)
+    x = np.round(rng.normal(size=(600, 14)), 2)
+    y = rng.integers(0, 2, size=600)
+    kernel, calls = _Grower._kernel, []
+
+    def counted(self, *args):
+        calls.append(1)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(_Grower, "_kernel", counted)
+    fit_state(RandomForestMethod, x, y, TaskType.BINCLASS, 2, {})
+    engine = len(calls)
+    calls.clear()
+    _use_block(monkeypatch, _root_work)
+    fit_state(RandomForestMethod, x, y, TaskType.BINCLASS, 2, {})
+    assert engine <= len(calls) / 2
 
 
 @pytest.mark.parametrize("cls,model", [
