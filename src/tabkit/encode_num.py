@@ -24,7 +24,7 @@ import numpy as np
 from .data import TaskType
 from .encode_cat import _side_by_side
 from .errors import EncodeError, ShapeError
-from .splits import MIN_GAIN, gini_gains, target_scale, variance_gains
+from .splits import MIN_GAIN, gini_gains, target_exponent, variance_gains
 
 DEFAULT_N_BINS = 48
 
@@ -139,8 +139,7 @@ def compute_target_bins(
         classes, ys = np.unique(targets[order], return_inverse=True)
         n_classes = len(classes)
     else:
-        ys, n_classes = targets[order].astype(np.float64), 0
-        ys *= target_scale(ys)
+        ys, n_classes = np.ldexp(targets[order], -target_exponent(targets)), 0
     # leaves that can split, largest gain first, then the first pushed
     heap, pushed = [], itertools.count()
 

@@ -16,7 +16,7 @@ import numpy as np
 from ..data import Dataset, DatasetInfo, TaskType
 from ..errors import ConfigError, FitError
 from ..pipeline import FeaturePipeline, PipelineConfig
-from ..splits import target_scale
+from ..splits import target_exponent
 
 # timing source for fit(); module-level so tests can substitute a fake clock
 _clock = time.perf_counter
@@ -42,14 +42,11 @@ def positive_int(cfg: dict, key: str, default: int) -> int:
 
 
 def scale_targets(*arrays) -> tuple:
-    """``(scale, *arrays)``: the smallest ``splits.target_scale`` of the
-    arrays, and each array times it, so that squares of their values and
-    differences cannot overflow. A power of two scales exactly; at scale 1
-    the arrays are returned as they are."""
-    scale = min(map(target_scale, arrays))
-    if scale != 1.0:
-        arrays = [array * scale for array in arrays]
-    return scale, *arrays
+    """``(e, *arrays)``: the ``splits.target_exponent`` of the arrays, and
+    each array times 2^-e, whose squares and those of their differences
+    cannot overflow; ``np.ldexp(value, e)`` maps a result back."""
+    e = target_exponent(*arrays)
+    return e, *(np.ldexp(array, -e) for array in arrays)
 
 
 def validation_score(predicted, truth, classification: bool) -> float:
@@ -57,8 +54,8 @@ def validation_score(predicted, truth, classification: bool) -> float:
     labels, or the negated RMSE of predicted values."""
     if classification:
         return float(np.mean(predicted == truth))
-    scale, predicted, truth = scale_targets(predicted, truth)
-    return -float(np.sqrt(np.mean((predicted - truth) ** 2))) / scale
+    e, predicted, truth = scale_targets(predicted, truth)
+    return -float(np.ldexp(np.sqrt(np.mean((predicted - truth) ** 2)), e))
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,11 @@ class Prediction:
 
 
 class Method:
-    """Base class; subclasses implement _fit, _predict, and model_size."""
+    """Base class; subclasses implement _fit, _predict, and model_size.
+
+    Regressors fit in one target unit: ``fit`` maps targets by 2^-e, for e
+    their ``splits.target_exponent``, and predictions map back, exactly short
+    of subnormals; ``_fit``, ``_predict`` and ``_state`` see mapped targets."""
 
     # which task kinds the method accepts
     task_types: tuple[TaskType, ...] = (
@@ -110,6 +111,7 @@ class Method:
         self.is_regression = info.task is TaskType.REGRESSION
         self.class_count = info.class_count or 0
         self.pipeline = FeaturePipeline(config.pipeline, seed=config.seed)
+        self._unit = 0  # the target exponent e; 0 for classification
         self._fitted = False
         self._check_config()
 
@@ -131,22 +133,27 @@ class Method:
             y_val = y_train[:0]
         encoded = _clock()
         pipeline_s = self.pipeline.fit_seconds(encoded - start)
+        if self.is_regression:
+            self._unit = target_exponent(y_train)
+            y_train, y_val = (np.ldexp(y, -self._unit) for y in (y_train, y_val))
         self._fit(x_train, y_train, x_val, y_val)
         self._fitted = True
         return pipeline_s + (_clock() - encoded)
 
     def predict(self, num: np.ndarray, cat: np.ndarray) -> Prediction:
         self._require_fitted()
-        return self._predict(self.pipeline.transform(num, cat))
+        return self._unmapped(self._predict(self.pipeline.transform(num, cat)))
 
     def predict_part(self, dataset: Dataset, part: str) -> Prediction:
         self._require_fitted()
-        return self._predict(self.pipeline.transform_part(dataset, part))
+        return self._unmapped(
+            self._predict(self.pipeline.transform_part(dataset, part)))
 
     def fitted_state(self) -> bytes:
         """Serialized fitted parameters; equal bytes mean equal models."""
         self._require_fitted()
-        return pickle.dumps((self.pipeline.state(), self._state()))
+        unit = (self._unit,) if self.is_regression else ()
+        return pickle.dumps((self.pipeline.state(), self._state(), *unit))
 
     def model_size(self) -> int:
         """Trainable parameter count, or node count for tree ensembles."""
@@ -155,6 +162,16 @@ class Method:
     def _require_fitted(self):
         if not self._fitted:
             raise FitError(f"{type(self).__name__} is not fitted")
+
+    def _unmapped(self, prediction: Prediction) -> Prediction:
+        """A regression prediction mapped back to the targets' own unit; a
+        value past the float range saturates at ±float64 max."""
+        if not self.is_regression:
+            return prediction
+        with np.errstate(over="ignore"):
+            values = np.ldexp(prediction.values, self._unit)
+        limit = np.finfo(np.float64).max
+        return Prediction.regression(np.clip(values, -limit, limit, out=values))
 
     # ---- subclass hooks -------------------------------------------------
     def _check_config(self):

@@ -7,7 +7,7 @@ import numpy as np
 from ..data import TaskType
 from ..errors import ConfigError, FitError
 from ..pipeline import _Memo, _array_digest, _read_only
-from .base import Method, Prediction, scale_targets
+from .base import Method, Prediction
 
 CLASSIFICATION_TASKS = (TaskType.BINCLASS, TaskType.MULTICLASS)
 
@@ -58,9 +58,7 @@ class DummyMethod(Method):
 
     def _fit(self, x_train, y_train, x_val, y_val):
         if self.is_regression:
-            # taken in scaled units, so that the sum cannot overflow
-            scale, y = scale_targets(y_train)
-            self._mean = float(y.mean()) / scale
+            self._mean = float(y_train.mean())
         else:
             counts = np.bincount(y_train, minlength=self.class_count)
             self._probs = counts / counts.sum()
@@ -222,8 +220,7 @@ class KNNMethod(Method):
     def _predict(self, x) -> Prediction:
         idx = self._neighbors(x)
         if self.is_regression:
-            scale, y = scale_targets(self._y)
-            return Prediction.regression(y[idx].mean(axis=1) / scale)
+            return Prediction.regression(self._y[idx].mean(axis=1))
         votes = np.zeros((x.shape[0], self.class_count))
         for c in range(self.class_count):
             votes[:, c] = (self._y[idx] == c).sum(axis=1)

@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DivergenceError
-from .base import (Method, Prediction, positive_int, scale_targets,
-                   validation_score)
+from .base import Method, Prediction, positive_int, validation_score
 from .classical import _softmax
 
 BETA1 = 0.9
@@ -172,11 +171,10 @@ class MLPMethod(Method):
         x_train, x_val = _float32(x_train), _float32(x_val)
 
         if self.is_regression:
-            # learn on standardized targets, their moments taken in scaled
-            # units so that squares cannot overflow; predictions are mapped back
-            scale, y = scale_targets(y_train)
-            self._y_mean = float(y.mean()) / scale
-            self._y_std = float(y.std()) / scale
+            # learn on standardized targets; predictions are mapped back. The
+            # largest |target| is at least 1/2, so the floor is relative
+            self._y_mean = float(y_train.mean())
+            self._y_std = float(y_train.std())
             if self._y_std < 1e-12:
                 self._y_std = 1.0
             y_fit = ((y_train - self._y_mean) / self._y_std).astype(np.float32)
@@ -244,8 +242,8 @@ class MLPMethod(Method):
             for p, best in zip(params, best_params):
                 p[...] = best
         self._net = net
-        # higher-is-better: accuracy, or negated RMSE for regression
-        self.validation_score = best_score
+        # higher-is-better: accuracy, or negated RMSE in the targets' own unit
+        self.validation_score = float(np.ldexp(best_score, self._unit))
 
     def _predict(self, x) -> Prediction:
         x = _float32(x)

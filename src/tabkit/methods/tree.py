@@ -49,8 +49,8 @@ import math
 
 import numpy as np
 
-from ..splits import MIN_GAIN, gini_gains, target_scale, variance_gains
-from .base import Method, Prediction, positive_int, scale_targets
+from ..splits import MIN_GAIN, gini_gains, variance_gains
+from .base import Method, Prediction, positive_int
 from .classical import _softmax
 
 # the samples of trees grown in lock-step take at most this many times the
@@ -115,14 +115,11 @@ def _ranks(xt: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _means(labels, size, scale) -> np.ndarray:
+def _means(labels, size) -> np.ndarray:
     """Mean of each node's run of ``labels`` (``size`` values each, in
-    order), taken in the split gains' scaled units so that no sum overflows.
-    Nodes of one size are summed as the rows of a (nodes x size) block: a
-    row-wise reduce of a C-contiguous block is one pairwise sum per row, so
-    each mean rounds as numpy's mean of that node's targets does."""
-    if scale != 1.0:
-        labels = labels * scale
+    order). Nodes of one size are summed as the rows of a (nodes x size)
+    block: a row-wise reduce of a C-contiguous block is one pairwise sum per
+    row, so each mean rounds as numpy's mean of that node's targets does."""
     ends = np.cumsum(size)
     starts = ends - size
     counts = np.bincount(size)
@@ -135,7 +132,7 @@ def _means(labels, size, scale) -> np.ndarray:
         same = np.flatnonzero(size == s)
         sums[same] = np.take(labels,
                              starts[same][:, None] + np.arange(s)).sum(axis=1)
-    return sums / size / scale
+    return sums / size
 
 
 class _Grower:
@@ -158,8 +155,6 @@ class _Grower:
         self.ranks = ranks.ravel()
         y = np.atleast_2d(y).astype(np.int32 if classification else np.float64)
         self.y = np.ascontiguousarray(y).ravel()
-        # leaf values come from the raw targets, split gains from scaled ones
-        self.scale = 1.0 if classification else target_scale(self.y)
         self.y_offset = (np.arange(n_trees) if len(y) > 1
                          else np.zeros(n_trees, dtype=np.intp)) * self.n_rows
         self.samples = samples
@@ -283,7 +278,7 @@ class _Grower:
                 counts = counts.reshape(m, c)
                 out[at] = counts / counts.sum(axis=1, keepdims=True)
                 continue
-            out[at, 0] = _means(labels, size[at], self.scale)
+            out[at, 0] = _means(labels, size[at])
         return out
 
     def _best_splits(self, t, lo, size):
@@ -358,8 +353,6 @@ class _Grower:
         ys = np.take(self.y, self.y_offset[t][:, None] + rows)
         ys = np.take(ys, (node * span)[:, None, None] + order)
         del order
-        if self.scale != 1.0:
-            ys *= self.scale
         n_left = np.arange(1, span, dtype=np.float64)
         # clipped past a node's end, where no position is valid anyway
         n_right = np.maximum(size[:, None] - n_left, 1.0)[:, None, :]
@@ -494,12 +487,8 @@ class RandomForestMethod(Method):
 
     def _predict(self, x) -> Prediction:
         if self.is_regression:
-            # summed in scaled units, so that the total cannot overflow
-            scale = min(target_scale(tree.value) for tree in self._trees)
-            total = np.zeros(x.shape[0])
-            for tree in self._trees:
-                total += scale * tree.predict_values(x)[:, 0]
-            return Prediction.regression(total / len(self._trees) / scale)
+            total = sum(tree.predict_values(x)[:, 0] for tree in self._trees)
+            return Prediction.regression(total / len(self._trees))
         votes = np.zeros((x.shape[0], self.class_count))
         for tree in self._trees:
             winner = np.argmax(tree.predict_values(x), axis=1)
@@ -549,8 +538,7 @@ class GBDTMethod(Method):
 
         # regression is the one-column case of the per-class residuals
         if self.is_regression:
-            scale, y = scale_targets(y_train)
-            self._init = np.array([float(y.mean()) / scale])
+            self._init = np.array([float(y_train.mean())])
             target = y_train[:, None]
         else:
             priors = np.bincount(y_train, minlength=self.class_count) / n

@@ -128,9 +128,9 @@ def _classification_metrics(pred: np.ndarray, probs: np.ndarray,
 def _regression_metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
     rmse = -validation_score(pred, truth, classification=False)
     # R2 is a ratio of squared sums, which a power of two scales alike
-    scale, pred, truth = scale_targets(pred, truth)
+    e, pred, truth = scale_targets(pred, truth)
     residual = pred - truth
-    mae = float(np.mean(np.abs(residual))) / scale
+    mae = float(np.ldexp(np.mean(np.abs(residual)), e))
     ss_res = float(np.sum(residual ** 2))
     ss_tot = float(np.sum((truth - truth.mean()) ** 2))
     if ss_tot == 0.0:

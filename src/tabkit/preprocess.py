@@ -308,6 +308,16 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _std_scale(columns: np.ndarray) -> np.ndarray:
+    """Each column's std, or 1 where it is at most ``_EPS_STD`` times the
+    column's largest |value|, as for an all-equal column. Deviations past
+    about 1.3e154 square to inf; an infinite scale maps the column to 0."""
+    with np.errstate(over="ignore"):
+        std = columns.std(axis=0)
+    top = np.abs(columns).max(axis=0, initial=0.0)
+    return np.where(std <= _EPS_STD * top, 1.0, std)
+
+
 def fit_normalizer(train_num: np.ndarray, kind: str) -> FittedNormalizer:
     """Fit the named normalization on (already imputed) training columns."""
     if kind not in NORMALIZATIONS:
@@ -317,12 +327,7 @@ def fit_normalizer(train_num: np.ndarray, kind: str) -> FittedNormalizer:
     n_cols = train_num.shape[1]
 
     if kind == "standard":
-        shift = train_num.mean(axis=0)
-        # a deviation past about 1.3e154 squares to inf: an infinite scale
-        # maps the column to 0
-        with np.errstate(over="ignore"):
-            scale = train_num.std(axis=0)
-        scale = np.where(scale < _EPS_STD, 1.0, scale)
+        shift, scale = train_num.mean(axis=0), _std_scale(train_num)
         return FittedNormalizer(kind=kind, n_columns=n_cols, shift=shift, scale=scale)
     if kind == "minmax":
         lo = train_num.min(axis=0)
@@ -347,11 +352,9 @@ def fit_normalizer(train_num: np.ndarray, kind: str) -> FittedNormalizer:
         transformed = np.empty_like(train_num, dtype=np.float64)
         for j in range(n_cols):
             transformed[:, j] = _yeo_johnson(train_num[:, j], float(lambdas[j]))
-        with np.errstate(over="ignore"):  # as under "standard"
-            scale = transformed.std(axis=0)
         return FittedNormalizer(
             kind=kind, n_columns=n_cols, shift=transformed.mean(axis=0),
-            scale=np.where(scale < _EPS_STD, 1.0, scale), lambdas=lambdas
+            scale=_std_scale(transformed), lambdas=lambdas
         )
     # quantile
     # one row gets two references, so it maps as a constant column does

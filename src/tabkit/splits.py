@@ -7,8 +7,10 @@ span): one node's targets sorted by one feature per line, padded after slot
 span - 1): the node's impurity minus its children's.
 
 * :func:`variance_gains`: squared error, sum(y^2) - sum(y)^2 / n per side,
-  from prefix sums of y and of y^2. It overwrites ``ys``. Callers scale the
-  targets by :func:`target_scale` first, so the squared sums cannot overflow.
+  from prefix sums of y and of y^2. It overwrites ``ys``. Callers map the
+  targets by :func:`target_exponent` first, so |y| < 1 (a boosting residual
+  < 2), no squared sum overflows, and ``MIN_GAIN`` is relative to the largest
+  target squared: a split does not depend on the targets' unit.
 * :func:`gini_gains`: size-weighted Gini, n - sum_c count_c^2 / n per side,
   over integer labels 0..``n_classes`` - 1, one class at a time. The counts
   are squared in float64 (an int32 square wraps past 46,340 rows); they and
@@ -24,22 +26,16 @@ import numpy as np
 
 # a split must gain more than this; smaller gains are rounding noise
 MIN_GAIN = 1e-12
-# below this no sum of fewer than 2^256 targets squares past the float range
-_HUGE_TARGET = 2.0 ** 256
 
 
-def target_scale(y) -> float:
-    """What to multiply regression targets by before :func:`variance_gains`:
-    1, or for targets reaching 2^256 the power of two that brings the largest
-    below 1. A power of two scales every target, square and sum exactly (short
-    of subnormals), so each gain is the raw targets' gain, as a float range
-    without overflow would give it, times the scale squared: splits rank the
-    same. ``MIN_GAIN`` then applies in the scaled units. Ordinary targets are
-    left as they are."""
-    top = float(np.max(np.abs(y), initial=0.0))
-    if not top >= _HUGE_TARGET:
-        return 1.0
-    return math.ldexp(1.0, -math.frexp(top)[1])  # inf gives 1
+def target_exponent(*arrays) -> int:
+    """The ``math.frexp`` exponent e of the arrays' largest finite |value|
+    (0 if there is none but zeros): ``np.ldexp(y, -e)`` brings it into
+    [1/2, 1), exactly short of subnormals, and unlike a factor 2^-e, which
+    overflows for subnormal targets, never overflows."""
+    top = max((float(np.max(np.abs(a), initial=0.0, where=np.isfinite(a)))
+               for a in arrays), default=0.0)
+    return math.frexp(top)[1]
 
 
 def variance_gains(ys, node, last, n_left, n_right):
@@ -48,10 +44,7 @@ def variance_gains(ys, node, last, n_left, n_right):
     csum2 = np.cumsum(np.square(ys, out=ys), axis=2, out=ys)
     total, total2 = csum[node, :, last], csum2[node, :, last]
     # the node's own impurity, from the first feature's order
-    parent = np.array([
-        s2 - s ** 2 / (n + 1) for s, s2, n in
-        zip(total[:, 0].tolist(), total2[:, 0].tolist(), last.tolist())
-    ])
+    parent = total2[:, 0] - total[:, 0] ** 2 / (last + 1)
     total, total2 = total[:, :, None], total2[:, :, None]
     left, left2 = csum[:, :, :-1], csum2[:, :, :-1]
     # left2 - left**2 / n_left + (total2 - left2) - (total - left)**2 / n_right

@@ -186,7 +186,7 @@ class OracleMLPMethod(MLPMethod):
         if best_params is not None:
             net.weights, net.biases = best_params
         self._net = net
-        self.validation_score = best_score
+        self.validation_score = float(np.ldexp(best_score, self._unit))
 
     def _predict(self, x) -> Prediction:
         x = to_float32(x)

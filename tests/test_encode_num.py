@@ -113,10 +113,15 @@ class TestTargetBins:
         np.testing.assert_array_equal(bins.edges, [0.0, 1.5, 5.0])
 
     def test_rounding_noise_gain_makes_no_split(self):
-        # the only split gains 1e-14, below splits.MIN_GAIN
-        bins = compute_target_bins(np.arange(4.0), np.array([0.0, 0.0, 1e-7, 1e-7]),
-                                   TaskType.REGRESSION, 2)
+        # the gain is relative to the largest target: 2^-30 on targets near 1
+        # gains about 2^-62, below splits.MIN_GAIN, while targets of 1e-7
+        # that differ from 0 gain as any unit-sized step does
+        noise = np.array([1.0, 1.0, 1.0 + 2.0 ** -30, 1.0 + 2.0 ** -30])
+        bins = compute_target_bins(np.arange(4.0), noise, TaskType.REGRESSION, 2)
         np.testing.assert_array_equal(bins.edges, [0.0, 3.0])
+        small = np.array([0.0, 0.0, 1e-7, 1e-7])
+        bins = compute_target_bins(np.arange(4.0), small, TaskType.REGRESSION, 2)
+        np.testing.assert_array_equal(bins.edges, [0.0, 1.5, 3.0])
 
     def test_equal_gains_split_the_leaf_made_first(self):
         # after the splits at 4.5 and 1.5, the leaves of rows 5..13 (made

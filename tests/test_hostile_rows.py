@@ -121,9 +121,9 @@ def test_an_extreme_training_cell_fails_or_predicts_finite(value, kind, seed):
        st.sampled_from([1e150, -1e150, 1e200, -1e200, 1e300, -1e300]),
        st.sampled_from(["none", "T_bins"]), st.integers(0, 2 ** 32 - 1))
 def test_extreme_regression_targets_fit_or_fail(name, scale, num_policy, seed):
-    # squared sums of such targets overflow; the trees and target-aware
-    # binning scale them by a power of two for their split gains, so a fit
-    # neither warns nor raises anything but FitError
+    # squared sums of such targets overflow; the trees fit, and target-aware
+    # binning splits, in targets mapped by a power of two, so a fit neither
+    # warns nor raises anything but FitError
     rng = np.random.default_rng(seed)
     n_train, d = 20, 3
     num = rng.normal(size=(n_train + 7, d))
@@ -156,8 +156,8 @@ SMALL = {"random_forest": {"model": {"n_trees": 5}},
 @pytest.mark.parametrize("name", REGRESSORS)
 def test_scores_of_huge_regression_targets_are_finite(name):
     # squared residuals and target deviations near 1e200 overflow; the
-    # metrics, the validation score and the MLP's target moments scale them
-    # by a power of two first (pytest turns a RuntimeWarning into an error)
+    # methods fit in mapped units, and the metrics and the validation score
+    # map by a power of two first (pytest turns a RuntimeWarning into an error)
     dataset, info = make_regression(n_rows=60, seed=0)
     dataset = replace(dataset, labels=dataset.labels * 1e200)
     small = SMALL.get(name, {})
@@ -171,12 +171,12 @@ def test_scores_of_huge_regression_targets_are_finite(name):
         assert np.isfinite(method.validation_score)
 
 
-@pytest.mark.parametrize("name", ANY_TASK)
+@pytest.mark.parametrize("name", REGRESSORS)
 def test_means_of_targets_near_the_float_maximum_are_finite(name):
-    # the largest target is 1.05e308: a sum of 60 such targets overflows, so
-    # dummy's mean, knn's neighbour mean, the leaf means, the forest's
-    # average over trees and boosting's initial mean are taken scaled by a
-    # power of two (pytest turns a RuntimeWarning into an error)
+    # the largest target is 1.05e308: a sum of 60 such targets, and the
+    # ridge system's right-hand side, overflow; every regressor fits in the
+    # unit Method.fit maps targets to, where neither can (pytest turns a
+    # RuntimeWarning into an error)
     dataset, info = make_regression(n_rows=60, seed=0)
     dataset = replace(dataset, labels=dataset.labels * 1e307)
     assert np.isfinite(dataset.labels).all()

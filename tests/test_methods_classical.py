@@ -253,8 +253,9 @@ class TestLinearRegression:
         y = 2.0 * x + 1.0
         dataset, info = dataset_from_arrays(x, y, TaskType.REGRESSION)
         method = fit_method(LinearRegressionMethod, dataset, info, pipeline=IDENTITY)
-        assert abs(method._weights[0] - 2.0) < 1e-6
-        assert abs(method._bias - 1.0) < 1e-6
+        # fitted in the targets' unit: 2^e times the weights recovers the line
+        assert abs(np.ldexp(method._weights[0], method._unit) - 2.0) < 1e-6
+        assert abs(np.ldexp(method._bias, method._unit) - 1.0) < 1e-6
 
     def test_prediction_on_new_points(self):
         x = np.linspace(-1.0, 1.0, 21)

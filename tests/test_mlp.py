@@ -158,6 +158,10 @@ class TestMLPMethod:
                          training={"lr": 1e-2, "max_epoch": 150})
         pred = method.predict_part(dataset, "train")
         assert abs(pred.values.mean() - 100.0) < 10.0
+        # the early-stopping score is a negated RMSE in the labels' own unit
+        pred = method.predict_part(dataset, "val")
+        rmse = np.sqrt(np.mean((pred.values - dataset.part_labels("val")) ** 2))
+        assert method.validation_score == pytest.approx(-rmse)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):

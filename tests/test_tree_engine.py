@@ -4,7 +4,6 @@ Fitted state must be byte-identical to ``tree_oracle`` on tables with tied
 values, nan and infinite features, duplicate rows, constant columns, and every
 depth and leaf-size setting, and when trees grow in several lock-step groups;
 it must not depend on how many nodes a kernel call or a per-step pass takes;
-targets whose squares overflow split as their power-of-two scaled copy does;
 memory must scale with the table, not with the class or tree count.
 """
 
@@ -31,15 +30,12 @@ from tabkit.methods.tree import (
     _ranks,
     _samples,
 )
-from tabkit.splits import target_scale
 
 # few distinct values make ties; signed zeros compare equal
 VALUES = st.one_of(
     st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]),
     st.floats(-100.0, 100.0, allow_nan=False),
 )
-# squared sums of such targets overflow, and the oracle's with them
-EXTREME_TARGETS = st.sampled_from([1e200, -1e200, 1e300, -1e300])
 # nan ranks after every value and no split falls next to it
 FEATURES = st.one_of(VALUES, st.sampled_from([np.nan, np.inf, -np.inf]))
 
@@ -114,34 +110,6 @@ def test_boosting_matches_oracle(problem, n_trees, learning_rate):
         x, y, model=model, **oracle_args(task, n_classes)))
     state = fitted_state(GBDTMethod, x, y, task, n_classes, model)
     assert state == expected
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@given(problems(), st.data(), st.integers(1, 3), st.integers(0, 3))
-def test_extreme_targets_split_as_their_scaled_copy(problem, data, n_trees,
-                                                    seed):
-    # the engine scales such targets by a power of two for the split gains
-    # only; the oracle, given the scaled copy, must grow the same splits, and
-    # the leaves keep the raw targets' means
-    x, _, _, _, model = problem
-    y = data.draw(hnp.arrays(np.float64, len(x),
-                             elements=st.one_of(VALUES, EXTREME_TARGETS)))
-    y[0] = data.draw(EXTREME_TARGETS)
-    scale = target_scale(y)
-    assert scale < 1.0
-    regression = {"regression": True, "n_classes": 0}
-    forest = dict(model, n_trees=n_trees)
-    for got, expected in (
-            ([fit_state(CARTMethod, x, y, TaskType.REGRESSION, None, model)],
-             [tree_oracle.cart_state(x, y * scale, model=model, **regression)]),
-            (fit_state(RandomForestMethod, x, y, TaskType.REGRESSION, None,
-                       forest, seed),
-             tree_oracle.forest_state(x, y * scale, model=forest, seed=seed,
-                                      **regression))):
-        assert len(got) == len(expected)
-        for tree, reference in zip(got, expected):
-            assert pickle.dumps(tree[:4]) == pickle.dumps(reference[:4])
-            assert np.isfinite(tree[4]).all()
 
 
 def test_deep_forest_matches_oracle():
@@ -259,22 +227,20 @@ NODE_SIZES = st.one_of(st.integers(1, 7), st.integers(8, 128),
 
 @given(st.lists(st.tuples(NODE_SIZES, st.integers(1, 40)), min_size=1,
                 max_size=6),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 2.0 ** -300]))
-@example([(8193, 1), (3, 5)], 0, 1.0)
-@example([(20000, 1), (1, 30), (200, 3)], 1, 2.0 ** -300)
-def test_leaf_means_are_per_node_pairwise_sums(sizes, seed, scale):
+       st.integers(0, 2 ** 32 - 1))
+@example([(8193, 1), (3, 5)], 0)
+@example([(20000, 1), (1, 30), (200, 3)], 1)
+def test_leaf_means_are_per_node_pairwise_sums(sizes, seed):
     # each (size, repeats) pair is that many nodes of one size, shuffled
     size = np.repeat(*np.array(sizes).T)
     rng = np.random.default_rng(seed)
     size = rng.permutation(size)
     labels = rng.normal(size=int(size.sum())) * 10.0 ** rng.integers(
         -8, 9, size=int(size.sum()))
-    if scale != 1.0:
-        labels /= scale * 2.0 ** 20  # as large as the engine scales down
     ends = np.cumsum(size).tolist()
-    expected = np.array([np.add.reduce(labels[a:b] * scale)
-                         for a, b in zip([0, *ends], ends)]) / size / scale
-    assert _means(labels, size, scale).tobytes() == expected.tobytes()
+    expected = np.array([np.add.reduce(labels[a:b])
+                         for a, b in zip([0, *ends], ends)]) / size
+    assert _means(labels, size).tobytes() == expected.tobytes()
 
 
 def test_forest_kernel_calls_have_a_floor(monkeypatch):
