@@ -304,8 +304,9 @@ def split_holdout(dataset: Dataset, val_fraction: float, seed: int) -> Dataset:
     """Carve a validation set out of the train rows of ``dataset``.
 
     The split is a deterministic seeded shuffle. For classification it is
-    stratified per class: any class with at least 2 training rows keeps at
-    least one row on each side. Returns a new dataset; the input is untouched.
+    stratified per class, and regression rows form one stratum: any stratum
+    with at least 2 training rows keeps at least one row on each side.
+    Returns a new dataset; the input is untouched.
     """
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
@@ -316,26 +317,19 @@ def split_holdout(dataset: Dataset, val_fraction: float, seed: int) -> Dataset:
         raise ValueError("need at least 2 train rows to split")
 
     rng = np.random.default_rng(seed)
+    strata = [train_idx]
     if dataset.task.is_classification:
-        val_parts = []
-        train_parts = []
         labels = dataset.labels[train_idx]
-        for cls in np.unique(labels):
-            cls_idx = train_idx[labels == cls]
-            cls_idx = cls_idx[rng.permutation(len(cls_idx))]
-            if len(cls_idx) < 2:
-                n_val = 0
-            else:
-                n_val = min(len(cls_idx) - 1, max(1, int(round(val_fraction * len(cls_idx)))))
-            val_parts.append(cls_idx[:n_val])
-            train_parts.append(cls_idx[n_val:])
-        val_idx = np.sort(np.concatenate(val_parts))
-        new_train = np.sort(np.concatenate(train_parts))
-    else:
-        shuffled = train_idx[rng.permutation(len(train_idx))]
-        n_val = min(len(train_idx) - 1, max(1, int(round(val_fraction * len(train_idx)))))
-        val_idx = np.sort(shuffled[:n_val])
-        new_train = np.sort(shuffled[n_val:])
+        strata = [train_idx[labels == cls] for cls in np.unique(labels)]
+    val_parts, train_parts = [], []
+    for idx in strata:
+        idx = idx[rng.permutation(len(idx))]
+        # a one-row stratum keeps its row for training
+        n_val = min(len(idx) - 1, max(1, int(round(val_fraction * len(idx)))))
+        val_parts.append(idx[:n_val])
+        train_parts.append(idx[n_val:])
+    val_idx = np.sort(np.concatenate(val_parts))
+    new_train = np.sort(np.concatenate(train_parts))
 
     split = {"train": new_train, "val": val_idx, "test": dataset.split["test"].copy()}
     return Dataset(

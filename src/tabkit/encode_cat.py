@@ -11,9 +11,10 @@ table fitted per column:
   lacks takes the unseen slot K. The ``(K+1, width)`` table holds
   ``arange(K+1)`` for ``ordinal``, ``eye(K+1)`` for ``onehot`` and the
   big-endian bits of ``arange(K+1)`` for ``binary``. For ``target``, ``loo``
-  and ``catboost`` it has one column per target (the label, or a one-vs-rest
-  indicator per class) of per-category statistics of the training labels,
-  and its unseen row is the global target mean (the prior).
+  and ``catboost`` it has one column per target (the label, in the fit's
+  target unit for regression, or a one-vs-rest indicator per class) of
+  per-category statistics of the training labels, and its unseen row is the
+  global target mean (the prior).
 
 The fitted state is the vocabularies and the tables, which is all that
 ``transform`` reads.
@@ -25,9 +26,8 @@ same-category rows before it in a seeded permutation. Per-category sums come
 from ``np.bincount``, which adds in row order like a sequential sum. The
 ordered prefixes are differences of one cumulative sum over rows grouped by
 category. Their rounding depends on the order of the groups, so the groups
-follow the sorted order of the tokens (``np.unique``'s codes), not the
-vocabulary order; that keeps the training column byte-identical to earlier
-fits.
+follow the sorted order of the tokens, not the vocabulary order; that keeps
+the training column byte-identical to earlier fits.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 
 from .data import TaskType
 from .errors import FitError, ShapeError
+from .splits import target_exponent
 
 CAT_POLICIES = ("ordinal", "onehot", "binary", "hash", "target", "loo", "catboost")
 
@@ -137,11 +138,15 @@ def _side_by_side(out: np.ndarray, blocks) -> np.ndarray:
 
 
 def _target_columns(targets: np.ndarray, task: TaskType, class_count) -> list[np.ndarray]:
-    """Real-valued target columns: the labels themselves, or one-vs-rest
-    indicators per class for multiclass."""
+    """Real-valued target columns: the labels (regression labels mapped by
+    2^-e, for e their ``splits.target_exponent``), or one-vs-rest indicators
+    per class for multiclass."""
     if task is TaskType.MULTICLASS:
         return [(targets == c).astype(np.float64) for c in range(class_count)]
-    return [np.asarray(targets, dtype=np.float64)]
+    y = np.asarray(targets, dtype=np.float64)
+    if task is TaskType.REGRESSION:
+        y = np.ldexp(y, -target_exponent(y))
+    return [y]
 
 
 def _ordered_column(sorted_codes, y, permutation, prior) -> np.ndarray:
@@ -171,13 +176,13 @@ def _fit_column(col, policy: str, ys, permutation):
     """(vocabulary, table, training rows) of one column under a non-hash
     policy. The training rows are an (n, width) block for ``loo`` and
     ``catboost``, and the table row of each cell otherwise."""
-    tokens, first, sorted_codes = np.unique(
-        col.astype(str), return_index=True, return_inverse=True
-    )
-    k = len(tokens)
-    order = np.argsort(first)  # the distinct tokens in first-appearance order
-    codes = np.argsort(order)[sorted_codes]
-    vocab = dict(zip(tokens[order].tolist(), range(k)))
+    vocab: dict[str, int] = {}
+    codes = np.array([vocab.setdefault(token, len(vocab)) for token in _tokens(col)],
+                     dtype=np.intp)
+    k = len(vocab)
+    # new key strings: the pickled state shares no object with the cells
+    tokens = np.array(list(vocab))
+    vocab = dict(zip(tokens.tolist(), range(k)))
     if policy == "ordinal":
         return vocab, np.arange(k + 1, dtype=np.float64)[:, None], codes
     if policy == "onehot":
@@ -187,6 +192,8 @@ def _fit_column(col, policy: str, ys, permutation):
         bits = np.arange(k + 1)[:, None] >> shifts & 1
         return vocab, bits.astype(np.float64), codes
     counts = np.bincount(codes, minlength=k).astype(np.float64)
+    if policy == "catboost":  # each row's token's place in sorted order
+        sorted_codes = np.argsort(np.argsort(tokens))[codes]
     seen_rows, train_rows = [], []
     for y in ys:
         sums = np.bincount(codes, weights=y, minlength=k)

@@ -87,13 +87,6 @@ class Bounded:
         draw, kind = _BOUNDED[self.tag]
         return kind(draw(rng, self.lo, self.hi))
 
-    def contains(self, value) -> bool:
-        kind = _BOUNDED[self.tag][1]
-        return isinstance(value, (int, kind)) and self.lo <= value <= self.hi
-
-    def serialize(self) -> list:
-        return [self.tag, self.lo, self.hi]
-
 
 @dataclass(frozen=True)
 class Categorical:
@@ -101,12 +94,6 @@ class Categorical:
 
     def sample(self, rng: np.random.Generator):
         return self.choices[int(rng.integers(len(self.choices)))]
-
-    def contains(self, value) -> bool:
-        return value in self.choices
-
-    def serialize(self) -> list:
-        return ["categorical", *self.choices]
 
 
 @dataclass(frozen=True)
@@ -121,13 +108,6 @@ class Maybe:
             return self.default
         return self.inner.sample(rng)
 
-    def contains(self, value) -> bool:
-        return value == self.default or self.inner.contains(value)
-
-    def serialize(self) -> list:
-        tag, *args = self.inner.serialize()
-        return [f"?{tag}", self.default, *args]
-
 
 @dataclass(frozen=True)
 class MLPLayers:
@@ -140,14 +120,6 @@ class MLPLayers:
     def sample(self, rng: np.random.Generator):
         n = self.count.sample(rng)
         return [round(self.width.sample(rng))] * n
-
-    def contains(self, value) -> bool:
-        return (isinstance(value, list) and self.count.contains(len(value))
-                and len(set(value)) == 1 and self.width.contains(value[0]))
-
-    def serialize(self) -> list:
-        return ["$mlp_d_layers", self.count.lo, self.count.hi,
-                self.width.lo, self.width.hi]
 
 
 def _parse_leaf(spec, path: str):
@@ -199,27 +171,12 @@ def _map_leaves(node, leaf, path: str = ""):
     return leaf(node, path)
 
 
-def _contains_node(node, value) -> bool:
-    if isinstance(node, dict):
-        return (isinstance(value, dict)
-                and set(value) == set(node)
-                and all(_contains_node(node[k], value[k]) for k in node))
-    return node.contains(value)
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """Parsed search space: the model name plus its parameter groups."""
 
     name: str
     groups: dict
-
-    def serialize(self) -> dict:
-        return {self.name: _map_leaves(self.groups,
-                                       lambda leaf, _: leaf.serialize())}
-
-    def contains(self, assignment: dict) -> bool:
-        return _contains_node(self.groups, assignment)
 
 
 def parse_space(document) -> SearchSpace:

@@ -10,6 +10,7 @@ and is the O(N^2) oracle of the ordered (CatBoost) training column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,11 +191,16 @@ def encode_catboost_ordered(stats: TargetStats, position, token: str) -> float:
 
 
 def _target_columns(targets: np.ndarray, task: TaskType, class_count) -> list[np.ndarray]:
-    """Real-valued target columns: the labels themselves, or one-vs-rest
-    indicators per class for multiclass."""
+    """Real-valued target columns: regression labels times the power of two
+    that brings the largest |label| into [1/2, 1), the class labels, or
+    one-vs-rest indicators per class for multiclass."""
     if task is TaskType.MULTICLASS:
         return [(targets == c).astype(np.float64) for c in range(class_count)]
-    return [np.asarray(targets, dtype=np.float64)]
+    y = np.asarray(targets, dtype=np.float64)
+    if task is TaskType.REGRESSION:
+        top = max((abs(float(v)) for v in y), default=0.0)
+        y = np.ldexp(y, -math.frexp(top)[1])
+    return [y]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ not to be loosened.
 
 import itertools
 import json
+import math
 import time
 from dataclasses import replace
 from importlib import resources
@@ -104,6 +105,8 @@ def test_criterion_1_encoder_property_suite():
         _, train_matrix = fit_categorical_encoder(
             token_column(tokens), "loo", targets=targets, task=TaskType.REGRESSION,
         )
+        # statistics are in the fit's target unit: the largest label in [1/2, 1)
+        targets = np.ldexp(targets, -math.frexp(targets.max())[1])
         for i, (token, y) in enumerate(zip(tokens, targets)):
             same = [t for t in range(n) if tokens[t] == token]
             if len(same) == 1:

@@ -217,3 +217,18 @@ def test_split_holdout_does_not_mutate_input():
     split_holdout(dataset, 0.3, seed=0)
     for part, idx in before.items():
         np.testing.assert_array_equal(dataset.split[part], idx)
+
+
+@pytest.mark.parametrize("make, val", [
+    (make_regression, [2, 5, 9, 13, 20, 31, 33, 36]),
+    (make_classification, [0, 2, 4, 19, 23, 29, 31, 36]),
+])
+def test_split_holdout_rows_are_pinned(make, val):
+    # a regression table splits as one stratum of the stratified shuffle;
+    # any change to the shuffle or to the strata moves these rows
+    dataset, _ = make(n_rows=40, seed=0, val_fraction=0.0)
+    out = split_holdout(dataset, 0.25, seed=1)
+    assert out.split["val"].dtype == np.int64
+    assert out.split["val"].tolist() == val
+    assert sorted(out.split["train"].tolist() + val) == \
+        sorted(dataset.split["train"].tolist())

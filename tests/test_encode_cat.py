@@ -6,6 +6,10 @@ from tabkit.data import TaskType
 from tabkit.encode_cat import CategoricalEncoder, fit_categorical_encoder, fnv1a64
 from tabkit.errors import FitError, ShapeError
 
+# regression statistics are in the fit's target unit, which maps labels whose
+# largest |value| is 1.0 by 2^-1
+HALF = 0.5
+
 
 def column(tokens) -> np.ndarray:
     return np.array(list(tokens), dtype=object).reshape(-1, 1)
@@ -53,6 +57,14 @@ class TestVocabulary:
         one, _ = fit_column("a", "binary")
         np.testing.assert_array_equal(encode(one, "a")[0], [0])
 
+    @pytest.mark.parametrize("policy", ["ordinal", "onehot", "binary"])
+    def test_empty_column_fits(self, policy):
+        # no training token: the table is the unseen row alone
+        encoder, train = fit_column([], policy)
+        assert encoder.vocabularies == ({},)
+        assert train.shape == (0, 1)
+        assert encode(encoder, "a").shape == (1, 1)
+
     def test_binary_round_trips_every_index(self):
         for size in (1, 2, 5, 8, 17):
             tokens = [f"t{i}" for i in range(size)]
@@ -92,10 +104,11 @@ class TestHash:
 
 class TestTargetEncoding:
     def test_smoothing_formula(self):
-        # category "a": count 2, mean 1.0; global mean P = 0.5, m = 10
+        # category "a": count 2, mean 1.0; global mean P = 0.5, m = 10; the
+        # labels' largest is 1.0, so statistics are in units of 2 (HALF)
         encoder, _ = fit_column("aabb", "target", np.array([1.0, 1.0, 0.0, 0.0]),
                                 TaskType.REGRESSION)
-        assert encode(encoder, "a")[0, 0] == pytest.approx(7.0 / 12.0)
+        assert encode(encoder, "a")[0, 0] == pytest.approx(HALF * 7.0 / 12.0)
 
     def test_zero_smoothing_gives_raw_mean(self):
         # the shipping encoder fixes m = 10; the formula at m = 0 is the oracle's
@@ -105,7 +118,7 @@ class TestTargetEncoding:
     def test_unseen_gets_prior(self):
         encoder, _ = fit_column("ab", "target", np.array([1.0, 0.0]),
                                 TaskType.REGRESSION)
-        assert encode(encoder, "zzz")[0, 0] == 0.5
+        assert encode(encoder, "zzz")[0, 0] == HALF * 0.5
 
     def test_empty_column_raises(self):
         with pytest.raises(FitError):
@@ -119,19 +132,19 @@ class TestLeaveOneOut:
 
     def test_training_row_excludes_itself(self):
         _, train = self.fit("aaa", [1.0, 0.0, 1.0])
-        assert train[0, 0] == 0.5
+        assert train[0, 0] == HALF * 0.5
 
     def test_singleton_gets_prior(self):
         encoder, train = self.fit("abb", [1.0, 0.0, 0.0])
         prior = encode(encoder, "never-seen")[0, 0]
-        assert prior == 1.0 / 3.0
+        assert prior == HALF / 3.0
         assert train[0, 0] == prior
 
     def test_inference_uses_plain_mean(self):
         y = np.array([1.0, 1.0, 0.0])
         encoder, _ = self.fit("aaa", y)
-        assert encode(encoder, "a")[0, 0] == pytest.approx(2.0 / 3.0)
-        assert encode(encoder, "zzz")[0, 0] == y.mean()
+        assert encode(encoder, "a")[0, 0] == pytest.approx(HALF * 2.0 / 3.0)
+        assert encode(encoder, "zzz")[0, 0] == (HALF * y).mean()
 
     def test_exactness_identity(self):
         rng = np.random.default_rng(2)
@@ -150,6 +163,7 @@ class TestCatboostOrdered:
     def test_three_row_example(self):
         y = np.array([1.0, 0.0, 1.0])
         _, train = fit_column("aaa", "catboost", y, TaskType.REGRESSION, seed=0)
+        y = HALF * y  # the labels in the fit's target unit
         # read rows in permutation order: prefix stats only
         perm = np.random.default_rng(0).permutation(3)
         perm_y = y[perm]
@@ -161,7 +175,7 @@ class TestCatboostOrdered:
         ]
         got = train[perm, 0]
         np.testing.assert_allclose(got, expected)
-        assert got[0] == pytest.approx(2.0 / 3.0)
+        assert got[0] == pytest.approx(HALF * 2.0 / 3.0)
 
     def test_first_seen_row_gets_prior(self):
         rng = np.random.default_rng(3)
@@ -186,8 +200,8 @@ class TestCatboostOrdered:
     def test_inference_is_full_statistic(self):
         y = np.array([1.0, 0.0, 1.0])
         encoder, _ = fit_column("aab", "catboost", y, TaskType.REGRESSION, seed=1)
-        prior = y.mean()
-        assert encode(encoder, "a")[0, 0] == pytest.approx((1.0 + prior) / 3.0)
+        prior = (HALF * y).mean()
+        assert encode(encoder, "a")[0, 0] == pytest.approx((HALF + prior) / 3.0)
         assert encode(encoder, "zzz")[0, 0] == prior
 
     def test_inference_permutation_independent(self):
@@ -300,7 +314,7 @@ class TestColumnEncoder:
         encoder, _ = fit_categorical_encoder(cat, "onehot", y, TaskType.REGRESSION)
         np.testing.assert_array_equal(encoder.transform(probe)[0], [0, 0, 1])
         encoder, _ = fit_categorical_encoder(cat, "target", y, TaskType.REGRESSION)
-        assert encoder.transform(probe)[0, 0] == pytest.approx(2.0 / 3.0)
+        assert encoder.transform(probe)[0, 0] == pytest.approx(HALF * 2.0 / 3.0)
 
     def test_transform_shape_mismatch(self):
         cat = np.array([["a", "x"]], dtype=object)

@@ -54,11 +54,6 @@ class TestParse:
             0.0, Bounded("loguniform", 1e-06, 0.001)
         )
 
-    def test_round_trip(self):
-        space = parse_space(MLP_SPACE_DOC)
-        again = parse_space(space.serialize())
-        assert again == space
-
     def test_int_and_categorical(self):
         space = parse_space({"knn": {"model": {
             "n_neighbors": ["int", 1, 32],
@@ -98,6 +93,26 @@ class TestParse:
             parse_space({"m": {"model": ["uniform", 0, 1]}})
         with pytest.raises(SpaceError):
             parse_space([])
+
+
+def in_space(node, value) -> bool:
+    """Whether ``value`` is a draw the parsed ``node`` can make: a number of
+    the leaf's type within its bounds, one of its choices, its default, or
+    ``n`` copies of one rounded width."""
+    if isinstance(node, dict):
+        return (isinstance(value, dict) and value.keys() == node.keys()
+                and all(in_space(node[key], value[key]) for key in node))
+    if isinstance(node, Maybe):
+        return value == node.default or in_space(node.inner, value)
+    if isinstance(node, Categorical):
+        return value in node.choices
+    if isinstance(node, MLPLayers):
+        lo, hi = round(node.width.lo), round(node.width.hi)
+        return (isinstance(value, list) and in_space(node.count, len(value))
+                and len(set(value)) == 1 and type(value[0]) is int
+                and lo <= value[0] <= hi)
+    kind = int if node.tag == "int" else float
+    return type(value) is kind and node.lo <= value <= node.hi
 
 
 class TestSampling:
@@ -146,7 +161,7 @@ class TestSampling:
         space = parse_space(MLP_SPACE_DOC)
         for trial in range(200):
             assignment = sample_trial(space, [7, trial])
-            assert space.contains(assignment)
+            assert in_space(space.groups, assignment)
 
     def test_same_seed_same_assignment(self):
         space = parse_space(MLP_SPACE_DOC)
@@ -268,6 +283,19 @@ class TestTuning:
 def packaged_space(name):
     path = resources.files("tabkit") / "configs" / "opt_space" / f"{name}.json"
     return parse_space(json.loads(path.read_text()))
+
+
+PACKAGED_SPACES = sorted(path.name.removesuffix(".json") for path in
+                         (resources.files("tabkit") / "configs" / "opt_space").iterdir()
+                         if path.name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", PACKAGED_SPACES)
+def test_packaged_space_draws_lie_in_space(name):
+    space = packaged_space(name)
+    for seed in range(3):
+        for trial in range(1, 30):
+            assert in_space(space.groups, sample_trial(space, [seed, trial]))
 
 
 PINNED_DRAWS = {

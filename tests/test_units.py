@@ -1,8 +1,10 @@
 """Fits do not depend on the units a table is recorded in.
 
 Regression targets: ``Method.fit`` maps them by the power of two that brings
-the largest into [1/2, 1), so every regressor's predictions on targets times
-2^k are its predictions times 2^k, byte for byte, short of subnormals.
+the largest into [1/2, 1), and so do the target statistics of the ``target``,
+``loo`` and ``catboost`` categorical encodings, so every regressor's
+predictions on targets times 2^k are its predictions times 2^k, byte for
+byte, short of subnormals.
 
 Numeric features: every normalization but ``power`` maps a column times 2^k
 to the same values, so no method's predictions move. ``power`` is left out:
@@ -33,13 +35,17 @@ SMALL = {"random_forest": {"model": {"n_trees": 5}},
          "gbdt": {"model": {"n_trees": 10}},
          "mlp": {"model": {"d_layers": [16]}, "training": {"max_epoch": 20}}}
 UNIT_FREE_NORMALIZATIONS = [kind for kind in NORMALIZATIONS if kind != "power"]
+# the default encoding, and the ones that encode categories by the labels
+CAT_POLICIES = ["onehot", "target", "loo", "catboost"]
 
 
-def fit_predict(name, dataset, info, normalization="standard"):
+def fit_predict(name, dataset, info, normalization="standard",
+                cat_policy="onehot"):
     small = SMALL.get(name, {})
     method = get_method(name)(MethodConfig(
         model=small.get("model", {}), training=small.get("training", {}),
-        pipeline=PipelineConfig(normalization=normalization)), info)
+        pipeline=PipelineConfig(normalization=normalization,
+                                cat_policy=cat_policy)), info)
     method.fit(dataset, info)
     return method.predict_part(dataset, "test")
 
@@ -50,23 +56,32 @@ def regression_table():
 
 
 @functools.lru_cache(maxsize=None)
-def unit_predictions(name):
-    return fit_predict(name, *regression_table()).values
+def unit_predictions(name, cat_policy):
+    return fit_predict(name, *regression_table(), cat_policy=cat_policy).values
 
 
-@given(st.sampled_from(REGRESSORS), st.integers(-1000, 1000))
+@given(st.sampled_from(REGRESSORS), st.sampled_from(CAT_POLICIES),
+       st.integers(-1000, 1000))
 # where the split gains' absolute floor, or the MLP's, once bit
-@example("cart", -20)
-@example("random_forest", -20)
-@example("gbdt", -25)
-@example("mlp", -45)
-@example("dummy", -1000)
-@example("linear_regression", 1000)
-def test_predictions_follow_the_target_unit(name, k):
+@example("cart", "onehot", -20)
+@example("random_forest", "onehot", -20)
+@example("gbdt", "onehot", -25)
+@example("mlp", "onehot", -45)
+@example("dummy", "onehot", -1000)
+@example("linear_regression", "onehot", 1000)
+# where the categories were encoded by target statistics in the labels' unit
+@example("knn", "target", -30)
+@example("knn", "loo", 40)
+@example("linear_regression", "catboost", -30)
+@example("linear_regression", "target", 40)
+@example("mlp", "loo", -30)
+@example("mlp", "catboost", 40)
+def test_predictions_follow_the_target_unit(name, cat_policy, k):
     dataset, info = regression_table()
     scaled = replace(dataset, labels=np.ldexp(dataset.labels, k))
-    got = fit_predict(name, scaled, info).values
-    assert got.tobytes() == np.ldexp(unit_predictions(name), k).tobytes()
+    got = fit_predict(name, scaled, info, cat_policy=cat_policy).values
+    assert got.tobytes() == \
+        np.ldexp(unit_predictions(name, cat_policy), k).tobytes()
 
 
 @pytest.mark.parametrize("name", REGRESSORS)
