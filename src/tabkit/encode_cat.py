@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .data import TaskType
-from .errors import FitError, ShapeError
+from .errors import FitError, check_width
 from .splits import target_exponent
 
 CAT_POLICIES = ("ordinal", "onehot", "binary", "hash", "target", "loo", "catboost")
@@ -80,10 +80,7 @@ class CategoricalEncoder:
     def transform(self, cat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inference-semantics encoding of categorical rows, written into
         ``out`` (an (n, width) array or view) when given."""
-        if cat.shape[1] != len(self.tables):
-            raise ShapeError(
-                f"encoder was fitted on {len(self.tables)} columns, got {cat.shape[1]}"
-            )
+        check_width("encoder", len(self.tables), cat.shape[1])
         if out is None:
             out = np.empty((cat.shape[0], self.width))
         return _side_by_side(out, (

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import TaskType
 from .encode_cat import _side_by_side
-from .errors import EncodeError, ShapeError
+from .errors import EncodeError, ShapeError, check_width
 from .splits import MIN_GAIN, gini_gains, target_exponent, variance_gains
 
 DEFAULT_N_BINS = 48
@@ -245,10 +245,7 @@ class NumericEncoder:
     def transform(self, num: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Each column's code, side by side, written into ``out`` (an
         (n, width) array or view) when given."""
-        if num.shape[1] != len(self.bins):
-            raise ShapeError(
-                f"encoder was fitted on {len(self.bins)} columns, got {num.shape[1]}"
-            )
+        check_width("encoder", len(self.bins), num.shape[1])
         if out is None:
             out = np.empty((num.shape[0], self.width))
         return _side_by_side(out, (

@@ -33,6 +33,12 @@ class ShapeError(TabkitError):
     """Input shape does not match what was seen at fit time."""
 
 
+def check_width(stage: str, fitted: int, got: int, columns: str = "columns"):
+    """Raise ``ShapeError`` unless ``got`` columns match the ``fitted`` ones."""
+    if got != fitted:
+        raise ShapeError(f"{stage} was fitted on {fitted} {columns}, got {got}")
+
+
 class EncodeError(TabkitError):
     """A value cannot be encoded (for example, a non-finite input)."""
 

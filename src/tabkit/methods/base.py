@@ -124,13 +124,8 @@ class Method:
         which run came first; hit and miss read the clock equally often."""
         start = _clock()
         x_train = self.pipeline.fit_transform_train(dataset, info)
-        y_train = dataset.part_labels("train")
-        if dataset.part_size("val"):
-            x_val = self.pipeline.transform_part(dataset, "val")
-            y_val = dataset.part_labels("val")
-        else:
-            x_val = np.empty((0, x_train.shape[1]))
-            y_val = y_train[:0]
+        x_val = self.pipeline.transform_part(dataset, "val")
+        y_train, y_val = dataset.part_labels("train"), dataset.part_labels("val")
         encoded = _clock()
         pipeline_s = self.pipeline.fit_seconds(encoded - start)
         if self.is_regression:
@@ -175,8 +170,9 @@ class Method:
 
     # ---- subclass hooks -------------------------------------------------
     def _check_config(self):
-        """Raise ConfigError for an out-of-range hyperparameter. Runs in the
-        constructor, so a bad configuration fails before any data is read."""
+        """Parse every hyperparameter into attributes, which ``_fit`` and
+        ``_predict`` read, and raise ConfigError for one out of range. Runs in
+        the constructor, so a bad configuration fails before any data is read."""
 
     def _fit(self, x_train, y_train, x_val, y_val):
         raise NotImplementedError

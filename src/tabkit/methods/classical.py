@@ -7,7 +7,7 @@ import numpy as np
 from ..data import TaskType
 from ..errors import ConfigError, FitError
 from ..pipeline import _Memo, _array_digest, _read_only
-from .base import Method, Prediction
+from .base import Method, Prediction, positive_int
 
 CLASSIFICATION_TASKS = (TaskType.BINCLASS, TaskType.MULTICLASS)
 
@@ -52,6 +52,11 @@ def _affine(x: np.ndarray, weights: np.ndarray, bias) -> np.ndarray:
     return values
 
 
+def _class_frequencies(y: np.ndarray, class_count: int) -> np.ndarray:
+    """Each class's share of the integer labels ``y``."""
+    return np.bincount(y, minlength=class_count) / len(y)
+
+
 class DummyMethod(Method):
     """Constant baseline: majority class with empirical frequencies, or the
     training-mean label."""
@@ -60,8 +65,7 @@ class DummyMethod(Method):
         if self.is_regression:
             self._mean = float(y_train.mean())
         else:
-            counts = np.bincount(y_train, minlength=self.class_count)
-            self._probs = counts / counts.sum()
+            self._probs = _class_frequencies(y_train, self.class_count)
 
     def _predict(self, x) -> Prediction:
         n = x.shape[0]
@@ -201,9 +205,7 @@ class KNNMethod(Method):
     """
 
     def _check_config(self):
-        self._k = int(self.config.model.get("n_neighbors", 5))
-        if self._k < 1:
-            raise ConfigError(f"n_neighbors must be >= 1, got {self._k}")
+        self._k = positive_int(self.config.model, "n_neighbors", 5)
 
     def _fit(self, x_train, y_train, x_val, y_val):
         if self._k > len(x_train):
@@ -273,16 +275,15 @@ class NaiveBayesMethod(Method):
     VAR_FLOOR = 1e-9
 
     def _fit(self, x_train, y_train, x_val, y_val):
-        n, d = x_train.shape
+        d = x_train.shape[1]
         self._means = np.zeros((self.class_count, d))
         self._vars = np.full((self.class_count, d), self.VAR_FLOOR)
-        priors = np.zeros(self.class_count)
         for c in range(self.class_count):
             members = x_train[y_train == c]
-            priors[c] = len(members) / n
             if len(members):
                 self._means[c] = members.mean(axis=0)
                 self._vars[c] = np.maximum(members.var(axis=0), self.VAR_FLOOR)
+        priors = _class_frequencies(y_train, self.class_count)
         self._log_priors = np.log(np.clip(priors, 1e-300, None))
 
     def _predict(self, x) -> Prediction:
@@ -436,8 +437,7 @@ class _GradientDescentClassifier(Method):
         d = x_train.shape[1]
         weights = np.zeros((d, self.class_count))
         bias = np.zeros(self.class_count)
-        onehot = np.zeros((len(y_train), self.class_count))
-        onehot[np.arange(len(y_train)), y_train] = 1.0
+        onehot = np.eye(self.class_count)[y_train]
         # a fixed step diverges once the loss curvature exceeds its inverse,
         # which wide encodings can trigger; shrink to match a curvature bound
         curvature = self._curvature_bound(x_train, l2)

@@ -154,19 +154,17 @@ class MLPMethod(Method):
     is_deep = True
 
     def _check_config(self):
-        _check_dropout(float(self.config.model.get("dropout", DEFAULT_DROPOUT)))
-        train_cfg = self.config.training
+        model_cfg, train_cfg = self.config.model, self.config.training
+        self._d_layers = list(model_cfg.get("d_layers", DEFAULT_D_LAYERS))
+        self._dropout = float(model_cfg.get("dropout", DEFAULT_DROPOUT))
+        _check_dropout(self._dropout)
+        self._lr = float(train_cfg.get("lr", DEFAULT_LR))
+        self._weight_decay = float(train_cfg.get("weight_decay", DEFAULT_WEIGHT_DECAY))
+        self._patience = int(train_cfg.get("patience", DEFAULT_PATIENCE))
         self._max_epoch = positive_int(train_cfg, "max_epoch", DEFAULT_MAX_EPOCH)
         self._batch_size = positive_int(train_cfg, "batch_size", DEFAULT_BATCH_SIZE)
 
     def _fit(self, x_train, y_train, x_val, y_val):
-        model_cfg = self.config.model
-        train_cfg = self.config.training
-        d_layers = list(model_cfg.get("d_layers", DEFAULT_D_LAYERS))
-        dropout = float(model_cfg.get("dropout", DEFAULT_DROPOUT))
-        lr = float(train_cfg.get("lr", DEFAULT_LR))
-        weight_decay = float(train_cfg.get("weight_decay", DEFAULT_WEIGHT_DECAY))
-        patience = int(train_cfg.get("patience", DEFAULT_PATIENCE))
         rng = np.random.default_rng(self.config.seed)
         x_train, x_val = _float32(x_train), _float32(x_val)
 
@@ -183,7 +181,7 @@ class MLPMethod(Method):
             y_fit = y_train
             d_out = self.class_count
         net = MLPNetwork(
-            x_train.shape[1], d_layers, d_out, dropout,
+            x_train.shape[1], self._d_layers, d_out, self._dropout,
             classification=not self.is_regression, rng=rng, dtype=np.float32,
         )
 
@@ -195,7 +193,7 @@ class MLPMethod(Method):
         moment1 = [np.zeros_like(p) for p in params]
         moment2 = [np.zeros_like(p) for p in params]
         step = 0
-        decay = 1.0 - lr * weight_decay
+        decay = 1.0 - self._lr * self._weight_decay
 
         best_score = -np.inf
         best_params = None
@@ -215,17 +213,23 @@ class MLPMethod(Method):
                 step += 1
                 correction1 = 1.0 - BETA1 ** step
                 correction2 = 1.0 - BETA2 ** step
-                for i, (p, grad, m1, m2) in enumerate(
-                        zip(params, grad_w + grad_b, moment1, moment2)):
-                    m1 *= BETA1  # in place, in the textbook update's order
-                    m1 += (1 - BETA1) * grad
-                    m2 *= BETA2
-                    m2 += (1 - BETA2) * grad ** 2
-                    p -= lr * (m1 / correction1) / (
-                        np.sqrt(m2 / correction2) + ADAM_EPS
-                    )
-                    if i < n_weights:
-                        p *= decay  # decoupled decay, weights only
+                # a gradient past about 1.8e19 squares to inf in float32; the
+                # moments are checked once an epoch, as an inf one stays inf
+                with np.errstate(over="ignore"):
+                    for i, (p, grad, m1, m2) in enumerate(
+                            zip(params, grad_w + grad_b, moment1, moment2)):
+                        m1 *= BETA1  # in place, in the textbook update's order
+                        m1 += (1 - BETA1) * grad
+                        m2 *= BETA2
+                        m2 += (1 - BETA2) * grad ** 2
+                        p -= self._lr * (m1 / correction1) / (
+                            np.sqrt(m2 / correction2) + ADAM_EPS
+                        )
+                        if i < n_weights:
+                            p *= decay  # decoupled decay, weights only
+            if not all(np.isfinite(m2).all() for m2 in moment2):
+                raise DivergenceError(
+                    f"non-finite Adam moment at epoch {epoch}", epoch=epoch)
             scores = net.logits(score_x).astype(np.float64)
             score = validation_score(
                 scores[:, 0] * self._y_std + self._y_mean if self.is_regression
@@ -236,7 +240,7 @@ class MLPMethod(Method):
                 epochs_since_best = 0
             else:
                 epochs_since_best += 1
-                if epochs_since_best >= patience:
+                if epochs_since_best >= self._patience:
                     break
         if best_params is not None:
             for p, best in zip(params, best_params):

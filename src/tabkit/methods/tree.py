@@ -51,7 +51,7 @@ import numpy as np
 
 from ..splits import MIN_GAIN, gini_gains, variance_gains
 from .base import Method, Prediction, positive_int
-from .classical import _softmax
+from .classical import _class_frequencies, _softmax
 
 # the samples of trees grown in lock-step take at most this many times the
 # training matrix's bytes
@@ -456,20 +456,14 @@ class RandomForestMethod(Method):
         self._n_trees = positive_int(cfg, "n_trees", 100)
         self._max_depth = positive_int(cfg, "max_depth", 16)
         self._min_leaf = positive_int(cfg, "min_samples_leaf", 1)
-        if cfg.get("max_features") is not None:
-            positive_int(cfg, "max_features", 1)
+        self._max_features = (None if cfg.get("max_features") is None
+                              else positive_int(cfg, "max_features", 1))
+        self._bootstrap = bool(cfg.get("bootstrap", True))
 
     def _fit(self, x_train, y_train, x_val, y_val):
-        cfg = self.config.model
         d = x_train.shape[1]
-        max_features = cfg.get("max_features")
-        if max_features is None:
-            max_features = (
-                max(1, math.ceil(d / 3.0))
-                if self.is_regression
-                else max(1, math.ceil(math.sqrt(d)))
-            )
-        bootstrap = bool(cfg.get("bootstrap", True))
+        max_features = self._max_features or max(1, math.ceil(
+            d / 3.0 if self.is_regression else math.sqrt(d)))
         xt = np.ascontiguousarray(x_train.T)
         ranks = _ranks(xt)
         rngs = [np.random.default_rng([self.config.seed, t])
@@ -478,10 +472,11 @@ class RandomForestMethod(Method):
         for group in _groups(rngs, *x_train.shape):
             self._trees += _Grower(
                 xt, ranks, y_train,
-                _samples(len(y_train), len(group), group if bootstrap else None),
+                _samples(len(y_train), len(group),
+                         group if self._bootstrap else None),
                 classification=not self.is_regression,
                 n_classes=self.class_count, max_depth=self._max_depth,
-                min_leaf=self._min_leaf, max_features=int(max_features),
+                min_leaf=self._min_leaf, max_features=max_features,
                 rngs=group,
             ).grow()
 
@@ -541,10 +536,9 @@ class GBDTMethod(Method):
             self._init = np.array([float(y_train.mean())])
             target = y_train[:, None]
         else:
-            priors = np.bincount(y_train, minlength=self.class_count) / n
+            priors = _class_frequencies(y_train, self.class_count)
             self._init = np.log(np.clip(priors, 1e-15, None))
-            target = np.zeros((n, self.class_count))
-            target[np.arange(n), y_train] = 1.0
+            target = np.eye(self.class_count)[y_train]
         scores = np.tile(self._init, (n, 1))
         self._trees = []
         for _ in range(self._n_trees):

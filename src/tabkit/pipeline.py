@@ -3,7 +3,8 @@
 The numerical block is imputed, normalized, and (optionally) replaced by a
 binned encoding; the categorical block is imputed and encoded under the
 chosen policy. Ordinal category indices are standard-scaled so that every
-downstream model sees comparably scaled inputs.
+downstream model sees comparably scaled inputs. A table with no numerical or
+no categorical column runs the same stages on a zero-width block.
 
 A fit or transform allocates one (rows x width) matrix, and every stage
 writes its block straight into it: the numeric block on the left, then the
@@ -128,19 +129,17 @@ def _fit_stages(cfg: PipelineConfig, seed: int, dataset: Dataset,
     num = dataset.part_num("train")
     cat = dataset.part_cat("train")
     labels = dataset.part_labels("train")
-    normalizer = num_encoder = cat_encoder = ordinal_scaler = None
 
     imputer = fit_imputer(
         num, cat, num_policy=cfg.num_nan_policy, cat_policy=cfg.cat_nan_policy
     )
     num, cat = imputer.transform(num, cat)
 
-    if num.shape[1]:
-        normalizer = fit_normalizer(num, cfg.normalization)
-        num = normalizer.transform(num)
-        num_encoder = fit_numeric_encoder(
-            num, cfg.num_policy, targets=labels, task=info.task, n_bins=cfg.n_bins
-        )
+    normalizer = fit_normalizer(num, cfg.normalization)
+    num = normalizer.transform(num)
+    num_encoder = fit_numeric_encoder(
+        num, cfg.num_policy, targets=labels, task=info.task, n_bins=cfg.n_bins
+    )
     num_width = num.shape[1] if num_encoder is None else num_encoder.width
     out = None
 
@@ -149,22 +148,20 @@ def _fit_stages(cfg: PipelineConfig, seed: int, dataset: Dataset,
         out = np.empty((len(labels), num_width + cat_width))
         return out[:, num_width:]
 
-    if cat.shape[1]:
-        cat_encoder, cat_block = fit_categorical_encoder(
-            cat,
-            cfg.cat_policy,
-            targets=labels,
-            task=info.task,
-            class_count=info.class_count,
-            seed=seed,
-            n_buckets=cfg.n_buckets,
-            allocate=allocate,
-        )
-        if cfg.cat_policy == "ordinal":
-            ordinal_scaler = fit_normalizer(cat_block, "standard")
-            ordinal_scaler.transform(cat_block, out=cat_block)
-    else:
-        allocate(0)
+    cat_encoder, cat_block = fit_categorical_encoder(
+        cat,
+        cfg.cat_policy,
+        targets=labels,
+        task=info.task,
+        class_count=info.class_count,
+        seed=seed,
+        n_buckets=cfg.n_buckets,
+        allocate=allocate,
+    )
+    ordinal_scaler = None
+    if cfg.cat_policy == "ordinal":
+        ordinal_scaler = fit_normalizer(cat_block, "standard")
+        ordinal_scaler.transform(cat_block, out=cat_block)
     if num_encoder is None:
         out[:, :num_width] = num
     else:
@@ -180,7 +177,8 @@ class FeaturePipeline:
         self.config = config or PipelineConfig()
         self.seed = seed
         # imputer, normalizer, numeric encoder, categorical encoder, ordinal
-        # scaler; a stage a fit does not use is None
+        # scaler; a stage is None only when its policy is off (num_policy
+        # "none", or a cat_policy other than "ordinal")
         self._stages: tuple = (None,) * 5
         self._key: bytes | None = None
         self._fitted_on = None  # weak reference to the dataset of the last fit
@@ -225,18 +223,15 @@ class FeaturePipeline:
          ordinal_scaler) = self._stages
         num, cat = imputer.transform(num, cat)
         num_width = num.shape[1] if num_encoder is None else num_encoder.width
-        cat_width = 0 if cat_encoder is None else cat_encoder.width
-        out = np.empty((num.shape[0], num_width + cat_width))
+        out = np.empty((num.shape[0], num_width + cat_encoder.width))
         left, right = out[:, :num_width], out[:, num_width:]
-        if normalizer is not None:
-            if num_encoder is None:
-                normalizer.transform(num, out=left)
-            else:
-                num_encoder.transform(normalizer.transform(num), out=left)
-        if cat_encoder is not None:
-            cat_encoder.transform(cat, out=right)
-            if ordinal_scaler is not None:
-                ordinal_scaler.transform(right, out=right)
+        if num_encoder is None:
+            normalizer.transform(num, out=left)
+        else:
+            num_encoder.transform(normalizer.transform(num), out=left)
+        cat_encoder.transform(cat, out=right)
+        if ordinal_scaler is not None:
+            ordinal_scaler.transform(right, out=right)
         return out
 
     def transform_part(self, dataset: Dataset, part: str) -> np.ndarray:

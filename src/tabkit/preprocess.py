@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ShapeError
+from .errors import FitError, check_width
 
 NUM_NAN_POLICIES = ("mean", "median")
 CAT_NAN_POLICIES = ("most_frequent", "constant")
@@ -58,16 +58,9 @@ class FittedImputer:
     cat_fill: tuple[str, ...]
 
     def transform(self, num: np.ndarray, cat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if num.shape[1] != len(self.num_fill):
-            raise ShapeError(
-                f"imputer was fitted on {len(self.num_fill)} numerical columns, "
-                f"got {num.shape[1]}"
-            )
-        if cat.shape[1] != len(self.cat_fill):
-            raise ShapeError(
-                f"imputer was fitted on {len(self.cat_fill)} categorical columns, "
-                f"got {cat.shape[1]}"
-            )
+        check_width("imputer", len(self.num_fill), num.shape[1], "numerical columns")
+        check_width("imputer", len(self.cat_fill), cat.shape[1],
+                    "categorical columns")
         num_out = np.where(np.isnan(num), self.num_fill, num)
         cat_out = cat.copy()
         for j, fill in enumerate(self.cat_fill):
@@ -244,11 +237,7 @@ class FittedNormalizer:
     def transform(self, num: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The normalized columns, written into ``out`` (an array or view of
         ``num``'s shape, ``num`` itself included) when given."""
-        if num.shape[1] != self.n_columns:
-            raise ShapeError(
-                f"normalizer was fitted on {self.n_columns} columns, "
-                f"got {num.shape[1]}"
-            )
+        check_width("normalizer", self.n_columns, num.shape[1])
         if out is None:
             out = np.empty(num.shape)
         if self.kind == "quantile":

@@ -319,7 +319,7 @@ class TestColumnEncoder:
     def test_transform_shape_mismatch(self):
         cat = np.array([["a", "x"]], dtype=object)
         encoder, _ = fit_categorical_encoder(cat, "ordinal")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^encoder was fitted on 2 columns, got 1$"):
             encoder.transform(np.array([["a"]], dtype=object))
 
     def test_unknown_policy_rejected(self):

@@ -366,7 +366,7 @@ class TestNumericEncoder:
     def test_transform_shape_mismatch(self):
         rng = np.random.default_rng(14)
         enc = fit_numeric_encoder(rng.normal(size=(50, 2)), "Q_bins", n_bins=4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^encoder was fitted on 2 columns, got 3$"):
             enc.transform(rng.normal(size=(5, 3)))
 
     def test_collapsed_feature_shrinks_its_width(self):

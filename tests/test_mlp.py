@@ -173,6 +173,20 @@ class TestMLPMethod:
         assert "epoch" in str(err.value)
         assert err.value.epoch >= 0
 
+    @pytest.mark.parametrize("cell", [1e12, 1e15, 1e18])
+    def test_overflowed_adam_moment_raises(self, cell):
+        # robust scaling leaves the cell huge: its gradients square past the
+        # float32 range in Adam's second moment while the loss stays finite
+        dataset, info = make_regression(n_rows=200, seed=0)
+        num = dataset.num.copy()
+        num[dataset.split["train"][0], 0] = cell
+        dataset.num = num
+        config = MethodConfig(model={"d_layers": [16]}, training={"max_epoch": 20},
+                              pipeline=PipelineConfig(normalization="robust"))
+        with pytest.raises(DivergenceError, match="Adam moment at epoch") as err:
+            MLPMethod(config, info).fit(dataset, info)
+        assert err.value.epoch == 0
+
     def test_early_stop_restores_best(self):
         dataset, info = make_classification(seed=12, n_rows=200)
         method = fit_mlp(dataset, info, model=SMALL,

@@ -85,8 +85,12 @@ class TestImputer:
 
     def test_transform_shape_mismatch(self):
         imp = fit_imputer(_col([1, 2, 3]), NO_CAT)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^imputer was fitted on 1 "
+                           "numerical columns, got 2$"):
             imp.transform(np.zeros((2, 2)), np.empty((2, 0), dtype=object))
+        with pytest.raises(ShapeError, match="^imputer was fitted on 0 "
+                           "categorical columns, got 1$"):
+            imp.transform(np.zeros((2, 1)), np.full((2, 1), "a", dtype=object))
 
     def test_rejects_unknown_policies(self):
         with pytest.raises(ValueError):
@@ -279,7 +283,8 @@ class TestNormalizers:
 
     def test_transform_shape_mismatch(self):
         norm = fit_normalizer(np.zeros((4, 2)), "standard")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError,
+                           match="^normalizer was fitted on 2 columns, got 3$"):
             norm.transform(np.zeros((4, 3)))
 
     def test_rejects_unknown_kind(self):
