@@ -203,17 +203,19 @@ def encode_ple(edges: BinEdges, x) -> np.ndarray:
 
     Component t is the position of x within bin t, clipped to [0, 1] except
     that the first component is not clipped below nor the last above, so
-    out-of-range inputs extrapolate linearly.
+    out-of-range inputs extrapolate linearly, saturating at ±float64 max.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     _check_finite(arr)
     bounds = edges.edges
-    raw = (arr[:, None] - bounds[:-1]) / np.diff(bounds)
+    with np.errstate(over="ignore"):
+        raw = (arr[:, None] - bounds[:-1]) / np.diff(bounds)
+    limit = np.finfo(np.float64).max
     if edges.n_bins == 1:
-        return raw
+        return np.clip(raw, -limit, limit, out=raw)
     out = np.clip(raw, 0.0, 1.0)
-    out[:, 0] = np.minimum(raw[:, 0], 1.0)
-    out[:, -1] = np.maximum(raw[:, -1], 0.0)
+    out[:, 0] = np.clip(raw[:, 0], -limit, 1.0)
+    out[:, -1] = np.clip(raw[:, -1], 0.0, limit)
     return out
 
 

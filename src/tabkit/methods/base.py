@@ -41,6 +41,18 @@ def positive_int(cfg: dict, key: str, default: int) -> int:
     return value
 
 
+def bounded_float(cfg: dict, key: str, default: float, *, positive=False,
+                  below=float("inf")) -> float:
+    """``cfg[key]`` (or ``default``) as a float; ConfigError unless it is
+    finite and in [0, below), or in (0, below) when ``positive``."""
+    value = float(cfg.get(key, default))
+    # nan fails every comparison, and inf is never below ``below``
+    if not ((value > 0 if positive else value >= 0) and value < below):
+        low = "(0" if positive else "[0"
+        raise ConfigError(f"{key} must be in {low}, {below:g}), got {value}")
+    return value
+
+
 def scale_targets(*arrays) -> tuple:
     """``(e, *arrays)``: the ``splits.target_exponent`` of the arrays, and
     each array times 2^-e, whose squares and those of their differences

@@ -7,7 +7,7 @@ import numpy as np
 from ..data import TaskType
 from ..errors import ConfigError, FitError
 from ..pipeline import _Memo, _array_digest, _read_only
-from .base import Method, Prediction, positive_int
+from .base import Method, Prediction, bounded_float, positive_int
 
 CLASSIFICATION_TASKS = (TaskType.BINCLASS, TaskType.MULTICLASS)
 
@@ -428,9 +428,7 @@ class _GradientDescentClassifier(Method):
     DEFAULT_L2 = 1e-4
 
     def _check_config(self):
-        self._l2 = float(self.config.model.get("l2", self.DEFAULT_L2))
-        if self._l2 < 0:
-            raise ConfigError(f"l2 must be >= 0, got {self._l2}")
+        self._l2 = bounded_float(self.config.model, "l2", self.DEFAULT_L2)
 
     def _fit(self, x_train, y_train, x_val, y_val):
         l2 = self._l2

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DivergenceError
-from .base import Method, Prediction, positive_int, validation_score
+from .base import Method, Prediction, bounded_float, positive_int, validation_score
 from .classical import _softmax
 
 BETA1 = 0.9
@@ -156,10 +156,9 @@ class MLPMethod(Method):
     def _check_config(self):
         model_cfg, train_cfg = self.config.model, self.config.training
         self._d_layers = list(model_cfg.get("d_layers", DEFAULT_D_LAYERS))
-        self._dropout = float(model_cfg.get("dropout", DEFAULT_DROPOUT))
-        _check_dropout(self._dropout)
-        self._lr = float(train_cfg.get("lr", DEFAULT_LR))
-        self._weight_decay = float(train_cfg.get("weight_decay", DEFAULT_WEIGHT_DECAY))
+        self._dropout = bounded_float(model_cfg, "dropout", DEFAULT_DROPOUT, below=1.0)
+        self._lr = bounded_float(train_cfg, "lr", DEFAULT_LR, positive=True)
+        self._weight_decay = bounded_float(train_cfg, "weight_decay", DEFAULT_WEIGHT_DECAY)
         self._patience = int(train_cfg.get("patience", DEFAULT_PATIENCE))
         self._max_epoch = positive_int(train_cfg, "max_epoch", DEFAULT_MAX_EPOCH)
         self._batch_size = positive_int(train_cfg, "batch_size", DEFAULT_BATCH_SIZE)

@@ -46,11 +46,12 @@ from the leaf each row reached while growing, where prediction sends it too.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from ..splits import MIN_GAIN, gini_gains, variance_gains
-from .base import Method, Prediction, positive_int
+from .base import Method, Prediction, bounded_float, positive_int
 from .classical import _class_frequencies, _softmax
 
 # the samples of trees grown in lock-step take at most this many times the
@@ -61,22 +62,21 @@ _GROUP_TABLES = 2
 _KERNEL_CELLS = 2 ** 13
 
 
-class _Tree:
+class _Tree(NamedTuple):
     """Flat-array decision tree; feature[i] == -1 marks a leaf."""
 
-    def __init__(self, feature, threshold, left, right, value):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.value = value
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
     def state(self) -> tuple:
-        return (self.feature, self.threshold, self.left, self.right, self.value)
+        return tuple(self)
 
     def predict_values(self, x: np.ndarray) -> np.ndarray:
         node = np.zeros(x.shape[0], dtype=np.int64)
@@ -141,25 +141,26 @@ class _Grower:
     ``xt`` is the training matrix transposed (features x rows) and ``ranks``
     its :func:`_ranks`; ``y`` holds one target row shared by every tree or
     one row per tree; ``samples`` is (trees, sample size), each tree's row
-    ids in sample order, and is partitioned in place. With ``max_features``
-    below the feature count, ``rngs`` (one generator per tree) draw each
-    node's feature subset.
+    ids in sample order, and is partitioned in place. ``n_classes`` is 0 for
+    regression. With ``max_features`` below the feature count, ``rngs`` (one
+    generator per tree) draw each node's feature subset.
     """
 
-    def __init__(self, xt, ranks, y, samples, *, classification, n_classes,
-                 max_depth, min_leaf, max_features=None, rngs=None):
+    def __init__(self, xt, ranks, y, samples, *, n_classes, max_depth,
+                 min_leaf, max_features=None, rngs=None):
         # n: rows in each tree's sample; n_rows: rows of the training matrix
         n_trees, self.n = samples.shape
         self.d, self.n_rows = xt.shape
         self.xt = np.ascontiguousarray(xt).ravel()
         self.ranks = ranks.ravel()
-        y = np.atleast_2d(y).astype(np.int32 if classification else np.float64)
+        self.classification = n_classes > 0
+        y = np.atleast_2d(y).astype(np.int32 if self.classification
+                                    else np.float64)
         self.y = np.ascontiguousarray(y).ravel()
         self.y_offset = (np.arange(n_trees) if len(y) > 1
                          else np.zeros(n_trees, dtype=np.intp)) * self.n_rows
         self.samples = samples
         self.flat = samples.reshape(-1)
-        self.classification = classification
         self.n_classes = n_classes
         self.max_depth = max_depth
         self.min_leaf = min_leaf
@@ -170,30 +171,22 @@ class _Grower:
         # root's work or _KERNEL_CELLS, whichever is larger, and no other
         # per-step pass more rows
         self.block = max(self.n * max(self.k, 1), _KERNEL_CELLS)
-        # node records in the order grown: tree, lo, size, split feature (-1
-        # for a leaf); then threshold and value
-        cap = 16 * n_trees
-        self._nodes = np.empty((cap, 4), dtype=np.int32)
-        self._threshold = np.empty(cap)
-        self._value = np.empty((cap, n_classes if classification else 1))
 
     # ---- growth -----------------------------------------------------------
     def grow(self) -> list[_Tree]:
         n_trees = len(self.samples)
-        # one level per step, one row per node in the first three record
-        # columns, by tree and then left to right
+        # one level per step, one row per node (tree, lo, size), by tree and
+        # then left to right
         step = np.zeros((n_trees, 3), dtype=np.intp)
         step[:, 0] = np.arange(n_trees)
         step[:, 2] = self.n
-        done = depth = 0
+        levels, depth = [], 0
         while len(step):
             t, lo, size = step.T
-            end = done + len(step)
-            self._reserve(end)
-            self._nodes[done:end, :3] = step
-            self._value[done:end] = self._values(t, lo, size)
-            feature, threshold = self._nodes[done:end, 3], self._threshold[done:end]
-            feature[:], threshold[:] = -1, 0.0
+            # a leaf keeps split feature -1 and threshold 0
+            feature = np.full(len(step), -1, dtype=np.int64)
+            threshold = np.zeros(len(step))
+            levels.append((step, feature, threshold, self._values(t, lo, size)))
             cand = np.flatnonzero((depth < self.max_depth)
                                   & (size >= 2 * self.min_leaf) & (self.d > 0))
             f, thr, n_left, ok = self._best_splits(t[cand], lo[cand], size[cand])
@@ -205,35 +198,24 @@ class _Grower:
             step[0::2, 2] = n_left
             step[1::2, 1] += n_left
             step[1::2, 2] -= n_left
-            done, depth = end, depth + 1
-        return self._assemble(done)
+            depth += 1
+        return self._assemble(levels)
 
-    def _reserve(self, count: int):
-        """Grow the record arrays, doubling, to hold ``count`` nodes."""
-        if count <= len(self._nodes):
-            return
-        cap = max(count, 2 * len(self._nodes))
-        for name in ("_nodes", "_threshold", "_value"):
-            old = getattr(self, name)
-            new = np.empty((cap, *old.shape[1:]), dtype=old.dtype)
-            new[:len(old)] = old
-            setattr(self, name, new)
-
-    def _assemble(self, total: int) -> list[_Tree]:
-        """Scatter the records into tree-major arrays, each tree's nodes in
-        the order grown: level by level, left to right."""
-        tree, lo, size, feature = self._nodes[:total].T
+    def _assemble(self, levels: list) -> list[_Tree]:
+        """Scatter the per-level records (step, feature, threshold, value)
+        into tree-major arrays, each tree's nodes in the order grown: level by
+        level, left to right. Empties ``levels``."""
+        step, feature, threshold, value = (np.concatenate(column)
+                                           for column in zip(*levels))
+        levels.clear()
+        tree, lo, size = step.T
         leaf = feature < 0
-        self._leaves = (tree[leaf], lo[leaf], size[leaf],
-                        self._value[:total][leaf, 0])
+        self._leaves = (tree[leaf], lo[leaf], size[leaf], value[leaf, 0])
         count = np.bincount(tree, minlength=len(self.samples))
         start = np.cumsum(count) - count
         order = np.argsort(tree, kind="stable")
-        feat = feature[order].astype(np.int64)
-        thr = self._threshold[order]
-        val = self._value[order]
-        del self._nodes, self._threshold, self._value, tree, lo, size, feature
-        del leaf, order
+        feat, thr, val = feature[order], threshold[order], value[order]
+        del step, tree, lo, size, feature, threshold, value, leaf, order
         # children follow in their parents' order, so a tree's j-th split
         # node (from 0) has children 2j + 1 and 2j + 2
         split = feat >= 0
@@ -431,8 +413,8 @@ class CARTMethod(Method):
         xt = np.ascontiguousarray(x_train.T)
         self._tree = _Grower(
             xt, _ranks(xt), y_train, _samples(len(y_train), 1),
-            classification=not self.is_regression, n_classes=self.class_count,
-            max_depth=self._max_depth, min_leaf=self._min_leaf,
+            n_classes=self.class_count, max_depth=self._max_depth,
+            min_leaf=self._min_leaf,
         ).grow()[0]
 
     def _predict(self, x) -> Prediction:
@@ -474,7 +456,6 @@ class RandomForestMethod(Method):
                 xt, ranks, y_train,
                 _samples(len(y_train), len(group),
                          group if self._bootstrap else None),
-                classification=not self.is_regression,
                 n_classes=self.class_count, max_depth=self._max_depth,
                 min_leaf=self._min_leaf, max_features=max_features,
                 rngs=group,
@@ -512,7 +493,7 @@ class GBDTMethod(Method):
         self._n_trees = positive_int(cfg, "n_trees", 100)
         self._max_depth = positive_int(cfg, "max_depth", 3)
         self._min_leaf = positive_int(cfg, "min_samples_leaf", 1)
-        self._lr = float(cfg.get("learning_rate", 0.1))
+        self._lr = bounded_float(cfg, "learning_rate", 0.1)
 
     def _fit(self, x_train, y_train, x_val, y_val):
         n, d = x_train.shape
@@ -523,8 +504,7 @@ class GBDTMethod(Method):
             trees, values = [], []
             for group in _groups(residuals, n, d):
                 grower = _Grower(
-                    xt, ranks, group, _samples(n, len(group)),
-                    classification=False, n_classes=0,
+                    xt, ranks, group, _samples(n, len(group)), n_classes=0,
                     max_depth=self._max_depth, min_leaf=self._min_leaf,
                 )
                 trees += grower.grow()
@@ -547,15 +527,11 @@ class GBDTMethod(Method):
             self._trees.append(stage)
             scores += self._lr * values.T
 
-    def _raw_scores(self, x) -> np.ndarray:
+    def _predict(self, x) -> Prediction:
         scores = np.tile(self._init, (x.shape[0], 1))
         for stage in self._trees:
             for c, tree in enumerate(stage):
                 scores[:, c] += self._lr * tree.predict_values(x)[:, 0]
-        return scores
-
-    def _predict(self, x) -> Prediction:
-        scores = self._raw_scores(x)
         if self.is_regression:
             return Prediction.regression(scores[:, 0])
         return self._classify(_softmax(scores))

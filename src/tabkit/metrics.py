@@ -143,8 +143,8 @@ def _regression_metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
 def compute_metrics(prediction: Prediction, truth, task: TaskType) -> MetricSet:
     """Score a prediction against the true labels.
 
-    Raises MetricError when a probability row is non-finite or off by more
-    than 1e-6 from summing to 1.
+    Raises MetricError when a regression value or a probability is not
+    finite, or a probability row is off by more than 1e-6 from summing to 1.
     """
     truth = np.asarray(truth)
     if len(prediction.values) != len(truth):
@@ -152,6 +152,8 @@ def compute_metrics(prediction: Prediction, truth, task: TaskType) -> MetricSet:
             f"{len(prediction.values)} predictions for {len(truth)} labels"
         )
     if not task.is_classification:
+        if not np.isfinite(prediction.values).all():
+            raise MetricError("predictions contain non-finite values")
         return MetricSet(_regression_metrics(prediction.values, truth))
 
     probs = prediction.probabilities

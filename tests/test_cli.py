@@ -6,8 +6,9 @@ import pytest
 
 import tabkit.methods.base as method_base
 from tabkit.cli import get_args, main
-from tabkit.data import save_dataset
+from tabkit.data import DatasetInfo, TaskType, save_dataset
 from tabkit.errors import FitError
+from tabkit.methods import MethodConfig, get_method, registered_methods
 from tabkit.methods.classical import KNNMethod
 
 from conftest import make_classification, make_regression
@@ -35,6 +36,25 @@ class TestGetArgs:
         assert space.name == "mlp"
         assert args.max_epoch is None
         assert args.tune is False
+
+    @pytest.mark.parametrize("name", registered_methods())
+    def test_packaged_defaults_equal_built_in_defaults(self, name):
+        # configs/default/<name>.json and the method's own defaults are two
+        # copies of each default: a method built from either parses alike
+        _, _, default_config, _ = get_args(
+            ["classical", "--model_type", name, "--dataset", "demo"])
+        cls = get_method(name)
+        task = cls.task_types[0]
+        info = DatasetInfo(task=task, n_num_features=3, n_cat_features=0,
+                           class_count=None if task is TaskType.REGRESSION
+                           else 3)
+
+        def parsed(config):
+            method = cls(config, info)
+            return {key: value for key, value in vars(method).items()
+                    if key not in ("config", "pipeline")}
+
+        assert parsed(MethodConfig(**default_config)) == parsed(MethodConfig())
 
     def test_flag_overrides_survive(self):
         command, args, _, _ = get_args(

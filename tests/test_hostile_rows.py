@@ -20,14 +20,15 @@ from hypothesis import strategies as st
 
 from tabkit.data import DatasetInfo, TaskType
 from tabkit.encode_cat import CAT_POLICIES
+from tabkit.encode_num import NUM_POLICIES
 from tabkit.errors import FitError
 from tabkit.methods import MethodConfig, get_method, registered_methods
 from tabkit.methods.classical import _softmax
 from tabkit.metrics import compute_metrics
-from tabkit.pipeline import PipelineConfig
+from tabkit.pipeline import FeaturePipeline, PipelineConfig
 from tabkit.preprocess import NORMALIZATIONS
 
-from conftest import dataset_from_arrays, make_regression
+from conftest import dataset_from_arrays, make_classification, make_regression
 
 CLASSIFIERS = ("naive_bayes", "ncm")
 # methods that take classification tasks only, regression only, or either
@@ -63,7 +64,8 @@ def hostile_queries(draw):
     model = {"n_neighbors": draw(st.integers(1, 4))} if name == "knn" else {}
     config = MethodConfig(model=model, pipeline=PipelineConfig(
         normalization=draw(st.sampled_from(NORMALIZATIONS)),
-        cat_policy=draw(st.sampled_from(CAT_POLICIES))))
+        cat_policy=draw(st.sampled_from(CAT_POLICIES)),
+        num_policy=draw(st.sampled_from(NUM_POLICIES))))
     n_query = draw(st.integers(1, 6))
     # listed twice: rows with several huge cells are the ones that overflow
     cells = st.sampled_from([1e308, -1e308, 1e308, -1e308, np.nan, 0.5])
@@ -187,6 +189,22 @@ def test_means_of_targets_near_the_float_maximum_are_finite(name):
                               dataset.part_labels("test"), info.task)
     assert set(metrics.values) == {"mae", "rmse", "r2"}
     assert np.isfinite(list(metrics.values.values())).all()
+
+
+@pytest.mark.parametrize("num_policy", ["Q_PLE", "T_PLE"])
+@pytest.mark.parametrize("normalization", NORMALIZATIONS)
+def test_ple_of_an_extreme_row_saturates(normalization, num_policy):
+    # the first and last PLE components extrapolate past the edges; at these
+    # cells they would pass the float range, and saturate instead (pytest
+    # turns an overflow RuntimeWarning into an error)
+    dataset, info = make_classification(n_rows=300, n_num=3, n_cat=3,
+                                        n_classes=3, seed=0)
+    pipeline = FeaturePipeline(PipelineConfig(
+        normalization=normalization, num_policy=num_policy))
+    pipeline.fit_transform_train(dataset, info)
+    out = pipeline.transform(np.array([[1e300, -1e300, 1e308]]),
+                             dataset.cat[:1])
+    assert np.isfinite(out).all()
 
 
 def test_a_standard_scaled_extreme_cell_is_an_infinite_distance():

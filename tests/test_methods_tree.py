@@ -30,12 +30,12 @@ def empty_cat(n):
     return np.empty((n, 0), dtype=object)
 
 
-def grow_tree(x, y, *, classification, n_classes, max_depth, min_leaf):
+def grow_tree(x, y, *, n_classes, max_depth, min_leaf):
     """One tree grown by the engine on every row of ``x``."""
     xt = np.ascontiguousarray(x.T)
     return _Grower(
-        xt, _ranks(xt), y, _samples(len(y), 1), classification=classification,
-        n_classes=n_classes, max_depth=max_depth, min_leaf=min_leaf,
+        xt, _ranks(xt), y, _samples(len(y), 1), n_classes=n_classes,
+        max_depth=max_depth, min_leaf=min_leaf,
     ).grow()[0]
 
 
@@ -44,7 +44,7 @@ class TestTreeBuilder:
         x = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
         tree = grow_tree(
-            x, y, classification=True, n_classes=2, max_depth=2, min_leaf=1
+            x, y, n_classes=2, max_depth=2, min_leaf=1
         )
         assert tree.n_nodes == 3
         values = tree.predict_values(x)
@@ -55,7 +55,7 @@ class TestTreeBuilder:
         x = np.array([[-1.0, -5.0], [-2.0, -6.0], [1.0, 5.0], [2.0, 6.0]])
         y = np.array([0, 0, 1, 1])
         tree = grow_tree(
-            x, y, classification=True, n_classes=2, max_depth=1, min_leaf=1
+            x, y, n_classes=2, max_depth=1, min_leaf=1
         )
         assert tree.feature[0] == 0
 
@@ -63,7 +63,7 @@ class TestTreeBuilder:
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0.0, 0.0, 8.0, 8.0])
         tree = grow_tree(
-            x, y, classification=False, n_classes=0, max_depth=1, min_leaf=1
+            x, y, n_classes=0, max_depth=1, min_leaf=1
         )
         assert tree.threshold[0] == 5.5
 
@@ -72,7 +72,7 @@ class TestTreeBuilder:
         x = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         tree = grow_tree(
-            x, y, classification=False, n_classes=0, max_depth=8, min_leaf=5
+            x, y, n_classes=0, max_depth=8, min_leaf=5
         )
         leaf_ids = np.flatnonzero(tree.feature == -1)
         counts = {int(i): 0 for i in leaf_ids}

@@ -245,6 +245,14 @@ class TestValidation:
         with pytest.raises(MetricError):
             compute_metrics(pred, np.array([0]), TaskType.BINCLASS)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_regression_values_raise(self, bad):
+        pred = Prediction.regression(np.array([1.0, bad, 2.0]))
+        with pytest.raises(MetricError,
+                           match="predictions contain non-finite values"):
+            compute_metrics(pred, np.array([1.0, 2.0, 3.0]),
+                            TaskType.REGRESSION)
+
     def test_tiny_row_deviation_tolerated(self):
         pred = Prediction(
             task=TaskType.BINCLASS,

@@ -88,6 +88,27 @@ class TestRunSeeds:
         _, n_failed = summarize_records(records)
         assert n_failed == 1
 
+    def test_non_finite_regression_predictions_fail_the_seed(self, monkeypatch):
+        class NanRegressor(Method):
+            def _fit(self, x_train, y_train, x_val, y_val):
+                pass
+
+            def _predict(self, x):
+                return Prediction.regression(np.full(len(x), np.nan))
+
+            def _state(self):
+                return ()
+
+            def model_size(self):
+                return 1
+
+        monkeypatch.setitem(methods_registry._REGISTRY, "nan", NanRegressor)
+        dataset, info = make_regression(n_rows=150, seed=0)
+        records = run_seeds("nan", dataset, info, seed_num=2)
+        assert [r.ok for r in records] == [False, False]
+        assert all(r.error == "predictions contain non-finite values"
+                   for r in records)
+
     def test_bad_hyperparameter_is_recorded_per_seed(self):
         dataset, info = make_classification(seed=5)
         records = run_seeds("random_forest", dataset, info, seed_num=2,

@@ -4,7 +4,8 @@ A table with no val rows sends an empty val part through the pipeline, and
 one with no numerical or no categorical column runs every stage on a
 zero-width block. So a method fits and predicts them with no special case,
 and a zero-width block leaves the other block exactly as the full table
-encodes it. A malformed hyperparameter fails when its method is built.
+encodes it. A malformed or out-of-range hyperparameter fails when its method
+is built.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import pytest
 
 from tabkit.data import Dataset, DatasetInfo, TaskType
 from tabkit.encode_cat import CAT_POLICIES
+from tabkit.errors import ConfigError
 from tabkit.methods import MethodConfig, get_method, registered_methods
 from tabkit.pipeline import FeaturePipeline, PipelineConfig
 from tabkit.preprocess import NORMALIZATIONS
@@ -122,3 +124,19 @@ def test_malformed_hyperparameters_fail_at_construction(name, model, training):
     _, info = table(TaskType.MULTICLASS)
     with pytest.raises((TypeError, ValueError)):
         get_method(name)(MethodConfig(model=model, training=training), info)
+
+
+@pytest.mark.parametrize("name,group,key,value", [
+    # 0.0 is legal for gbdt: it keeps the initial (prior) scores
+    *[("gbdt", "model", "learning_rate", v)
+      for v in (np.nan, np.inf, -np.inf, -1.0)],
+    *[("mlp", "training", "lr", v) for v in (np.nan, np.inf, -1.0, 0.0)],
+    *[("mlp", "training", "weight_decay", v) for v in (np.nan, np.inf, -1e-9)],
+    *[(name, "model", "l2", v) for name in ("logreg", "svm")
+      for v in (np.nan, np.inf)],
+])
+def test_out_of_range_float_hyperparameters_fail_at_construction(name, group,
+                                                                 key, value):
+    _, info = table(TaskType.MULTICLASS)
+    with pytest.raises(ConfigError, match=f"{key} must be in"):
+        get_method(name)(MethodConfig(**{group: {key: value}}), info)

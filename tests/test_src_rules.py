@@ -1,4 +1,4 @@
-"""Two rules that ``src/tabkit`` keeps by having one place for each:
+"""Three rules that ``src/tabkit`` keeps by having one place for each:
 
 - A method parses its hyperparameters once, in ``_check_config``: no ``_fit``
   or ``_predict`` under ``methods/`` reads ``self.config`` for anything but
@@ -6,6 +6,9 @@
   (and aliases of ``self.config``) are out.
 - Every fitted-width check raises through ``errors.check_width``: no other
   ``ShapeError(...)`` call builds a "was fitted on" message.
+- Every float hyperparameter is parsed, and range-checked, by
+  ``methods.base.bounded_float``: no other ``float(...)`` under ``methods/``
+  wraps a ``.get(...)``.
 """
 
 import ast
@@ -33,23 +36,37 @@ def config_reads(source: str) -> list[str]:
     return found
 
 
-def fitted_on_shape_errors(source: str, allowed: str | None = None) -> list[int]:
-    """Lines of the ``ShapeError(...)`` calls whose string parts say "was
-    fitted on", outside the function named ``allowed``."""
+def _calls(source: str, allowed: str | None):
+    """(name, call) of each call outside the function named ``allowed``;
+    the name is the called function's or attribute's."""
     tree = ast.parse(source)
     skip = {id(node) for fn in ast.walk(tree)
             if isinstance(fn, ast.FunctionDef) and fn.name == allowed
             for node in ast.walk(fn)}
+    return [(getattr(call.func, "id", getattr(call.func, "attr", None)), call)
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and id(call) not in skip]
+
+
+def fitted_on_shape_errors(source: str, allowed: str | None = None) -> list[int]:
+    """Lines of the ``ShapeError(...)`` calls whose string parts say "was
+    fitted on", outside the function named ``allowed``."""
     lines = []
-    for call in ast.walk(tree):
-        if not isinstance(call, ast.Call) or id(call) in skip:
-            continue
-        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    for name, call in _calls(source, allowed):
         text = "".join(part.value for arg in call.args for part in ast.walk(arg)
                        if isinstance(part, ast.Constant) and isinstance(part.value, str))
         if name == "ShapeError" and "was fitted on" in text:
             lines.append(call.lineno)
     return lines
+
+
+def bare_float_gets(source: str, allowed: str | None = None) -> list[int]:
+    """Lines of the ``float(...)`` calls with a ``.get(...)`` call inside,
+    outside the function named ``allowed``."""
+    return [call.lineno for name, call in _calls(source, allowed)
+            if name == "float" and isinstance(call.func, ast.Name)
+            and any(isinstance(part, ast.Call) and getattr(part.func, "attr", None) == "get"
+                    for arg in call.args for part in ast.walk(arg))]
 
 
 def test_fit_and_predict_read_no_hyperparameters():
@@ -67,6 +84,16 @@ def test_only_check_width_says_was_fitted_on():
     assert found == {}
     # the rule's one message is where the rule says it is
     assert fitted_on_shape_errors((SRC / "errors.py").read_text()) != []
+
+
+def test_float_hyperparameters_are_parsed_by_bounded_float():
+    found = {}
+    for path in sorted((SRC / "methods").glob("*.py")):
+        allowed = "bounded_float" if path.name == "base.py" else None
+        if lines := bare_float_gets(path.read_text(), allowed):
+            found[path.name] = lines
+    assert found == {}
+    assert bare_float_gets((SRC / "methods" / "base.py").read_text()) != []
 
 
 def test_config_reads_are_found():
@@ -95,3 +122,18 @@ def test_fitted_on_messages_are_found():
         "    raise ShapeError('feature and target lengths differ')\n")
     assert fitted_on_shape_errors(source, "check_width") == [4]
     assert fitted_on_shape_errors(source) == [2, 4]
+
+
+def test_bare_float_gets_are_found():
+    source = (
+        "def bounded_float(cfg, key, default):\n"
+        "    return float(cfg.get(key, default))\n"
+        "class M:\n"
+        "    def _check_config(self):\n"
+        "        self._lr = float(self.config.training.get('lr', 0.1))\n"
+        "        self._p = float(\n"
+        "            str(cfg.get('p')))\n"
+        "        self._mean = float(y.mean())\n"
+        "        self._d = np.float64(cfg.get('d'))\n")
+    assert bare_float_gets(source, "bounded_float") == [5, 6]
+    assert bare_float_gets(source) == [2, 5, 6]

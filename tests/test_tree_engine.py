@@ -166,8 +166,8 @@ def test_feature_subsets_are_sorted_distinct_ids(dk, nodes, seed):
     xt = np.zeros((d, 2))
     rngs = [np.random.default_rng([seed, t]) for t in range(len(nodes))]
     grower = _Grower(xt, _ranks(xt), np.zeros(2), _samples(2, len(nodes)),
-                     classification=False, n_classes=0, max_depth=1,
-                     min_leaf=1, max_features=k, rngs=rngs)
+                     n_classes=0, max_depth=1, min_leaf=1, max_features=k,
+                     rngs=rngs)
     t = np.repeat(np.arange(len(nodes)), nodes)
     subsets = grower._subsets(t)
     assert subsets.shape == (len(t), k)

@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tabkit.methods as methods_registry
+from tabkit.data import DatasetInfo, TaskType
 from tabkit.errors import SpaceError, TuningError
+from tabkit.methods import MethodConfig
 from tabkit.methods.classical import DummyMethod
 from tabkit.tune import (
     Bounded,
@@ -296,6 +298,20 @@ def test_packaged_space_draws_lie_in_space(name):
     for seed in range(3):
         for trial in range(1, 30):
             assert in_space(space.groups, sample_trial(space, [seed, trial]))
+
+
+@pytest.mark.parametrize("name", PACKAGED_SPACES)
+def test_packaged_space_draws_build_their_method(name):
+    # every draw is in range for its method's parser, the "?" default (0.0
+    # for the MLP's weight_decay) included
+    space = packaged_space(name)
+    cls = methods_registry.get_method(name)
+    task = cls.task_types[0]
+    info = DatasetInfo(task=task, n_num_features=3, n_cat_features=0,
+                       class_count=None if task is TaskType.REGRESSION else 3)
+    for seed in range(3):
+        for trial in range(1, 30):
+            cls(MethodConfig(**sample_trial(space, [seed, trial])), info)
 
 
 PINNED_DRAWS = {
