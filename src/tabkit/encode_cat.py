@@ -118,16 +118,17 @@ _GATHER_FLOATS = 1 << 14
 
 def _side_by_side(out: np.ndarray, blocks) -> np.ndarray:
     """Write column blocks into ``out`` left to right, and return it. A block
-    is a (table, rows) pair: ``table[rows]`` for an index vector ``rows``,
+    is a (table, rows) pair: ``table[rows]`` for an index vector ``rows`` (a
+    categorical column's token rows, or a numeric column's bin indices),
     gathered a few rows at a time so that no whole copy is made, or the
-    table itself when ``rows`` is None."""
+    table itself when ``rows`` is None (a computed block, such as PLE's)."""
     start = 0
     for table, rows in blocks:
         view = out[:, start:start + table.shape[1]]
         if rows is None:
             view[...] = table
         else:
-            step = max(1, _GATHER_FLOATS // table.shape[1])
+            step = max(1, _GATHER_FLOATS // max(1, table.shape[1]))
             for lo in range(0, len(rows), step):
                 view[lo:lo + step] = table[rows[lo:lo + step]]
         start += table.shape[1]

@@ -3,7 +3,10 @@
 Bins come either from empirical quantiles or from the split thresholds of a
 single-feature decision tree grown against the labels. A fitted feature is
 then rendered as a bin index, a thermometer (unary) code, a Johnson
-shift-register code, or a piecewise-linear vector.
+shift-register code, or a piecewise-linear vector. The first three are rows of
+one per-bin table, so a value renders as value -> bin index -> table[index],
+the rule the categorical encoder applies to tokens; the piecewise-linear
+vector is computed from the value itself.
 
 The tree grows on the column sorted once: each leaf is a slice of that order,
 and a heap keyed by (-gain, push order) splits the best leaf next. A leaf
@@ -174,28 +177,19 @@ def encode_bin_index(edges: BinEdges, x) -> np.ndarray:
     return np.clip(idx, 0, edges.n_bins - 1).astype(np.int64)
 
 
-def encode_unary(edges: BinEdges, x) -> np.ndarray:
-    """Thermometer code of width B-1: bin k sets the first k bits."""
-    idx = encode_bin_index(edges, x)
-    width = edges.n_bins - 1
-    return (np.arange(width) < idx[:, None]).astype(np.float64)
-
-
-def _johnson_table(n_bins: int) -> np.ndarray:
-    width = (n_bins + 1) // 2
-    table = np.zeros((n_bins, width))
-    for state in range(n_bins):
-        if state <= width:
-            table[state, :state] = 1.0
-        else:
-            table[state, state - width:] = 1.0
-    return table
-
-
-def encode_johnson(edges: BinEdges, x) -> np.ndarray:
-    """Johnson shift-register code of width ceil(B/2); bin k is state k."""
-    idx = encode_bin_index(edges, x)
-    return _johnson_table(edges.n_bins)[idx]
+def _code_table(codec: str, n_bins: int) -> np.ndarray:
+    """The codec's (B, width) table, row k rendering bin k: the index k
+    itself; a thermometer code of width B-1 with the first k bits set; or
+    Johnson shift-register state k of width h = ceil(B/2), with bit t set
+    where k - h <= t < k."""
+    k = np.arange(n_bins)[:, None]
+    if codec == "bin_index":
+        return k.astype(np.float64)
+    if codec == "unary":
+        return (np.arange(n_bins - 1) < k).astype(np.float64)
+    half = (n_bins + 1) // 2
+    bit = np.arange(half)
+    return ((bit < k) != (bit < k - half)).astype(np.float64)
 
 
 def encode_ple(edges: BinEdges, x) -> np.ndarray:
@@ -219,14 +213,6 @@ def encode_ple(edges: BinEdges, x) -> np.ndarray:
     return out
 
 
-_ENCODERS = {
-    "bin_index": lambda edges, x: encode_bin_index(edges, x)[:, None].astype(np.float64),
-    "unary": encode_unary,
-    "johnson": encode_johnson,
-    "ple": encode_ple,
-}
-
-
 @dataclass(frozen=True)
 class NumericEncoder:
     """Fitted per-feature bins plus the codec used to render them."""
@@ -236,13 +222,9 @@ class NumericEncoder:
 
     @property
     def width(self) -> int:
-        widths = {
-            "bin_index": lambda b: 1,
-            "unary": lambda b: b - 1,
-            "johnson": lambda b: (b + 1) // 2,
-            "ple": lambda b: b,
-        }[self.codec]
-        return sum(widths(edges.n_bins) for edges in self.bins)
+        return sum(edges.n_bins if self.codec == "ple"
+                   else _code_table(self.codec, edges.n_bins).shape[1]
+                   for edges in self.bins)
 
     def transform(self, num: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Each column's code, side by side, written into ``out`` (an
@@ -251,7 +233,8 @@ class NumericEncoder:
         if out is None:
             out = np.empty((num.shape[0], self.width))
         return _side_by_side(out, (
-            (_ENCODERS[self.codec](edges, num[:, j]), None)
+            (encode_ple(edges, num[:, j]), None) if self.codec == "ple" else
+            (_code_table(self.codec, edges.n_bins), encode_bin_index(edges, num[:, j]))
             for j, edges in enumerate(self.bins)
         ))
 

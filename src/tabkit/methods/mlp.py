@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, DivergenceError
+from ..errors import DivergenceError
 from .base import Method, Prediction, bounded_float, positive_int, validation_score
 from .classical import _softmax
 
@@ -30,11 +30,6 @@ DEFAULT_WEIGHT_DECAY = 1e-5
 DEFAULT_MAX_EPOCH = 200
 DEFAULT_BATCH_SIZE = 256
 DEFAULT_PATIENCE = 20
-
-
-def _check_dropout(dropout: float):
-    if not 0.0 <= dropout < 1.0:
-        raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
 
 
 def _float32(x: np.ndarray) -> np.ndarray:
@@ -60,8 +55,7 @@ class MLPNetwork:
         rng: np.random.Generator,
         dtype=np.float64,
     ):
-        _check_dropout(dropout)
-        self.dropout = dropout
+        self.dropout = bounded_float({"dropout": dropout}, "dropout", 0.0, below=1.0)
         self.classification = classification
         self.dtype = np.dtype(dtype)
         dims = [d_in, *[int(w) for w in d_layers], d_out]

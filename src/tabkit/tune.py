@@ -32,8 +32,7 @@ import numpy as np
 from .data import Dataset, DatasetInfo
 from .errors import SpaceError, TuningError, describe_failure
 from .methods import MethodConfig, get_method
-from .methods.base import validation_score
-from .metrics import average_ranks
+from .metrics import average_ranks, compute_metrics
 from .pipeline import PipelineConfig
 
 __all__ = [
@@ -275,8 +274,10 @@ def tune_hyper_parameters(
 
     Trial 0 evaluates the base (default) configuration unchanged; trials
     1..n_trials-1 merge a sampled assignment onto it. Ties go to the earliest
-    trial. A trial that raises any exception is recorded with its error text;
-    TuningError (carrying the trial log) is raised if every trial failed.
+    trial. A trial that raises any exception, or whose validation prediction
+    fails ``compute_metrics`` as a seed's would (a value that is not finite),
+    is recorded with its error text; TuningError (carrying the trial log) is
+    raised if every trial failed.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -302,9 +303,11 @@ def tune_hyper_parameters(
         try:
             method = method_cls(config, info)
             method.fit(train_val, info)
-            score = validation_score(
-                method.predict_part(train_val, "val").values,
-                train_val.part_labels("val"), train_val.task.is_classification)
+            # scored as a seed is, so a non-finite prediction fails the trial
+            value, higher = compute_metrics(
+                method.predict_part(train_val, "val"),
+                train_val.part_labels("val"), train_val.task).primary()
+            score = value if higher else -value
             trials.append(TrialResult(trial=trial, assignment=assignment,
                                       score=score, seed=seed))
         except Exception as err:  # any failure is this trial's, not the search's

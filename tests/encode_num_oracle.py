@@ -1,10 +1,17 @@
-"""Reference target-aware binning: the per-leaf impurity scan that
-``tabkit.encode_num.compute_target_bins`` replaced.
+"""Reference numerical encoders: the per-codec functions that
+``tabkit.encode_num.NumericEncoder``'s table of bin codes replaced, and the
+per-leaf impurity scan that ``tabkit.encode_num.compute_target_bins`` replaced.
 
-Every leaf keeps copies of its sorted values and targets and scores its splits
-with its own prefix aggregates (pairwise totals, a one-hot count block per
-leaf), and the next leaf to split is found by a linear scan. It is slow but
-plainly correct.
+``CODECS`` maps each codec to a function of (edges, values) returning that
+column's block, built directly from its definition: the bin index as a
+float column, a thermometer code, a Johnson shift-register code looked up in
+a table filled state by state, and the library's piecewise-linear encoding,
+which the table rewrite left as it was.
+
+The target-aware binning reference keeps copies of each leaf's sorted values
+and targets and scores its splits with its own prefix aggregates (pairwise
+totals, a one-hot count block per leaf), and the next leaf to split is found
+by a linear scan. It is slow but plainly correct.
 
 The two versions add the same terms in different orders, so where two
 candidates have equal exact gain, rounding alone picks one, and it may pick
@@ -23,7 +30,41 @@ from tabkit.encode_num import (
     BinEdges,
     _degenerate_edges,
     compute_quantile_bins,
+    encode_bin_index,
+    encode_ple,
 )
+
+
+def encode_unary(edges: BinEdges, x) -> np.ndarray:
+    """Thermometer code of width B-1: bin k sets the first k bits."""
+    idx = encode_bin_index(edges, x)
+    width = edges.n_bins - 1
+    return (np.arange(width) < idx[:, None]).astype(np.float64)
+
+
+def _johnson_table(n_bins: int) -> np.ndarray:
+    width = (n_bins + 1) // 2
+    table = np.zeros((n_bins, width))
+    for state in range(n_bins):
+        if state <= width:
+            table[state, :state] = 1.0
+        else:
+            table[state, state - width:] = 1.0
+    return table
+
+
+def encode_johnson(edges: BinEdges, x) -> np.ndarray:
+    """Johnson shift-register code of width ceil(B/2); bin k is state k."""
+    idx = encode_bin_index(edges, x)
+    return _johnson_table(edges.n_bins)[idx]
+
+
+CODECS = {
+    "bin_index": lambda edges, x: encode_bin_index(edges, x)[:, None].astype(np.float64),
+    "unary": encode_unary,
+    "johnson": encode_johnson,
+    "ple": encode_ple,
+}
 
 
 def _node_impurity_parts(ys: np.ndarray, classification: bool):

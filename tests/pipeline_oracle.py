@@ -4,20 +4,22 @@ The byte-identity reference for ``tabkit.pipeline``: every stage builds its
 own block, the numeric and categorical blocks are joined with ``np.hstack``,
 and a categorical cell finds its table row through ``np.unique`` of the
 column's ``astype(str)`` tokens. The stages are fitted with the library's own
-per-column fitting functions, which the one-matrix assembly did not change.
+per-column fitting functions, which the one-matrix assembly did not change, and
+a numeric column is rendered by its reference codec in ``encode_num_oracle``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from encode_num_oracle import CODECS
 from tabkit.encode_cat import (
     CategoricalEncoder,
     _fit_column,
     _target_columns,
     fnv1a64,
 )
-from tabkit.encode_num import _ENCODERS, fit_numeric_encoder
+from tabkit.encode_num import fit_numeric_encoder
 from tabkit.preprocess import _FLOAT_MAX, _yeo_johnson, fit_imputer, fit_normalizer
 
 
@@ -42,7 +44,7 @@ def encode_cat(encoder: CategoricalEncoder, cat: np.ndarray) -> np.ndarray:
 def encode_num(encoder, num: np.ndarray) -> np.ndarray:
     if not encoder.bins:
         return np.empty((num.shape[0], 0))
-    return np.hstack([_ENCODERS[encoder.codec](edges, num[:, j])
+    return np.hstack([CODECS[encoder.codec](edges, num[:, j])
                       for j, edges in enumerate(encoder.bins)])
 
 

@@ -19,12 +19,7 @@ import tabkit.methods.base as method_base
 from tabkit.cli import main
 from tabkit.data import Dataset, TaskType, save_dataset
 from tabkit.encode_cat import fit_categorical_encoder
-from tabkit.encode_num import (
-    BinEdges,
-    encode_johnson,
-    encode_ple,
-    encode_unary,
-)
+from tabkit.encode_num import BinEdges, NumericEncoder, encode_ple
 from tabkit.methods import MethodConfig, get_method, registered_methods
 from tabkit.methods.mlp import MLPNetwork
 from tabkit.metrics import compute_metrics
@@ -50,14 +45,14 @@ def test_criterion_1_encoder_property_suite():
     for _ in range(50):
         edges = random_edges(rng, int(rng.integers(2, 12)))
         xs = np.sort(rng.uniform(edges.edges[0] - 5, edges.edges[-1] + 5, 40))
-        rows = encode_unary(edges, xs)
+        rows = NumericEncoder((edges,), "unary").transform(xs[:, None])
         assert (np.diff(rows, axis=0) >= 0).all()
 
     # Johnson codes: consecutive bins differ in exactly one bit, all distinct
     for n_bins in range(2, 65):
         edges = BinEdges(np.arange(n_bins + 1, dtype=np.float64))
         centers = np.arange(n_bins) + 0.5
-        rows = encode_johnson(edges, centers)
+        rows = NumericEncoder((edges,), "johnson").transform(centers[:, None])
         assert rows.shape == (n_bins, (n_bins + 1) // 2)
         hamming = np.abs(np.diff(rows, axis=0)).sum(axis=1)
         np.testing.assert_array_equal(hamming, np.ones(n_bins - 1))

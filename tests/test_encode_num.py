@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,16 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_classification, make_regression
-from encode_num_oracle import target_bins
+from encode_num_oracle import CODECS, target_bins
 from tabkit.data import TaskType
 from tabkit.encode_num import (
     BinEdges,
     compute_quantile_bins,
     compute_target_bins,
+    NumericEncoder,
     encode_bin_index,
-    encode_johnson,
     encode_ple,
-    encode_unary,
     fit_numeric_encoder,
     parse_num_policy,
 )
@@ -25,6 +25,12 @@ from tabkit.preprocess import NORMALIZATIONS, fit_normalizer
 
 def edges_of(*values):
     return BinEdges(np.array(values, dtype=float))
+
+
+def encode(codec, edges, x):
+    """The codec's block of the values x, through ``NumericEncoder``."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return NumericEncoder((edges,), codec).transform(xs[:, None])
 
 
 class TestQuantileBins:
@@ -270,35 +276,35 @@ class TestCodecs:
 
     def test_unary_examples(self):
         edges = edges_of(0, 1, 2, 3, 4)  # B = 4
-        np.testing.assert_array_equal(encode_unary(edges, 0.5)[0], [0, 0, 0])
-        np.testing.assert_array_equal(encode_unary(edges, 2.5)[0], [1, 1, 0])
-        np.testing.assert_array_equal(encode_unary(edges, 3.5)[0], [1, 1, 1])
+        np.testing.assert_array_equal(encode("unary", edges, 0.5)[0], [0, 0, 0])
+        np.testing.assert_array_equal(encode("unary", edges, 2.5)[0], [1, 1, 0])
+        np.testing.assert_array_equal(encode("unary", edges, 3.5)[0], [1, 1, 1])
 
     def test_unary_monotone_in_x(self):
         rng = np.random.default_rng(7)
         edges = compute_quantile_bins(rng.normal(size=100), 12)
         xs = np.sort(rng.normal(size=50))
-        codes = encode_unary(edges, xs)
+        codes = encode("unary", edges, xs)
         assert np.all(np.diff(codes, axis=0) >= 0)
 
     def test_johnson_examples(self):
         b4 = edges_of(0, 1, 2, 3, 4)
         np.testing.assert_array_equal(
-            encode_johnson(b4, [0.5, 1.5, 2.5, 3.5]),
+            encode("johnson", b4, [0.5, 1.5, 2.5, 3.5]),
             [[0, 0], [1, 0], [1, 1], [0, 1]],
         )
         b3 = edges_of(0, 1, 2, 3)
         np.testing.assert_array_equal(
-            encode_johnson(b3, [0.5, 1.5, 2.5]), [[0, 0], [1, 0], [1, 1]]
+            encode("johnson", b3, [0.5, 1.5, 2.5]), [[0, 0], [1, 0], [1, 1]]
         )
         b6 = edges_of(0, 1, 2, 3, 4, 5, 6)
-        np.testing.assert_array_equal(encode_johnson(b6, 4.5)[0], [0, 1, 1])
+        np.testing.assert_array_equal(encode("johnson", b6, 4.5)[0], [0, 1, 1])
 
     def test_johnson_adjacent_codes_differ_in_one_bit(self):
         for n_bins in range(2, 65):
             edges = BinEdges(np.arange(n_bins + 1, dtype=float))
             centers = np.arange(n_bins) + 0.5
-            codes = encode_johnson(edges, centers)
+            codes = encode("johnson", edges, centers)
             assert codes.shape == (n_bins, (n_bins + 1) // 2)
             flips = np.abs(np.diff(codes, axis=0)).sum(axis=1)
             np.testing.assert_array_equal(flips, 1)
@@ -374,3 +380,47 @@ class TestNumericEncoder:
         enc = fit_numeric_encoder(num, "Q_PLE", n_bins=4)
         # constant feature collapses to 1 bin -> width 1; other keeps 4
         assert enc.transform(num).shape == (40, 5)
+
+    @given(st.data(), st.sampled_from(sorted(CODECS)),
+           st.lists(st.integers(1, 64), min_size=1, max_size=3))
+    def test_transform_equals_the_reference_codecs(self, data, codec, n_bins):
+        bins = tuple(BinEdges(np.sort(data.draw(st.lists(
+            st.floats(-1e3, 1e3), min_size=b + 1, max_size=b + 1, unique=True))))
+            for b in n_bins)
+        # values inside and beyond each column's edges, and the edges themselves
+        num = np.column_stack([data.draw(st.lists(
+            st.floats(-2e3, 2e3) | st.sampled_from(edges.edges.tolist()),
+            min_size=20, max_size=20)) for edges in bins])
+        expected = np.hstack([CODECS[codec](edges, num[:, j])
+                              for j, edges in enumerate(bins)])
+        encoder = NumericEncoder(bins, codec)
+        assert encoder.width == expected.shape[1]
+        got = encoder.transform(num)
+        assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+        assert got.tobytes() == expected.tobytes()
+        out = np.full((len(num), encoder.width + 2), 7.0)
+        encoder.transform(num, out=out[:, 1:-1])
+        assert out[:, 1:-1].tobytes() == expected.tobytes()
+        assert (out[:, [0, -1]] == 7.0).all()
+
+    @pytest.mark.parametrize("policy", ["Q_bins", "Q_Unary", "T_Johnson"])
+    def test_table_codecs_write_without_a_block_copy(self, policy):
+        # A column's block is gathered from its code table a chunk at a time
+        # into ``out``. What the transform itself holds is one column's bin
+        # indices with their searchsorted and clip temporaries (a few 80 kB
+        # int64 vectors at 10,000 rows) plus one gather chunk of
+        # encode_cat._GATHER_FLOATS float64s (128 kB), well under 1 MB. A
+        # whole 48-bin column code made before the copy would take 3.8 MB
+        # (unary, width 47) or 1.9 MB (Johnson, width 24) on its own.
+        rng = np.random.default_rng(0)
+        num = rng.normal(size=(10_000, 4))
+        y = rng.integers(0, 2, size=10_000)
+        encoder = fit_numeric_encoder(num, policy, y, TaskType.BINCLASS)
+        out = np.empty((len(num), encoder.width))
+        tracemalloc.start()
+        try:
+            encoder.transform(num, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tabkit.data import DatasetInfo, TaskType
+from tabkit.data import Dataset, DatasetInfo, TaskType
 from tabkit.errors import FitError, TabkitError
 from tabkit.methods import MethodConfig, classical, get_method
 from tabkit.methods.classical import (
@@ -356,6 +357,22 @@ class TestGradientDescentClassifiers:
         a = fit_method(LogisticRegressionMethod, dataset, info)
         b = fit_method(LogisticRegressionMethod, dataset, info)
         assert a.fitted_state() == b.fitted_state()
+
+    def test_small_gradient_norm_ends_the_fit_early(self, monkeypatch):
+        # the shared-paths multiclass table without its numerical columns,
+        # ordinal-coded: a 36 x 2 training matrix on which the squared-hinge
+        # gradient norm falls below _GD_GRAD_TOL well before _GD_MAX_ITER
+        full, info = make_classification(n_rows=60, n_num=3, n_cat=2,
+                                         n_classes=3, seed=1)
+        dataset = Dataset(full.num[:, :0], full.cat, full.labels, full.task,
+                          full.split)
+        calls = []
+        gradients = LinearSVMMethod._gradients
+        monkeypatch.setattr(LinearSVMMethod, "_gradients",
+                            lambda self, *args: calls.append(1) or gradients(self, *args))
+        fit_method(LinearSVMMethod, dataset, replace(info, n_num_features=0),
+                   pipeline=PipelineConfig(cat_policy="ordinal"))
+        assert 0 < len(calls) < classical._GD_MAX_ITER
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name", ["logreg", "svm"])

@@ -12,6 +12,7 @@ import tabkit.methods as methods_registry
 from tabkit.data import DatasetInfo, TaskType
 from tabkit.errors import SpaceError, TuningError
 from tabkit.methods import MethodConfig
+from tabkit.methods.base import Prediction
 from tabkit.methods.classical import DummyMethod
 from tabkit.tune import (
     Bounded,
@@ -268,6 +269,31 @@ class TestTuning:
         assert result.trial == 0 and result.trials[0].score is not None
         assert [t.error for t in result.trials[1:]] == [
             "OverflowError: synthetic overflow"] * 2
+
+    def test_non_finite_validation_predictions_fail_the_trial(self, monkeypatch):
+        class NanWhenBad(DummyMethod):
+            def _predict(self, x):
+                if self.config.model["bad"]:
+                    return Prediction.regression(np.full(len(x), np.nan))
+                return super()._predict(x)
+
+        monkeypatch.setitem(methods_registry._REGISTRY, "nan_when_bad", NanWhenBad)
+        dataset, info = make_regression(n_rows=120, seed=0)
+        space = parse_space({"nan_when_bad": {"model": {"bad": ["categorical", 0, 1]}}})
+        for base in (0, 1):
+            result = tune_hyper_parameters("nan_when_bad", space, dataset, info,
+                                           n_trials=6, base_model={"bad": base})
+            bad = [{"bad": base, **t.assignment["model"]}["bad"] for t in result.trials]
+            assert 0 in bad and 1 in bad
+            for t, is_bad in zip(result.trials, bad):
+                if is_bad:
+                    assert (t.score, t.rank) == (None, None)
+                    assert t.error == "predictions contain non-finite values"
+                else:
+                    assert math.isfinite(t.score) and math.isfinite(t.rank)
+            assert not bad[result.trial]
+            assert result.score == max(t.score for t, b in zip(result.trials, bad)
+                                       if not b)
 
     def test_requires_validation_rows(self):
         dataset, info = make_classification(seed=6, val_fraction=0.0)
