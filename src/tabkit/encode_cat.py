@@ -19,6 +19,14 @@ table fitted per column:
 The fitted state is the vocabularies and the tables, which is all that
 ``transform`` reads.
 
+Cells become tokens once per table: ``_tokenize`` turns each column into
+integer codes, numbering its distinct cells in first-appearance order, each
+with its token. Fitting and ``transform`` work on codes only: a vocabulary is
+applied as one lookup per code, a column's hash buckets are computed once per
+distinct token, and a column is written as ``table[lookup[codes]]``. The
+public functions still take cells and tokenize them on entry; the pipeline
+passes the cached codes of its table instead.
+
 Training rows of ``loo`` and ``catboost`` depend on row identity, so fitting
 returns the training matrix in the same pass: ``loo`` leaves each row's own
 target out, and ``catboost`` (ordered target statistics) averages only the
@@ -33,7 +41,7 @@ the training column byte-identical to earlier fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,6 +69,90 @@ def fnv1a64(token: str) -> int:
     return value
 
 
+@dataclass(eq=False)
+class _Column:
+    """One categorical column's distinct cells, numbered by code: each code's
+    token and first cell, the code of the missing ("") cells or -1, and, once
+    a hash encoder has asked, each token's FNV-1a hash."""
+
+    tokens: list[str]
+    cells: list
+    blank: int
+    hashes: np.ndarray | None = None
+
+    def buckets(self, n_buckets: int) -> np.ndarray:
+        """Each code's hash bucket; every token is hashed once per column."""
+        if self.hashes is None:
+            self.hashes = np.array([fnv1a64(token) for token in self.tokens],
+                                   dtype=np.uint64)
+        return (self.hashes % np.uint64(n_buckets)).astype(np.intp)
+
+
+class _Codes(NamedTuple):
+    """A categorical table as integer codes: ``codes[i, j]`` numbers cell
+    (i, j) among the distinct cells of column j, described by ``columns[j]``.
+    The rows of a table's parts share its columns."""
+
+    codes: np.ndarray
+    columns: tuple[_Column, ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.codes.shape
+
+    def take(self, rows: np.ndarray) -> _Codes:
+        return _Codes(self.codes[rows], self.columns)
+
+    def to_cells(self) -> np.ndarray:
+        """The table as an object array of its cells' tokens."""
+        out = np.empty(self.shape, dtype=object)
+        for j, column in enumerate(self.columns):
+            out[:, j] = np.array(column.tokens, dtype=object)[self.codes[:, j]]
+        return out
+
+
+def _tokens(col: np.ndarray) -> tuple[np.ndarray, _Column]:
+    """Column ``col`` as codes, its distinct cells numbered in first-appearance
+    order. A cell's token is as ``col.astype(str)`` renders it: a column of
+    ``str`` cells without NULs is its own tokens; any other column goes
+    through numpy, which renders non-``str`` cells its own way and drops
+    trailing NULs. Two cells share a code when both their tokens and the
+    cells themselves are equal, so that a code is one token to the encoders
+    and one cell to the imputer, which counts cells as ``Counter`` does."""
+    cells = col.tolist()
+    plain = set(map(type, cells)) <= {str} and "\x00" not in "".join(cells)
+    tokens = cells if plain else col.astype(str).tolist()
+    index: dict = {}
+    codes = np.array([index.setdefault(key, len(index)) for key in zip(tokens, cells)],
+                     dtype=np.intp)
+    return codes, _Column([token for token, _ in index], [cell for _, cell in index],
+                          index.get(("", ""), -1))
+
+
+def _tokenize(cat: np.ndarray) -> _Codes:
+    """A table of categorical cells as codes, one column at a time."""
+    codes = np.empty(cat.shape, dtype=np.intp)
+    columns = []
+    for j in range(cat.shape[1]):
+        codes[:, j], column = _tokens(cat[:, j])
+        columns.append(column)
+    return _Codes(codes, tuple(columns))
+
+
+def _first_seen(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """The codes (of ``n_codes``) that ``codes`` holds, in order of first
+    appearance."""
+    first = np.full(n_codes, len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    present = np.flatnonzero(first < len(codes))
+    return present[np.argsort(first[present])]
+
+
+def _coded(cat) -> _Codes:
+    """``cat`` as codes: tokenized here if it is an array of cells."""
+    return cat if isinstance(cat, _Codes) else _tokenize(cat)
+
+
 @dataclass(frozen=True, eq=False)
 class CategoricalEncoder:
     """All categorical columns fitted under one policy.
@@ -77,62 +169,68 @@ class CategoricalEncoder:
     def width(self) -> int:
         return sum(table.shape[1] for table in self.tables)
 
-    def transform(self, cat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Inference-semantics encoding of categorical rows, written into
-        ``out`` (an (n, width) array or view) when given."""
-        check_width("encoder", len(self.tables), cat.shape[1])
+    def transform(self, cat, out: np.ndarray | None = None) -> np.ndarray:
+        """Inference-semantics encoding of categorical rows (cells, or their
+        codes), written into ``out`` (an (n, width) array or view) when
+        given."""
+        codes = _coded(cat)
+        check_width("encoder", len(self.tables), codes.shape[1])
         if out is None:
-            out = np.empty((cat.shape[0], self.width))
-        return _side_by_side(out, (
-            (table, self._rows(j, cat[:, j])) for j, table in enumerate(self.tables)
-        ))
+            out = np.empty((codes.shape[0], self.width))
+        widths = [table.shape[1] for table in self.tables]
+        for j, view in enumerate(_blocks(out, widths)):
+            _write(view, self.tables[j], self._rows(j, codes))
+        return out
 
-    def _rows(self, j: int, col: np.ndarray) -> np.ndarray:
-        """The table row of each cell of column j."""
-        tokens = _tokens(col)
+    def _rows(self, j: int, codes: _Codes) -> np.ndarray:
+        """The table row of each cell of column j: one lookup per code."""
+        column = codes.columns[j]
         if self.vocabularies is None:
-            n_buckets = len(self.tables[j])
-            buckets = {token: fnv1a64(token) % n_buckets for token in set(tokens)}
-            rows = [buckets[token] for token in tokens]
+            lookup = column.buckets(len(self.tables[j]))
         else:
             vocab, unseen = self.vocabularies[j], len(self.vocabularies[j])
-            rows = [vocab.get(token, unseen) for token in tokens]
-        return np.array(rows, dtype=np.intp)
-
-
-def _tokens(col: np.ndarray) -> list[str]:
-    """Each cell's token, as ``col.astype(str)`` renders it. A column of
-    ``str`` cells without NULs is its own tokens; any other column goes
-    through numpy, which renders non-``str`` cells its own way and drops
-    trailing NULs."""
-    cells = col.tolist()
-    if set(map(type, cells)) <= {str} and "\x00" not in "".join(cells):
-        return cells
-    return col.astype(str).tolist()
+            lookup = np.array([vocab.get(token, unseen) for token in column.tokens],
+                              dtype=np.intp)
+        return lookup[codes.codes[:, j]]
 
 
 # the most floats a table gather copies at once (128 KiB): on a 6,000-row,
 # 201-wide one-hot column, as fast as larger chunks and faster than one gather
 _GATHER_FLOATS = 1 << 14
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
-def _side_by_side(out: np.ndarray, blocks) -> np.ndarray:
-    """Write column blocks into ``out`` left to right, and return it. A block
-    is a (table, rows) pair: ``table[rows]`` for an index vector ``rows`` (a
-    categorical column's token rows, or a numeric column's bin indices),
-    gathered a few rows at a time so that no whole copy is made, or the
-    table itself when ``rows`` is None (a computed block, such as PLE's)."""
-    start = 0
-    for table, rows in blocks:
-        view = out[:, start:start + table.shape[1]]
-        if rows is None:
-            view[...] = table
-        else:
-            step = max(1, _GATHER_FLOATS // max(1, table.shape[1]))
-            for lo in range(0, len(rows), step):
-                view[lo:lo + step] = table[rows[lo:lo + step]]
-        start += table.shape[1]
-    return out
+def _blocks(out: np.ndarray, widths) -> list[np.ndarray]:
+    """Views of ``out``'s consecutive column blocks of the given widths."""
+    stops = np.cumsum(widths, dtype=np.intp).tolist()
+    return [out[:, stop - width:stop] for width, stop in zip(widths, stops)]
+
+
+def _write(view: np.ndarray, table: np.ndarray, rows: np.ndarray | None) -> None:
+    """Write ``table[rows]`` into ``view`` (an index vector ``rows``: a
+    categorical column's table rows, or a numeric column's bin indices), or
+    ``table`` itself when ``rows`` is None (a block computed whole). An
+    identity table (one-hot, hash) is written as a zero fill and one 1.0 per
+    row, its exact bytes; any other is gathered a few rows at a time, so that
+    no whole copy is made."""
+    if rows is None:
+        view[...] = table
+    elif _is_identity(table):
+        view[...] = 0.0
+        view[np.arange(len(rows)), rows] = 1.0
+    else:
+        step = max(1, _GATHER_FLOATS // max(1, table.shape[1]))
+        for lo in range(0, len(rows), step):
+            view[lo:lo + step] = table[rows[lo:lo + step]]
+
+
+def _is_identity(table: np.ndarray) -> bool:
+    """Whether ``table`` is ``np.eye(len(table))`` bit for bit."""
+    if table.dtype != np.float64 or table.shape[0] != table.shape[1]:
+        return False
+    bits = table.view(np.uint64)
+    return (np.count_nonzero(bits) == len(table)
+            and bool((np.diagonal(bits) == _ONE_BITS).all()))
 
 
 def _target_columns(targets: np.ndarray, task: TaskType, class_count) -> list[np.ndarray]:
@@ -170,14 +268,17 @@ def _ordered_column(sorted_codes, y, permutation, prior) -> np.ndarray:
     return out
 
 
-def _fit_column(col, policy: str, ys, permutation):
+def _fit_column(codes: np.ndarray, tokens: list[str], policy: str, ys, permutation):
     """(vocabulary, table, training rows) of one column under a non-hash
-    policy. The training rows are an (n, width) block for ``loo`` and
-    ``catboost``, and the table row of each cell otherwise."""
+    policy, from each training cell's code and each code's token. The
+    training rows are an (n, width) block for ``loo`` and ``catboost``, and
+    the table row of each cell otherwise."""
     vocab: dict[str, int] = {}
-    codes = np.array([vocab.setdefault(token, len(vocab)) for token in _tokens(col)],
-                     dtype=np.intp)
+    for code in _first_seen(codes, len(tokens)).tolist():
+        vocab.setdefault(tokens[code], len(vocab))
     k = len(vocab)
+    # from here on, each training cell's vocabulary index
+    codes = np.array([vocab.get(token, k) for token in tokens], dtype=np.intp)[codes]
     # new key strings: the pickled state shares no object with the cells
     tokens = np.array(list(vocab))
     vocab = dict(zip(tokens.tolist(), range(k)))
@@ -224,6 +325,7 @@ def fit_categorical_encoder(
 ) -> tuple[CategoricalEncoder, np.ndarray]:
     """Fit all categorical columns and encode the training rows in one pass.
 
+    ``train_cat`` is categorical cells, tokenized here, or their codes.
     Returns the fitted encoder (inference semantics via ``transform``) and
     the training-row matrix, which for leave-one-out and ordered statistics
     differs from what ``transform`` would produce. ``allocate(width)``, once
@@ -232,13 +334,14 @@ def fit_categorical_encoder(
     """
     if policy not in CAT_POLICIES:
         raise ValueError(f"unknown cat_policy {policy!r}")
-    n, n_features = train_cat.shape
+    codes = _coded(train_cat)
+    n, n_features = codes.shape
     allocate = allocate or (lambda width: np.empty((n, width)))
     if policy == "hash":
         if n_buckets < 2:
             raise ValueError(f"n_buckets must be >= 2, got {n_buckets}")
         encoder = CategoricalEncoder(None, (np.eye(n_buckets),) * n_features)
-        return encoder, encoder.transform(train_cat, allocate(encoder.width))
+        return encoder, encoder.transform(codes, allocate(encoder.width))
     ys = permutation = None
     if policy in ("target", "loo", "catboost"):
         if targets is None or task is None:
@@ -250,11 +353,17 @@ def fit_categorical_encoder(
         ys = _target_columns(np.asarray(targets), task, class_count)
         permutation = np.random.default_rng(seed).permutation(n)
     columns = [
-        _fit_column(train_cat[:, j], policy, ys, permutation) for j in range(n_features)
+        _fit_column(codes.codes[:, j], column.tokens, policy, ys, permutation)
+        for j, column in enumerate(codes.columns)
     ]
     encoder = CategoricalEncoder(
         tuple(vocab for vocab, _, _ in columns), tuple(table for _, table, _ in columns)
     )
-    return encoder, _side_by_side(allocate(encoder.width), (
-        (rows, None) if rows.ndim == 2 else (table, rows) for _, table, rows in columns
-    ))
+    out = allocate(encoder.width)
+    widths = [table.shape[1] for table in encoder.tables]
+    for (_, table, rows), view in zip(columns, _blocks(out, widths)):
+        if rows.ndim == 2:  # a loo or catboost training block
+            _write(view, rows, None)
+        else:
+            _write(view, table, rows)
+    return encoder, out

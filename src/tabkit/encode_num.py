@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TaskType
-from .encode_cat import _side_by_side
+from .encode_cat import _blocks, _write
 from .errors import EncodeError, ShapeError, check_width
 from .splits import MIN_GAIN, gini_gains, target_exponent, variance_gains
 
@@ -192,25 +192,27 @@ def _code_table(codec: str, n_bins: int) -> np.ndarray:
     return ((bit < k) != (bit < k - half)).astype(np.float64)
 
 
-def encode_ple(edges: BinEdges, x) -> np.ndarray:
-    """Piecewise-linear encoding of width B.
+def _write_ple(out: np.ndarray, edges: BinEdges, col: np.ndarray) -> None:
+    """Write the piecewise-linear encoding of ``col`` into ``out``, an (n, B)
+    view, computing and clipping it there.
 
     Component t is the position of x within bin t, clipped to [0, 1] except
     that the first component is not clipped below nor the last above, so
     out-of-range inputs extrapolate linearly, saturating at ±float64 max.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    arr = np.asarray(col, dtype=np.float64)
     _check_finite(arr)
     bounds = edges.edges
     with np.errstate(over="ignore"):
-        raw = (arr[:, None] - bounds[:-1]) / np.diff(bounds)
+        np.subtract(arr[:, None], bounds[:-1], out=out)
+        np.divide(out, np.diff(bounds), out=out)
     limit = np.finfo(np.float64).max
     if edges.n_bins == 1:
-        return np.clip(raw, -limit, limit, out=raw)
-    out = np.clip(raw, 0.0, 1.0)
-    out[:, 0] = np.clip(raw[:, 0], -limit, 1.0)
-    out[:, -1] = np.clip(raw[:, -1], 0.0, limit)
-    return out
+        np.clip(out, -limit, limit, out=out)
+        return
+    np.clip(out[:, 1:-1], 0.0, 1.0, out=out[:, 1:-1])
+    np.clip(out[:, :1], -limit, 1.0, out=out[:, :1])
+    np.clip(out[:, -1:], 0.0, limit, out=out[:, -1:])
 
 
 @dataclass(frozen=True)
@@ -220,23 +222,31 @@ class NumericEncoder:
     bins: tuple[BinEdges, ...]
     codec: str
 
+    def _tables(self) -> list[tuple[np.ndarray | None, int]]:
+        """Each column's code table (None under PLE) and block width."""
+        if self.codec == "ple":
+            return [(None, edges.n_bins) for edges in self.bins]
+        tables = [_code_table(self.codec, edges.n_bins) for edges in self.bins]
+        return [(table, table.shape[1]) for table in tables]
+
     @property
     def width(self) -> int:
-        return sum(edges.n_bins if self.codec == "ple"
-                   else _code_table(self.codec, edges.n_bins).shape[1]
-                   for edges in self.bins)
+        return sum(width for _, width in self._tables())
 
     def transform(self, num: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Each column's code, side by side, written into ``out`` (an
         (n, width) array or view) when given."""
         check_width("encoder", len(self.bins), num.shape[1])
+        tables = self._tables()
+        widths = [width for _, width in tables]
         if out is None:
-            out = np.empty((num.shape[0], self.width))
-        return _side_by_side(out, (
-            (encode_ple(edges, num[:, j]), None) if self.codec == "ple" else
-            (_code_table(self.codec, edges.n_bins), encode_bin_index(edges, num[:, j]))
-            for j, edges in enumerate(self.bins)
-        ))
+            out = np.empty((num.shape[0], sum(widths)))
+        for j, ((table, _), view) in enumerate(zip(tables, _blocks(out, widths))):
+            if table is None:
+                _write_ple(view, self.bins[j], num[:, j])
+            else:
+                _write(view, table, encode_bin_index(self.bins[j], num[:, j]))
+        return out
 
 
 def fit_numeric_encoder(

@@ -10,16 +10,21 @@ A fit or transform allocates one (rows x width) matrix, and every stage
 writes its block straight into it: the numeric block on the left, then the
 categorical one.
 
+The categorical stages work on integer codes. ``dataset.cat`` is tokenized
+once per array object, kept with the array digests below, and a part's codes
+are the table's rows of that part; ``transform`` tokenizes the cells it is
+given.
+
 The most recent fit is memoized. Its key is a digest of the config, the task,
 the class count, the dataset's arrays (test rows included) and, under the
 ``catboost`` policy only, the seed: no other stage reads the seed. Each
-array's digest is computed once per array object and kept until the array is
-collected, so a ``Dataset``'s arrays must not be modified in place after a
-fit; assigning a new array to an attribute is fine. A pipeline whose key
-matches takes the memoized stages and the read-only train matrix instead of
-fitting again, and the val matrix of the dataset it was fitted on is encoded
-once per entry. Only one entry is held; a fit with another key drops it
-before fitting.
+array's digest (and ``cat``'s codes) is computed once per array object and
+kept until the array is collected, so a ``Dataset``'s arrays must not be
+modified in place after a fit; assigning a new array to an attribute is fine.
+A pipeline whose key matches takes the memoized stages and the read-only train
+matrix instead of fitting again, and the val matrix of the dataset it was
+fitted on is encoded once per entry. Only one entry is held; a fit with
+another key drops it before fitting.
 """
 
 from __future__ import annotations
@@ -33,7 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DatasetInfo
-from .encode_cat import DEFAULT_N_BUCKETS, fit_categorical_encoder
+from .encode_cat import (
+    DEFAULT_N_BUCKETS,
+    _Codes,
+    _coded,
+    _tokenize,
+    fit_categorical_encoder,
+)
 from .encode_num import DEFAULT_N_BINS, fit_numeric_encoder
 from .errors import FitError
 from .preprocess import fit_imputer, fit_normalizer
@@ -82,25 +93,43 @@ class _Memo:
 _memo = _Memo()
 
 
-# digest of each array a memo has keyed, by id, until the array is collected
-_digests: dict[int, bytes] = {}
+# what has been computed from each array (its digest, a categorical table's
+# codes), by the array's id and the computing function, until the array is
+# collected
+_by_array: dict[tuple[int, object], object] = {}
+
+
+def _of_array(array: np.ndarray, compute):
+    """``compute(array)``, computed once per array object."""
+    key = (id(array), compute)
+    value = _by_array.get(key)
+    if value is None:
+        value = _by_array[key] = compute(array)
+        weakref.finalize(array, _by_array.pop, key, None)
+    return value
+
+
+def _digest(array: np.ndarray) -> bytes:
+    """SHA-256 of an array's pickle."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=5)
+    # no memo: twice as fast on object arrays of tokens, which hold no
+    # cycles, and equal cells pickle alike whether or not they share an
+    # object
+    pickler.fast = True
+    pickler.dump(array)
+    return hashlib.sha256(buffer.getbuffer()).digest()
 
 
 def _array_digest(array: np.ndarray) -> bytes:
     """SHA-256 of an array's pickle, computed once per array object."""
-    digest = _digests.get(id(array))
-    if digest is None:
-        buffer = io.BytesIO()
-        pickler = pickle.Pickler(buffer, protocol=5)
-        # no memo: twice as fast on object arrays of tokens, which hold no
-        # cycles, and equal cells pickle alike whether or not they share an
-        # object
-        pickler.fast = True
-        pickler.dump(array)
-        digest = hashlib.sha256(buffer.getbuffer()).digest()
-        _digests[id(array)] = digest
-        weakref.finalize(array, _digests.pop, id(array), None)
-    return digest
+    return _of_array(array, _digest)
+
+
+def _part_codes(dataset: Dataset, part: str) -> _Codes:
+    """The codes of one part's categorical cells, gathered from those of the
+    whole ``dataset.cat``, which is tokenized once per array object."""
+    return _of_array(dataset.cat, _tokenize).take(dataset.split[part])
 
 
 def _fit_key(config: PipelineConfig, seed: int, dataset: Dataset,
@@ -127,7 +156,7 @@ def _fit_stages(cfg: PipelineConfig, seed: int, dataset: Dataset,
     matrix. The matrix is allocated once the categorical encoder knows its
     width, and each stage writes its block straight into it."""
     num = dataset.part_num("train")
-    cat = dataset.part_cat("train")
+    cat = _part_codes(dataset, "train")
     labels = dataset.part_labels("train")
 
     imputer = fit_imputer(
@@ -214,14 +243,15 @@ class FeaturePipeline:
         """The memo entry this pipeline was last fitted from, while held."""
         return _memo.value if _memo.key == self._key else None
 
-    def transform(self, num: np.ndarray, cat: np.ndarray) -> np.ndarray:
+    def transform(self, num: np.ndarray, cat) -> np.ndarray:
         """Encode rows with inference semantics (no row identity), each
-        stage writing its block straight into one output matrix."""
+        stage writing its block straight into one output matrix. ``cat`` is
+        categorical cells, tokenized here, or their codes."""
         if not self.is_fitted:
             raise FitError("pipeline is not fitted")
         (imputer, normalizer, num_encoder, cat_encoder,
          ordinal_scaler) = self._stages
-        num, cat = imputer.transform(num, cat)
+        num, cat = imputer.transform(num, _coded(cat))
         num_width = num.shape[1] if num_encoder is None else num_encoder.width
         out = np.empty((num.shape[0], num_width + cat_encoder.width))
         left, right = out[:, :num_width], out[:, num_width:]
@@ -239,10 +269,10 @@ class FeaturePipeline:
         pipeline was fitted on is encoded once per memo entry and read-only."""
         entry = self._entry()
         if part != "val" or entry is None or self._fitted_on() is not dataset:
-            return self.transform(dataset.part_num(part), dataset.part_cat(part))
+            return self.transform(dataset.part_num(part), _part_codes(dataset, part))
         if entry.val is None:
             entry.val = _read_only(self.transform(
-                dataset.part_num(part), dataset.part_cat(part)))
+                dataset.part_num(part), _part_codes(dataset, part)))
         return entry.val
 
     def state(self) -> tuple:

@@ -2,17 +2,19 @@
 
 Everything here is fitted on training rows only and applied as a pure
 function afterwards. Numerical missing cells are NaN; categorical missing
-cells are the empty string.
+cells are the empty string. The imputer works on a categorical table's codes
+(``encode_cat._tokenize``): a fill is a token, and filling remaps the missing
+cells' code to the fill token's. Given cells, it tokenizes them first.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .encode_cat import _Codes, _coded, _Column, _first_seen
 from .errors import FitError, check_width
 
 NUM_NAN_POLICIES = ("mean", "median")
@@ -52,34 +54,62 @@ _Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
 
 @dataclass(frozen=True)
 class FittedImputer:
-    """Per-column fill values for numerical and categorical blocks."""
+    """Per-column fill values for numerical and categorical blocks; a
+    categorical fill is a token."""
 
     num_fill: np.ndarray
     cat_fill: tuple[str, ...]
 
-    def transform(self, num: np.ndarray, cat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def transform(self, num: np.ndarray, cat) -> tuple[np.ndarray, object]:
+        """``num`` with its NaN cells filled, and ``cat`` with its missing
+        cells filled: codes whose missing code is remapped to the fill's, or,
+        for an array of cells, the tokens of its cells."""
+        codes = _coded(cat)
         check_width("imputer", len(self.num_fill), num.shape[1], "numerical columns")
-        check_width("imputer", len(self.cat_fill), cat.shape[1],
+        check_width("imputer", len(self.cat_fill), codes.shape[1],
                     "categorical columns")
         num_out = np.where(np.isnan(num), self.num_fill, num)
-        cat_out = cat.copy()
-        for j, fill in enumerate(self.cat_fill):
-            col = cat_out[:, j]
-            col[col == ""] = fill
-        return num_out, cat_out
+        filled = codes.codes.copy()
+        columns = list(codes.columns)
+        for j, (column, fill) in enumerate(zip(codes.columns, self.cat_fill)):
+            if column.blank < 0:
+                continue
+            if fill not in column.tokens:
+                columns[j] = _Column(column.tokens + [fill], column.cells + [fill],
+                                     column.blank)
+            col = filled[:, j]
+            col[col == column.blank] = columns[j].tokens.index(fill)
+        filled = _Codes(filled, tuple(columns))
+        return num_out, filled if cat is codes else filled.to_cells()
+
+
+def _most_frequent(codes: np.ndarray, column: _Column) -> str | None:
+    """The token of a column's most frequent non-missing cell among the
+    training ``codes``, the first seen winning ties, or None if every cell is
+    missing. Cells are counted as ``Counter`` counts them, so codes whose
+    first cells are equal count together."""
+    counts = np.bincount(codes).tolist()
+    totals, tokens = {}, {}
+    for code in _first_seen(codes, len(column.tokens)).tolist():
+        cell = column.cells[code]
+        totals[cell] = totals.get(cell, 0) + counts[code]
+        tokens.setdefault(cell, column.tokens[code])
+    totals.pop("", None)
+    return tokens[max(totals, key=totals.get)] if totals else None
 
 
 def fit_imputer(
     train_num: np.ndarray,
-    train_cat: np.ndarray,
+    train_cat,
     num_policy: str = "mean",
     cat_policy: str = "most_frequent",
 ) -> FittedImputer:
     """Learn fill values from training rows.
 
     ``num_policy`` is ``mean`` or ``median`` over the non-missing cells of
-    each column; ``cat_policy`` is ``most_frequent`` (mode, first-seen token
-    wins ties) or ``constant`` (the reserved token).
+    each column; ``cat_policy`` is ``most_frequent`` (the token of the mode,
+    first-seen cell wins ties) or ``constant`` (the reserved token).
+    ``train_cat`` is categorical cells or their codes.
     """
     if num_policy not in NUM_NAN_POLICIES:
         raise ValueError(f"unknown num_nan_policy {num_policy!r}")
@@ -100,20 +130,18 @@ def fit_imputer(
             raise FitError(f"numerical column {j}: non-finite fill value {fill}")
         num_fill[j] = fill
 
+    codes = _coded(train_cat)
+    if cat_policy == "constant":
+        return FittedImputer(num_fill, (NAN_TOKEN,) * codes.shape[1])
     cat_fill = []
-    for j in range(train_cat.shape[1]):
-        if cat_policy == "constant":
-            cat_fill.append(NAN_TOKEN)
-            continue
-        counts = Counter(train_cat[:, j].tolist())
-        counts.pop("", None)
-        if not counts:
+    for j, column in enumerate(codes.columns):
+        fill = _most_frequent(codes.codes[:, j], column)
+        if fill is None:
             raise FitError(
                 f"categorical column {j} has no observed training values, "
                 f"cannot fit most_frequent imputation"
             )
-        # most_common keeps the first-seen token on ties
-        cat_fill.append(counts.most_common(1)[0][0])
+        cat_fill.append(fill)
     return FittedImputer(num_fill=num_fill, cat_fill=tuple(cat_fill))
 
 

@@ -5,8 +5,9 @@ per-leaf impurity scan that ``tabkit.encode_num.compute_target_bins`` replaced.
 ``CODECS`` maps each codec to a function of (edges, values) returning that
 column's block, built directly from its definition: the bin index as a
 float column, a thermometer code, a Johnson shift-register code looked up in
-a table filled state by state, and the library's piecewise-linear encoding,
-which the table rewrite left as it was.
+a table filled state by state, and the piecewise-linear encoding as a whole
+(n, B) block, clipped into a copy, as it was before the encoder wrote it into
+its output in place.
 
 The target-aware binning reference keeps copies of each leaf's sorted values
 and targets and scores its splits with its own prefix aggregates (pairwise
@@ -28,10 +29,10 @@ import numpy as np
 from tabkit.encode_num import (
     DEFAULT_N_BINS,
     BinEdges,
+    _check_finite,
     _degenerate_edges,
     compute_quantile_bins,
     encode_bin_index,
-    encode_ple,
 )
 
 
@@ -57,6 +58,24 @@ def encode_johnson(edges: BinEdges, x) -> np.ndarray:
     """Johnson shift-register code of width ceil(B/2); bin k is state k."""
     idx = encode_bin_index(edges, x)
     return _johnson_table(edges.n_bins)[idx]
+
+
+def encode_ple(edges: BinEdges, x) -> np.ndarray:
+    """Piecewise-linear code of width B: component t is x's position within
+    bin t, clipped to [0, 1] except the first below and the last above,
+    saturating at ±float64 max."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    _check_finite(arr)
+    bounds = edges.edges
+    with np.errstate(over="ignore"):
+        raw = (arr[:, None] - bounds[:-1]) / np.diff(bounds)
+    limit = np.finfo(np.float64).max
+    if edges.n_bins == 1:
+        return np.clip(raw, -limit, limit, out=raw)
+    out = np.clip(raw, 0.0, 1.0)
+    out[:, 0] = np.clip(raw[:, 0], -limit, 1.0)
+    out[:, -1] = np.clip(raw[:, -1], 0.0, limit)
+    return out
 
 
 CODECS = {

@@ -3,12 +3,17 @@
 The byte-identity reference for ``tabkit.pipeline``: every stage builds its
 own block, the numeric and categorical blocks are joined with ``np.hstack``,
 and a categorical cell finds its table row through ``np.unique`` of the
-column's ``astype(str)`` tokens. The stages are fitted with the library's own
-per-column fitting functions, which the one-matrix assembly did not change, and
-a numeric column is rendered by its reference codec in ``encode_num_oracle``.
+column's ``astype(str)`` tokens. The imputer works on the cells themselves: a
+column's most frequent cell is found by ``Counter``, and missing cells are
+overwritten in a copy. The other stages are fitted with the library's own
+per-column fitting functions, which the one-matrix assembly did not change,
+a categorical column's fed with codes numbered by ``np.unique``, and a numeric
+column is rendered by its reference codec in ``encode_num_oracle``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -20,7 +25,46 @@ from tabkit.encode_cat import (
     fnv1a64,
 )
 from tabkit.encode_num import fit_numeric_encoder
-from tabkit.preprocess import _FLOAT_MAX, _yeo_johnson, fit_imputer, fit_normalizer
+from tabkit.errors import FitError
+from tabkit.preprocess import (
+    _FLOAT_MAX,
+    NAN_TOKEN,
+    FittedImputer,
+    _yeo_johnson,
+    fit_imputer,
+    fit_normalizer,
+)
+
+
+def fit_cat_fill(cat: np.ndarray, cat_policy: str) -> tuple:
+    """Each column's fill: the reserved token, or the token of its most
+    frequent non-missing cell as ``Counter`` counts the cells, the first seen
+    winning ties. A ``str`` cell without NULs is its own token."""
+    if cat_policy == "constant":
+        return (NAN_TOKEN,) * cat.shape[1]
+    fills = []
+    for j in range(cat.shape[1]):
+        cells = cat[:, j].tolist()
+        counts = Counter(cells)
+        counts.pop("", None)
+        if not counts:
+            raise FitError(f"categorical column {j} has no observed training values")
+        winner = counts.most_common(1)[0][0]
+        if type(winner) is not str or "\x00" in winner:
+            first = next(i for i, cell in enumerate(cells) if cell is winner)
+            winner = cat[first:first + 1, j].astype(str).tolist()[0]
+        fills.append(winner)
+    return tuple(fills)
+
+
+def impute(imputer: FittedImputer, num: np.ndarray, cat: np.ndarray) -> tuple:
+    """The imputer's fills written over the missing cells of copies."""
+    num = np.where(np.isnan(num), imputer.num_fill, num)
+    cat = cat.astype(object)
+    for j, fill in enumerate(imputer.cat_fill):
+        col = cat[:, j]
+        col[col == ""] = fill
+    return num, cat
 
 
 def rows(encoder: CategoricalEncoder, j: int, col: np.ndarray) -> np.ndarray:
@@ -74,8 +118,10 @@ def fit_cat(cat, policy, labels, info, seed, n_buckets):
     if policy in ("target", "loo", "catboost"):
         ys = _target_columns(np.asarray(labels), info.task, info.class_count)
         permutation = np.random.default_rng(seed).permutation(n)
-    columns = [_fit_column(cat[:, j], policy, ys, permutation)
-               for j in range(n_features)]
+    columns = []
+    for j in range(n_features):
+        tokens, codes = np.unique(cat[:, j].astype(str), return_inverse=True)
+        columns.append(_fit_column(codes, tokens.tolist(), policy, ys, permutation))
     encoder = CategoricalEncoder(tuple(vocab for vocab, _, _ in columns),
                                  tuple(table for _, table, _ in columns))
     return encoder, np.hstack([
@@ -90,9 +136,9 @@ def fit(config, seed, dataset, info) -> tuple[tuple, np.ndarray]:
     cat = dataset.part_cat("train")
     labels = dataset.part_labels("train")
     normalizer = num_encoder = cat_encoder = ordinal_scaler = None
-    imputer = fit_imputer(num, cat, num_policy=config.num_nan_policy,
-                          cat_policy=config.cat_nan_policy)
-    num, cat = imputer.transform(num, cat)
+    num_fill = fit_imputer(num, cat[:, :0], num_policy=config.num_nan_policy).num_fill
+    imputer = FittedImputer(num_fill, fit_cat_fill(cat, config.cat_nan_policy))
+    num, cat = impute(imputer, num, cat)
     if num.shape[1]:
         normalizer = fit_normalizer(num, config.normalization)
         num = normalize(normalizer, num)
@@ -114,7 +160,7 @@ def fit(config, seed, dataset, info) -> tuple[tuple, np.ndarray]:
 
 def transform(stages: tuple, num: np.ndarray, cat: np.ndarray) -> np.ndarray:
     imputer, normalizer, num_encoder, cat_encoder, ordinal_scaler = stages
-    num, cat = imputer.transform(num, cat)
+    num, cat = impute(imputer, num, cat)
     if normalizer is not None:
         num = normalize(normalizer, num)
     if num_encoder is not None:

@@ -15,7 +15,6 @@ from tabkit.encode_num import (
     compute_target_bins,
     NumericEncoder,
     encode_bin_index,
-    encode_ple,
     fit_numeric_encoder,
     parse_num_policy,
 )
@@ -313,20 +312,20 @@ class TestCodecs:
 
     def test_ple_examples(self):
         edges = edges_of(0, 1, 2)
-        np.testing.assert_allclose(encode_ple(edges, 1.5)[0], [1.0, 0.5])
-        np.testing.assert_allclose(encode_ple(edges, 2.5)[0], [1.0, 1.5])
-        np.testing.assert_allclose(encode_ple(edges, -0.5)[0], [-0.5, 0.0])
+        np.testing.assert_allclose(encode("ple", edges, 1.5)[0], [1.0, 0.5])
+        np.testing.assert_allclose(encode("ple", edges, 2.5)[0], [1.0, 1.5])
+        np.testing.assert_allclose(encode("ple", edges, -0.5)[0], [-0.5, 0.0])
 
     def test_ple_boundary_values(self):
         edges = edges_of(0, 1, 2, 4)
-        np.testing.assert_allclose(encode_ple(edges, 1.0)[0], [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(encode_ple(edges, 2.0)[0], [1.0, 1.0, 0.0])
+        np.testing.assert_allclose(encode("ple", edges, 1.0)[0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(encode("ple", edges, 2.0)[0], [1.0, 1.0, 0.0])
 
     def test_ple_continuous_and_nonincreasing_in_range(self):
         rng = np.random.default_rng(11)
         edges = compute_quantile_bins(rng.normal(size=80), 6)
         xs = np.linspace(edges.edges[0], edges.edges[-1], 400)
-        codes = encode_ple(edges, xs)
+        codes = encode("ple", edges, xs)
         assert np.all(np.diff(codes, axis=1) <= 1e-12)
         jumps = np.abs(np.diff(codes, axis=0)).max()
         assert jumps < 0.2  # fine grid, small steps everywhere
@@ -335,7 +334,7 @@ class TestCodecs:
         rng = np.random.default_rng(12)
         edges = compute_quantile_bins(rng.normal(size=90), 8)
         xs = rng.uniform(edges.edges[0], edges.edges[-1] - 1e-9, size=40)
-        codes = encode_ple(edges, xs)
+        codes = encode("ple", edges, xs)
         saturated = (codes >= 1.0).sum(axis=1)
         np.testing.assert_array_equal(saturated, encode_bin_index(edges, xs))
 
@@ -403,15 +402,18 @@ class TestNumericEncoder:
         assert out[:, 1:-1].tobytes() == expected.tobytes()
         assert (out[:, [0, -1]] == 7.0).all()
 
-    @pytest.mark.parametrize("policy", ["Q_bins", "Q_Unary", "T_Johnson"])
+    @pytest.mark.parametrize("policy", ["Q_bins", "Q_Unary", "T_Johnson",
+                                        "Q_PLE", "T_PLE"])
     def test_table_codecs_write_without_a_block_copy(self, policy):
         # A column's block is gathered from its code table a chunk at a time
-        # into ``out``. What the transform itself holds is one column's bin
+        # into ``out``, or, under PLE, computed and clipped in its view of
+        # ``out``. What the transform itself holds is one column's bin
         # indices with their searchsorted and clip temporaries (a few 80 kB
         # int64 vectors at 10,000 rows) plus one gather chunk of
         # encode_cat._GATHER_FLOATS float64s (128 kB), well under 1 MB. A
         # whole 48-bin column code made before the copy would take 3.8 MB
-        # (unary, width 47) or 1.9 MB (Johnson, width 24) on its own.
+        # (unary, width 47), 1.9 MB (Johnson, width 24) or 3.8 MB (PLE,
+        # width 48, plus its quotient and clipped copies) on its own.
         rng = np.random.default_rng(0)
         num = rng.normal(size=(10_000, 4))
         y = rng.integers(0, 2, size=10_000)

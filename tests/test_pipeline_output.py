@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import pipeline_oracle
 import tabkit.pipeline as pipeline_module
 from tabkit.data import Dataset, DatasetInfo, TaskType
-from tabkit.encode_cat import fit_categorical_encoder
+from tabkit.encode_cat import _tokenize, fit_categorical_encoder
 from tabkit.pipeline import FeaturePipeline, PipelineConfig, _fit_key
 
 from conftest import make_classification
@@ -89,7 +89,7 @@ def object_column(cells: list) -> np.ndarray:
 def test_rows_equal_the_unique_mapping(train, query, policy):
     encoder, _ = fit_categorical_encoder(object_column(train)[:, None], policy)
     col = object_column(query)
-    got = encoder._rows(0, col)
+    got = encoder._rows(0, _tokenize(col[:, None]))
     assert got.dtype == np.intp
     assert np.array_equal(got, pipeline_oracle.rows(encoder, 0, col))
 
@@ -98,7 +98,7 @@ def test_rows_of_a_fixed_width_string_column():
     encoder, _ = fit_categorical_encoder(
         np.array([["x"], ["y"], ["x"]], dtype=object), "ordinal")
     col = np.array(["y", "z", "x", ""])
-    assert encoder._rows(0, col).tolist() == [1, 2, 0, 2]
+    assert encoder._rows(0, _tokenize(col[:, None])).tolist() == [1, 2, 0, 2]
 
 
 # ---- the digest cache ------------------------------------------------------
@@ -148,7 +148,7 @@ def throwaway_table(i: int) -> tuple[Dataset, DatasetInfo]:
 
 def test_digests_leave_with_their_arrays():
     gc.collect()
-    held = len(pipeline_module._digests)
+    held = len(pipeline_module._by_array)
     keys = set()
     for i in range(1000):
         dataset, info = throwaway_table(i)
@@ -161,7 +161,7 @@ def test_digests_leave_with_their_arrays():
         del dataset, fresh
     gc.collect()
     assert len(keys) == 1000
-    assert len(pipeline_module._digests) <= held
+    assert len(pipeline_module._by_array) <= held
 
 
 # ---- memory: about one output matrix ---------------------------------------

@@ -1,4 +1,4 @@
-"""Three rules that ``src/tabkit`` keeps by having one place for each:
+"""Four rules that ``src/tabkit`` keeps by having one place for each:
 
 - A method parses its hyperparameters once, in ``_check_config``: no ``_fit``
   or ``_predict`` under ``methods/`` reads ``self.config`` for anything but
@@ -9,6 +9,9 @@
 - Every float hyperparameter is parsed, and range-checked, by
   ``methods.base.bounded_float``: no other ``float(...)`` under ``methods/``
   wraps a ``.get(...)``.
+- Categorical cells become tokens in one tokenizer: only
+  ``encode_cat._tokenize`` calls ``_tokens`` (one column), and only
+  ``_tokens`` calls ``.astype(str)``.
 """
 
 import ast
@@ -69,6 +72,21 @@ def bare_float_gets(source: str, allowed: str | None = None) -> list[int]:
                     for arg in call.args for part in ast.walk(arg))]
 
 
+def token_calls(source: str, allowed: str | None = None) -> list[int]:
+    """Lines of the ``_tokens(...)`` calls outside the function named
+    ``allowed``."""
+    return sorted(call.lineno for name, call in _calls(source, allowed)
+                  if name == "_tokens")
+
+
+def str_casts(source: str, allowed: str | None = None) -> list[int]:
+    """Lines of the ``.astype(str)`` calls outside the function named
+    ``allowed``."""
+    return sorted(call.lineno for name, call in _calls(source, allowed)
+                  if name == "astype" and any(isinstance(arg, ast.Name) and arg.id == "str"
+                                              for arg in call.args))
+
+
 def test_fit_and_predict_read_no_hyperparameters():
     found = {path.name: config_reads(path.read_text())
              for path in sorted((SRC / "methods").glob("*.py"))}
@@ -94,6 +112,21 @@ def test_float_hyperparameters_are_parsed_by_bounded_float():
             found[path.name] = lines
     assert found == {}
     assert bare_float_gets((SRC / "methods" / "base.py").read_text()) != []
+
+
+def test_only_the_tokenizer_makes_tokens():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tokenizer = path == SRC / "encode_cat.py"
+        source = path.read_text()
+        lines = (token_calls(source, "_tokenize" if tokenizer else None)
+                 + str_casts(source, "_tokens" if tokenizer else None))
+        if lines:
+            found[str(path.relative_to(SRC))] = lines
+    assert found == {}
+    # the rule's one tokenizer is where the rule says it is
+    source = (SRC / "encode_cat.py").read_text()
+    assert token_calls(source) != [] and str_casts(source) != []
 
 
 def test_config_reads_are_found():
@@ -137,3 +170,19 @@ def test_bare_float_gets_are_found():
         "        self._d = np.float64(cfg.get('d'))\n")
     assert bare_float_gets(source, "bounded_float") == [5, 6]
     assert bare_float_gets(source) == [2, 5, 6]
+
+
+def test_token_calls_are_found():
+    source = (
+        "def _tokens(col):\n"
+        "    return col.astype(str).tolist()\n"
+        "def _tokenize(cat):\n"
+        "    return [_tokens(col) for col in cat.T]\n"
+        "def transform(cat):\n"
+        "    cells = cat.astype(object)\n"
+        "    tokens = enc._tokens(cat[:, 0])\n"
+        "    return np.asarray(cat).astype(str)\n")
+    assert token_calls(source, "_tokenize") == [7]
+    assert token_calls(source) == [4, 7]
+    assert str_casts(source, "_tokens") == [8]
+    assert str_casts(source) == [2, 8]
