@@ -105,11 +105,18 @@ def _unwrap(document: dict, model_type: str) -> dict:
 
 
 def get_args(argv=None) -> tuple[str, argparse.Namespace, dict, SearchSpace]:
-    """Parse argv into (command, args, default hyperparameters, opt space)."""
-    args = build_parser().parse_args(argv)
+    """Parse argv into (command, args, default hyperparameters, opt space).
+    A count below 1 (``--seed_num``, or ``--n_trials`` when tuning) is a
+    usage error, raised before any work."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     args.dataset_path = (args.dataset_path or os.environ.get("TALENT_DATA")
                          or "./data")
     args.tune = args.tune in ("True", "true")
+    if args.seed_num < 1:
+        parser.error(f"--seed_num must be >= 1, got {args.seed_num}")
+    if args.tune and args.n_trials < 1:
+        parser.error(f"--n_trials must be >= 1, got {args.n_trials}")
     default_doc = _config_document("default", args.model_type)
     default_config = (_unwrap(default_doc, args.model_type)
                       if default_doc else {})

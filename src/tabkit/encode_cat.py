@@ -245,26 +245,32 @@ def _target_columns(targets: np.ndarray, task: TaskType, class_count) -> list[np
     return [y]
 
 
-def _ordered_column(sorted_codes, y, permutation, prior) -> np.ndarray:
-    """CatBoost training column: each row's same-category prefix in the
-    permutation, smoothed toward the prior with weight DEFAULT_PRIOR_WEIGHT."""
-    n = len(y)
-    a = DEFAULT_PRIOR_WEIGHT
+def _ordered_groups(sorted_codes, permutation) -> tuple:
+    """The target-independent part of a column's CatBoost training rows:
+    the row order that groups rows by category, each group in permutation
+    order; for each ordered row, the ordered index where its group starts;
+    and its prefix count plus DEFAULT_PRIOR_WEIGHT."""
+    n = len(sorted_codes)
     position = np.empty(n, dtype=np.int64)
     position[permutation] = np.arange(n)
-    # group rows by category, ordered by permutation position, then take
-    # exclusive prefix sums within each group
     order = np.lexsort((position, sorted_codes))
-    y_ord = y[order]
     codes_ord = sorted_codes[order]
     group_start = np.r_[True, codes_ord[1:] != codes_ord[:-1]]
-    csum = np.cumsum(y_ord) - y_ord
-    base = np.where(group_start, csum, 0.0)
     group_base = np.maximum.accumulate(np.where(group_start, np.arange(n), 0))
-    prefix_count = np.arange(n) - group_base
-    prefix_sum = csum - base[group_base]
-    out = np.empty(n)
-    out[order] = (prefix_sum + a * prior) / (prefix_count + a)
+    return order, group_base, (np.arange(n) - group_base) + DEFAULT_PRIOR_WEIGHT
+
+
+def _ordered_column(groups, y, prior) -> np.ndarray:
+    """CatBoost training column: each row's same-category prefix in the
+    permutation, smoothed toward the prior with weight DEFAULT_PRIOR_WEIGHT;
+    ``groups`` is the column's ``_ordered_groups``."""
+    order, group_base, smoothed_count = groups
+    y_ord = y[order]
+    # exclusive prefix sums within each group
+    csum = np.cumsum(y_ord) - y_ord
+    out = np.empty(len(y))
+    a = DEFAULT_PRIOR_WEIGHT
+    out[order] = (csum - csum[group_base] + a * prior) / smoothed_count
     return out
 
 
@@ -291,8 +297,8 @@ def _fit_column(codes: np.ndarray, tokens: list[str], policy: str, ys, permutati
         bits = np.arange(k + 1)[:, None] >> shifts & 1
         return vocab, bits.astype(np.float64), codes
     counts = np.bincount(codes, minlength=k).astype(np.float64)
-    if policy == "catboost":  # each row's token's place in sorted order
-        sorted_codes = np.argsort(np.argsort(tokens))[codes]
+    if policy == "catboost":  # rows grouped by their token's sorted place
+        groups = _ordered_groups(np.argsort(np.argsort(tokens))[codes], permutation)
     seen_rows, train_rows = [], []
     for y in ys:
         sums = np.bincount(codes, weights=y, minlength=k)
@@ -307,7 +313,7 @@ def _fit_column(codes: np.ndarray, tokens: list[str], policy: str, ys, permutati
             m = DEFAULT_SMOOTHING if policy == "target" else DEFAULT_PRIOR_WEIGHT
             seen = (sums + m * prior) / (counts + m)
             if policy == "catboost":
-                train_rows.append(_ordered_column(sorted_codes, y, permutation, prior))
+                train_rows.append(_ordered_column(groups, y, prior))
         seen_rows.append(np.append(seen, prior))
     table = np.column_stack(seen_rows)
     return vocab, table, np.column_stack(train_rows) if train_rows else codes

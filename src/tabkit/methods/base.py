@@ -103,7 +103,13 @@ class Method:
 
     Regressors fit in one target unit: ``fit`` maps targets by 2^-e, for e
     their ``splits.target_exponent``, and predictions map back, exactly short
-    of subnormals; ``_fit``, ``_predict`` and ``_state`` see mapped targets."""
+    of subnormals; ``_fit``, ``_predict`` and ``_state`` see mapped targets.
+
+    ``reads_seed`` says whether the fitted model may depend on
+    ``config.seed``. A class that declares it ``False`` fits the same model
+    on every seed, so ``report.run_seeds`` fits it once and records that
+    outcome for each seed (unless the pipeline reads the seed). It is
+    ``True`` here, so a method that does not declare it fits once per seed."""
 
     # which task kinds the method accepts
     task_types: tuple[TaskType, ...] = (
@@ -112,6 +118,7 @@ class Method:
         TaskType.REGRESSION,
     )
     is_deep = False
+    reads_seed = True
 
     def __init__(self, config: MethodConfig, info: DatasetInfo):
         if info.task not in self.task_types:

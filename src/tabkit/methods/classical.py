@@ -61,6 +61,8 @@ class DummyMethod(Method):
     """Constant baseline: majority class with empirical frequencies, or the
     training-mean label."""
 
+    reads_seed = False
+
     def _fit(self, x_train, y_train, x_val, y_val):
         if self.is_regression:
             self._mean = float(y_train.mean())
@@ -199,10 +201,11 @@ class KNNMethod(Method):
     computed once per array object, so neither may be modified in place after
     a predict), with the read-only indices of the largest k searched on them.
     A predict with no larger k takes their first k columns, which are exactly
-    its own neighbors; so tuning trials that change only ``n_neighbors``, and seeds
-    that predict the same rows, search once. Any other predict drops the
-    entry first.
+    its own neighbors; so tuning trials that change only ``n_neighbors`` search
+    once. Any other predict drops the entry first.
     """
+
+    reads_seed = False
 
     def _check_config(self):
         self._k = positive_int(self.config.model, "n_neighbors", 5)
@@ -239,13 +242,16 @@ class NCMMethod(Method):
     """Nearest class mean; probabilities are a softmax over negated distances."""
 
     task_types = CLASSIFICATION_TASKS
+    reads_seed = False
 
     def _fit(self, x_train, y_train, x_val, y_val):
         centroids = np.zeros((self.class_count, x_train.shape[1]))
+        # each class's rows are copied only for the mean, so one copy is
+        # alive at a time
         for c in range(self.class_count):
-            members = x_train[y_train == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+            members = y_train == c
+            if members.any():
+                centroids[c] = x_train[members].mean(axis=0)
         self._centroids = centroids
 
     def _predict(self, x) -> Prediction:
@@ -272,6 +278,7 @@ class NaiveBayesMethod(Method):
     """Gaussian naive Bayes with a variance floor, scored in the log domain."""
 
     task_types = CLASSIFICATION_TASKS
+    reads_seed = False
     VAR_FLOOR = 1e-9
 
     def _fit(self, x_train, y_train, x_val, y_val):
@@ -396,6 +403,7 @@ class LinearRegressionMethod(Method):
     """
 
     task_types = (TaskType.REGRESSION,)
+    reads_seed = False
     L2 = 1e-6
 
     def _fit(self, x_train, y_train, x_val, y_val):
@@ -425,6 +433,7 @@ class _GradientDescentClassifier(Method):
     """Shared full-batch gradient descent loop over (weights, bias)."""
 
     task_types = CLASSIFICATION_TASKS
+    reads_seed = False
     DEFAULT_L2 = 1e-4
 
     def _check_config(self):

@@ -404,6 +404,8 @@ def _samples(n: int, count: int, rngs=None) -> np.ndarray:
 class CARTMethod(Method):
     """Single greedy decision tree."""
 
+    reads_seed = False
+
     def _check_config(self):
         cfg = self.config.model
         self._max_depth = positive_int(cfg, "max_depth", 16)
@@ -487,6 +489,8 @@ class GBDTMethod(Method):
     they grow together, and the training scores are updated from the leaf
     each row reached while growing.
     """
+
+    reads_seed = False
 
     def _check_config(self):
         cfg = self.config.model

@@ -16,11 +16,12 @@ are the table's rows of that part; ``transform`` tokenizes the cells it is
 given.
 
 The most recent fit is memoized. Its key is a digest of the config, the task,
-the class count, the dataset's arrays (test rows included) and, under the
-``catboost`` policy only, the seed: no other stage reads the seed. Each
-array's digest (and ``cat``'s codes) is computed once per array object and
-kept until the array is collected, so a ``Dataset``'s arrays must not be
-modified in place after a fit; assigning a new array to an attribute is fine.
+the class count, the dataset's arrays (test rows included) and, when
+``PipelineConfig.reads_seed`` (the ``catboost`` policy only), the seed: no
+other stage reads the seed. Each array's digest (and ``cat``'s codes) is
+computed once per array object and kept until the array is collected, so a
+``Dataset``'s arrays must not be modified in place after a fit; assigning a
+new array to an attribute is fine.
 A pipeline whose key matches takes the memoized stages and the read-only train
 matrix instead of fitting again, and the val matrix of the dataset it was
 fitted on is encoded once per entry. Only one entry is held; a fit with
@@ -59,6 +60,12 @@ class PipelineConfig:
     cat_policy: str = "onehot"
     n_bins: int = DEFAULT_N_BINS
     n_buckets: int = DEFAULT_N_BUCKETS
+
+    @property
+    def reads_seed(self) -> bool:
+        """Whether a fit reads the seed: only the ``catboost`` permutation
+        does."""
+        return self.cat_policy == "catboost"
 
 
 @dataclass(eq=False)
@@ -136,7 +143,7 @@ def _fit_key(config: PipelineConfig, seed: int, dataset: Dataset,
              info: DatasetInfo) -> bytes:
     """Digest of everything a fit reads: the arrays by their cached digests,
     the rest hashed on every call."""
-    seed = seed if config.cat_policy == "catboost" else None
+    seed = seed if config.reads_seed else None
     key = hashlib.sha256(pickle.dumps(
         (config, info.task, info.class_count, seed, tuple(dataset.split))))
     for array in (dataset.num, dataset.cat, dataset.labels,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,21 +67,28 @@ def run_seeds(
     pipeline: PipelineConfig | None = None,
     dataset_name: str | None = None,
 ) -> list[RunRecord]:
-    """Fit and score the method once per seed 0..seed_num-1 on the test part.
+    """One record per seed 0..seed_num-1 of the method fitted and scored on
+    the test part.
 
-    A seed that raises any exception is recorded with its error text, and
-    the run continues.
+    When neither the method nor the pipeline reads the seed (their
+    ``reads_seed``), every seed would fit the same model, so seed 0 is fitted,
+    predicted and scored once and each later seed's record is a copy of its
+    outcome: metrics, ``time_s``, size or error text. Otherwise each seed
+    fits on its own. A seed that raises any exception is recorded with its
+    error text, and the run continues.
     """
     if seed_num < 1:
         raise ValueError(f"seed_num must be >= 1, got {seed_num}")
     name = dataset_name or info.name or "dataset"
     method_cls = get_method(method_name)
+    pipeline = pipeline or PipelineConfig()
+    fits = seed_num if method_cls.reads_seed or pipeline.reads_seed else 1
     records = []
-    for seed in range(seed_num):
+    for seed in range(fits):
         config = MethodConfig(
             model=dict(model or {}),
             training=dict(training or {}),
-            pipeline=pipeline or PipelineConfig(),
+            pipeline=pipeline,
             seed=seed,
         )
         try:
@@ -101,7 +108,8 @@ def run_seeds(
                 metrics=None, time_s=None, size=None,
                 error=describe_failure(err),
             ))
-    return records
+    return records + [replace(records[0], seed=seed)
+                      for seed in range(fits, seed_num)]
 
 
 def summarize_records(records: list[RunRecord]) -> tuple[dict, int]:

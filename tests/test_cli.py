@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import tabkit.cli as cli
 import tabkit.methods.base as method_base
 from tabkit.cli import get_args, main
 from tabkit.data import DatasetInfo, TaskType, save_dataset
@@ -72,6 +73,30 @@ class TestGetArgs:
         assert code != 0
         err = capsys.readouterr().err
         assert "standard" in err and "quantile" in err
+
+    @pytest.mark.parametrize("flag", ["--seed_num", "--n_trials"])
+    def test_count_below_one_is_usage_error_before_tuning(
+            self, workspace, monkeypatch, capsys, flag):
+        calls = []
+        tune = cli.tune_hyper_parameters
+
+        def counted_tune(*args, **kwargs):
+            calls.append(args)
+            return tune(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "tune_hyper_parameters", counted_tune)
+        code = main(["classical", "--model_type", "knn", "--dataset", "demo",
+                     "--tune", "true", "--n_trials", "5", "--seed_num", "2",
+                     flag, "0", "--output_dir", "out"])
+        assert code == 2
+        assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert calls == []
+        assert not (workspace / "out" / "trials.csv").exists()
+
+    def test_trial_count_is_not_checked_without_tuning(self):
+        _, args, _, _ = get_args(["classical", "--model_type", "knn",
+                                  "--dataset", "demo", "--n_trials", "0"])
+        assert args.n_trials == 0 and args.tune is False
 
     def test_unknown_flag_is_usage_error(self):
         code = main(["classical", "--model_type", "knn", "--dataset", "demo",
@@ -215,6 +240,8 @@ class TestRuns:
             return fit(self, *arrays)
 
         monkeypatch.setattr(KNNMethod, "_fit", fit_failing_odd_seeds)
+        # the patched fit reads the seed, so each seed must fit on its own
+        monkeypatch.setattr(KNNMethod, "reads_seed", True)
         code = main(["classical", "--model_type", "knn", "--dataset", "demo",
                      "--seed_num", "4", "--output_dir", "out"])
         assert code == 0

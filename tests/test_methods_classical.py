@@ -161,6 +161,26 @@ class TestNCM:
         output = prediction.values.nbytes + prediction.probabilities.nbytes
         assert peak <= 2 * x.nbytes + output
 
+    def test_fit_copies_one_class_at_a_time(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3000, 100))
+        y = np.arange(3000) % 3
+        info = DatasetInfo(task=TaskType.MULTICLASS, n_num_features=100,
+                           n_cat_features=0, class_count=3, name="table")
+        method = NCMMethod(MethodConfig(), info)
+        tracemalloc.start()
+        try:
+            method._fit(x, y, x[:0], y[:0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one class's rows (a third of the table) and their indices, the
+        # centroids, a row mask and 64 KiB to spare; two class copies at
+        # once would be two thirds of the table
+        members = np.flatnonzero(y == 0)
+        block = x[members].nbytes + members.nbytes
+        assert peak <= block + method._centroids.nbytes + y.size + 2 ** 16
+
 
 class TestNaiveBayes:
     def test_blobs(self):

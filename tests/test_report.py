@@ -1,4 +1,6 @@
+import pickle
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from tabkit.errors import FitError, RankError
 from tabkit.methods import MethodConfig
 from tabkit.methods.base import Method, Prediction
 from tabkit.metrics import MetricSet
+from tabkit.pipeline import PipelineConfig
 from tabkit.report import (
     RunRecord,
     emit_report,
@@ -136,6 +139,84 @@ class TestRunSeeds:
         dataset, info = make_classification(seed=4)
         with pytest.raises(ValueError):
             run_seeds("dummy", dataset, info, seed_num=0)
+
+    @pytest.mark.parametrize("name, model, pipeline, fits", [
+        ("knn", {}, PipelineConfig(), 1),
+        ("random_forest", {"n_trees": 3}, PipelineConfig(), 4),
+        ("knn", {}, PipelineConfig(cat_policy="catboost"), 4),
+    ])
+    def test_fits_once_unless_the_seed_is_read(self, monkeypatch, name, model,
+                                               pipeline, fits):
+        seeds = []
+        fit = Method.fit
+
+        def counted_fit(self, *args):
+            seeds.append(self.config.seed)
+            return fit(self, *args)
+
+        monkeypatch.setattr(Method, "fit", counted_fit)
+        dataset, info = make_classification(n_classes=3, seed=6)
+        records = run_seeds(name, dataset, info, seed_num=4, model=model,
+                            pipeline=pipeline)
+        assert seeds == list(range(fits))
+        assert [r.seed for r in records] == [0, 1, 2, 3]
+        assert all(r.ok for r in records)
+        if fits == 1:  # seed 0's outcome, time included, stands for each seed
+            assert all(replace(r, seed=0) == records[0] for r in records)
+
+    def test_seed_free_failure_is_recorded_for_every_seed(self, monkeypatch):
+        fits = []
+        fit = Method.fit
+
+        def counted_fit(self, *args):
+            fits.append(self.config.seed)
+            return fit(self, *args)
+
+        monkeypatch.setattr(Method, "fit", counted_fit)
+        dataset, info = make_classification(seed=6)
+        records = run_seeds("knn", dataset, info, seed_num=4,
+                            model={"n_neighbors": 10_000})
+        assert fits == [0]
+        assert [r.seed for r in records] == [0, 1, 2, 3]
+        assert all(not r.ok and r.time_s is None and r.size is None
+                   and r.error.startswith("n_neighbors = 10000 exceeds")
+                   for r in records)
+
+
+# the built-in methods whose fit never reads the seed
+SEED_FREE = ("cart", "dummy", "gbdt", "knn", "linear_regression", "logreg",
+             "naive_bayes", "ncm", "svm")
+
+
+def test_seed_free_methods_are_the_declared_built_ins():
+    assert tuple(sorted(name for name in methods_registry.registered_methods()
+                        if not methods_registry.get_method(name).reads_seed)
+                 ) == SEED_FREE
+
+
+@pytest.mark.parametrize("name", SEED_FREE)
+def test_seed_free_method_fits_and_predicts_alike_on_every_seed(name):
+    cls = methods_registry.get_method(name)
+    tables = [make_classification(n_classes=3, missing_rate=0.1, seed=2),
+              make_regression(missing_rate=0.1, seed=2)]
+    fitted = 0
+    for dataset, info in tables:
+        if info.task not in cls.task_types:
+            continue
+        outputs = []
+        for seed in (0, 5):
+            method = cls(MethodConfig(pipeline=PipelineConfig(
+                num_policy="Q_PLE", cat_policy="loo"), seed=seed), info)
+            method.fit(dataset, info)
+            prediction = method.predict_part(dataset, "test")
+            probabilities = prediction.probabilities
+            outputs.append((pickle.dumps(method._state()),
+                            prediction.values.tobytes(),
+                            None if probabilities is None
+                            else probabilities.tobytes()))
+        assert outputs[0] == outputs[1]
+        fitted += 1
+    assert fitted
 
 
 class TestRankMethods:

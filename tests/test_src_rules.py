@@ -1,4 +1,4 @@
-"""Four rules that ``src/tabkit`` keeps by having one place for each:
+"""Five rules that ``src/tabkit`` keeps by having one place for each:
 
 - A method parses its hyperparameters once, in ``_check_config``: no ``_fit``
   or ``_predict`` under ``methods/`` reads ``self.config`` for anything but
@@ -12,10 +12,17 @@
 - Categorical cells become tokens in one tokenizer: only
   ``encode_cat._tokenize`` calls ``_tokens`` (one column), and only
   ``_tokens`` calls ``.astype(str)``.
+- Whether a method reads the seed is declared once, by its class's
+  ``reads_seed``: no class under ``methods/`` whose ``reads_seed`` is
+  ``False`` (its own or inherited) reads ``.seed``, in its own body or a
+  base's, short of ``Method``, whose constructor hands the seed to the
+  pipeline.
 """
 
 import ast
 from pathlib import Path
+
+from tabkit.methods import get_method, registered_methods
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tabkit"
 
@@ -87,6 +94,48 @@ def str_casts(source: str, allowed: str | None = None) -> list[int]:
                                               for arg in call.args))
 
 
+def _declared_reads_seed(cls: ast.ClassDef):
+    """The value a class body assigns to ``reads_seed``; None if it assigns
+    none, True if the value is not a literal."""
+    for stmt in cls.body:
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        if any(isinstance(t, ast.Name) and t.id == "reads_seed" for t in targets):
+            value = stmt.value
+            return value.value if isinstance(value, ast.Constant) else True
+    return None
+
+
+def _seed_free_lineages(sources) -> dict[str, list[ast.ClassDef]]:
+    """Each class in ``sources`` (sources of one package) whose
+    ``reads_seed`` is False, by name, with the chain of it and its bases
+    defined there, nearest first; ``reads_seed`` is True by default."""
+    classes = {node.name: node for source in sources
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)}
+
+    def lineage(cls):
+        yield cls
+        for base in cls.bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                yield from lineage(classes[base.id])
+
+    chains = {name: list(lineage(cls)) for name, cls in classes.items()}
+    return {name: chain for name, chain in chains.items()
+            if next((value for value in map(_declared_reads_seed, chain)
+                     if value is not None), True) is False}
+
+
+def seed_reads(sources) -> list[str]:
+    """``Class:line`` of each ``.seed`` that a class whose ``reads_seed`` is
+    False reads in its own body or a base's other than ``Method``'s."""
+    return sorted(f"{name}:{node.lineno}"
+                  for name, chain in _seed_free_lineages(sources).items()
+                  for cls in chain if cls.name != "Method"
+                  for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute) and node.attr == "seed")
+
+
 def test_fit_and_predict_read_no_hyperparameters():
     found = {path.name: config_reads(path.read_text())
              for path in sorted((SRC / "methods").glob("*.py"))}
@@ -127,6 +176,18 @@ def test_only_the_tokenizer_makes_tokens():
     # the rule's one tokenizer is where the rule says it is
     source = (SRC / "encode_cat.py").read_text()
     assert token_calls(source) != [] and str_casts(source) != []
+
+
+def test_seed_free_methods_read_no_seed():
+    sources = [path.read_text()
+               for path in sorted((SRC / "methods").glob("*.py"))]
+    assert seed_reads(sources) == []
+    # the rule sees what each registered method declares
+    seed_free = set(_seed_free_lineages(sources))
+    classes = [get_method(name) for name in registered_methods()]
+    assert {cls.__name__ for cls in classes if not cls.reads_seed} == {
+        cls.__name__ for cls in classes if cls.__name__ in seed_free}
+    assert seed_free
 
 
 def test_config_reads_are_found():
@@ -186,3 +247,33 @@ def test_token_calls_are_found():
     assert token_calls(source) == [4, 7]
     assert str_casts(source, "_tokens") == [8]
     assert str_casts(source) == [2, 8]
+
+
+def test_seed_reads_are_found():
+    source = (
+        "class Method:\n"
+        "    reads_seed = True\n"
+        "    def __init__(self, config):\n"
+        "        self.pipeline = Pipeline(seed=config.seed)\n"
+        "class Free(Method):\n"
+        "    reads_seed = False\n"
+        "    def _fit(self, x):\n"
+        "        return x\n"
+        "class Child(Free):\n"
+        "    def _fit(self, x):\n"
+        "        return rng_of(self.config.seed)\n"
+        "class Seeded(Method):\n"
+        "    def _fit(self, x):\n"
+        "        return rng_of(self.config.seed)\n"
+        "class Base(Method):\n"
+        "    reads_seed: bool = False\n"
+        "    def _noise(self):\n"
+        "        return self.config.seed\n"
+        "class Leaf(Base):\n"
+        "    pass\n"
+        "class Again(Base):\n"
+        "    reads_seed = True\n"
+        "    def _fit(self, x):\n"
+        "        return rng_of(self.config.seed)\n")
+    assert seed_reads([source]) == ["Base:18", "Child:11", "Leaf:18"]
+    assert set(_seed_free_lineages([source])) == {"Free", "Child", "Base", "Leaf"}
