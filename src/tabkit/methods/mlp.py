@@ -149,11 +149,12 @@ class MLPMethod(Method):
 
     def _check_config(self):
         model_cfg, train_cfg = self.config.model, self.config.training
-        self._d_layers = list(model_cfg.get("d_layers", DEFAULT_D_LAYERS))
+        self._d_layers = [positive_int({"d_layers": width}, "d_layers", 0)
+                          for width in model_cfg.get("d_layers", DEFAULT_D_LAYERS)]
         self._dropout = bounded_float(model_cfg, "dropout", DEFAULT_DROPOUT, below=1.0)
         self._lr = bounded_float(train_cfg, "lr", DEFAULT_LR, positive=True)
         self._weight_decay = bounded_float(train_cfg, "weight_decay", DEFAULT_WEIGHT_DECAY)
-        self._patience = int(train_cfg.get("patience", DEFAULT_PATIENCE))
+        self._patience = positive_int(train_cfg, "patience", DEFAULT_PATIENCE)
         self._max_epoch = positive_int(train_cfg, "max_epoch", DEFAULT_MAX_EPOCH)
         self._batch_size = positive_int(train_cfg, "batch_size", DEFAULT_BATCH_SIZE)
 

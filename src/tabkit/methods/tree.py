@@ -50,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..splits import MIN_GAIN, gini_gains, variance_gains
 from .base import Method, Prediction, bounded_float, positive_int
 from .classical import _class_frequencies, _softmax
@@ -63,12 +64,12 @@ _KERNEL_CELLS = 2 ** 13
 
 
 class _Tree(NamedTuple):
-    """Flat-array decision tree; feature[i] == -1 marks a leaf."""
+    """Flat-array decision tree, nodes breadth-first: ``feature`` per node (-1
+    marks a leaf), ``threshold`` per split node, ``value`` per leaf. The j-th
+    split node (from 0) has children 2j + 1 and 2j + 2."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
 
     @property
@@ -79,6 +80,10 @@ class _Tree(NamedTuple):
         return tuple(self)
 
     def predict_values(self, x: np.ndarray) -> np.ndarray:
+        split = self.feature >= 0
+        child = 2 * np.cumsum(split)  # a split node's children: child - 1, child
+        threshold = np.zeros(len(split))
+        threshold[split] = self.threshold
         node = np.zeros(x.shape[0], dtype=np.int64)
         while True:
             internal = self.feature[node] >= 0
@@ -86,9 +91,9 @@ class _Tree(NamedTuple):
                 break
             active = np.flatnonzero(internal)
             at = node[active]
-            goes_left = x[active, self.feature[at]] < self.threshold[at]
-            node[active] = np.where(goes_left, self.left[at], self.right[at])
-        return self.value[node]
+            goes_left = x[active, self.feature[at]] < threshold[at]
+            node[active] = child[at] - goes_left
+        return self.value[node - child[node] // 2]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -216,16 +221,9 @@ class _Grower:
         order = np.argsort(tree, kind="stable")
         feat, thr, val = feature[order], threshold[order], value[order]
         del step, tree, lo, size, feature, threshold, value, leaf, order
-        # children follow in their parents' order, so a tree's j-th split
-        # node (from 0) has children 2j + 1 and 2j + 2
         split = feat >= 0
-        j = np.cumsum(split)
-        j -= np.repeat((j - split)[start], count)
-        left = np.where(split, 2 * j - 1, -1)
-        right = np.where(split, 2 * j, -1)
-        del split, j
         return [
-            _Tree(feat[a:b], thr[a:b], left[a:b], right[a:b], val[a:b])
+            _Tree(feat[a:b], thr[a:b][split[a:b]], val[a:b][~split[a:b]])
             for a, b in zip(start.tolist(), (start + count).tolist())
         ]
 
@@ -442,7 +440,9 @@ class RandomForestMethod(Method):
         self._min_leaf = positive_int(cfg, "min_samples_leaf", 1)
         self._max_features = (None if cfg.get("max_features") is None
                               else positive_int(cfg, "max_features", 1))
-        self._bootstrap = bool(cfg.get("bootstrap", True))
+        self._bootstrap = cfg.get("bootstrap", True)
+        if not isinstance(self._bootstrap, bool):
+            raise ConfigError(f"bootstrap must be a bool, got {self._bootstrap!r}")
 
     def _fit(self, x_train, y_train, x_val, y_val):
         d = x_train.shape[1]

@@ -283,5 +283,5 @@ class FeaturePipeline:
         return entry.val
 
     def state(self) -> tuple:
-        """The fitted stages, for equality and persistence checks."""
-        return (self.config, self.seed, *self._stages)
+        """The fitted stages, all that a transform reads, for equality checks."""
+        return self._stages

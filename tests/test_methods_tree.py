@@ -76,12 +76,15 @@ class TestTreeBuilder:
         )
         leaf_ids = np.flatnonzero(tree.feature == -1)
         counts = {int(i): 0 for i in leaf_ids}
+        # the j-th split node (from 0) has children 2j + 1 and 2j + 2
+        splits = np.cumsum(tree.feature >= 0)
         node = np.zeros(40, dtype=np.int64)
         while (tree.feature[node] >= 0).any():
             active = tree.feature[node] >= 0
             at = node[active]
-            goes_left = x[active, tree.feature[at]] < tree.threshold[at]
-            node[active] = np.where(goes_left, tree.left[at], tree.right[at])
+            j = splits[at] - 1
+            goes_left = x[active, tree.feature[at]] < tree.threshold[j]
+            node[active] = np.where(goes_left, 2 * j + 1, 2 * j + 2)
         for i in node:
             counts[int(i)] += 1
         assert min(counts.values()) >= 5

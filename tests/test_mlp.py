@@ -259,6 +259,7 @@ class TestMLPMethod:
 
     @pytest.mark.parametrize("training", [
         {"batch_size": 0}, {"batch_size": -4}, {"max_epoch": 0}, {"max_epoch": -1},
+        {"patience": 0}, {"patience": -4},
     ])
     def test_rejects_nonpositive_batch_size_and_max_epoch(self, training):
         dataset, info = make_classification(seed=17)

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -199,24 +200,39 @@ def test_seed_free_method_fits_and_predicts_alike_on_every_seed(name):
     cls = methods_registry.get_method(name)
     tables = [make_classification(n_classes=3, missing_rate=0.1, seed=2),
               make_regression(missing_rate=0.1, seed=2)]
+    # the default pipeline and one more, neither of which reads the seed
+    pipelines = (PipelineConfig(),
+                 PipelineConfig(num_policy="Q_PLE", cat_policy="loo"))
     fitted = 0
-    for dataset, info in tables:
+    for (dataset, info), pipeline in itertools.product(tables, pipelines):
         if info.task not in cls.task_types:
             continue
         outputs = []
         for seed in (0, 5):
-            method = cls(MethodConfig(pipeline=PipelineConfig(
-                num_policy="Q_PLE", cat_policy="loo"), seed=seed), info)
+            method = cls(MethodConfig(pipeline=pipeline, seed=seed), info)
             method.fit(dataset, info)
             prediction = method.predict_part(dataset, "test")
             probabilities = prediction.probabilities
-            outputs.append((pickle.dumps(method._state()),
+            outputs.append((method.fitted_state(),
                             prediction.values.tobytes(),
                             None if probabilities is None
                             else probabilities.tobytes()))
         assert outputs[0] == outputs[1]
         fitted += 1
     assert fitted
+
+
+def test_catboost_pipeline_fits_one_state_on_every_seed():
+    # the seed permutes only the train rows' encoding, which no transform reads
+    for dataset, info in (make_classification(n_classes=3, seed=2),
+                          make_regression(seed=2)):
+        states = []
+        for seed in (0, 5):
+            method = methods_registry.get_method("knn")(MethodConfig(
+                pipeline=PipelineConfig(cat_policy="catboost"), seed=seed), info)
+            method.fit(dataset, info)
+            states.append(pickle.dumps(method.pipeline.state()))
+        assert states[0] == states[1]
 
 
 class TestRankMethods:

@@ -119,6 +119,15 @@ def test_every_method_fits_a_table_lacking_a_part_or_kind(name, kind):
     ("mlp", {}, {"patience": "x"}),
     ("mlp", {"d_layers": 5}, {}),
     ("random_forest", {"max_features": "x"}, {}),
+    # a width below 1 would fail in the fit, or fit a bias-only net
+    ("mlp", {"d_layers": [-3]}, {}),
+    ("mlp", {"d_layers": [0]}, {}),
+    ("mlp", {"d_layers": [8, 0]}, {}),
+    ("mlp", {}, {"patience": 0}),
+    ("mlp", {}, {"patience": -4}),
+    # bool("false") is True
+    ("random_forest", {"bootstrap": "false"}, {}),
+    ("random_forest", {"bootstrap": 0}, {}),
 ])
 def test_malformed_hyperparameters_fail_at_construction(name, model, training):
     _, info = table(TaskType.MULTICLASS)

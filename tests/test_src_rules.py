@@ -1,4 +1,4 @@
-"""Five rules that ``src/tabkit`` keeps by having one place for each:
+"""Six rules that ``src/tabkit`` keeps by having one place for each:
 
 - A method parses its hyperparameters once, in ``_check_config``: no ``_fit``
   or ``_predict`` under ``methods/`` reads ``self.config`` for anything but
@@ -9,6 +9,10 @@
 - Every float hyperparameter is parsed, and range-checked, by
   ``methods.base.bounded_float``: no other ``float(...)`` under ``methods/``
   wraps a ``.get(...)``.
+- Every int hyperparameter is parsed, and range-checked, by
+  ``methods.base.positive_int``, and a flag must be a bool, not be cast to
+  one: no ``int(...)`` or ``bool(...)`` under ``methods/`` wraps a
+  ``.get(...)`` outside ``positive_int``.
 - Categorical cells become tokens in one tokenizer: only
   ``encode_cat._tokenize`` calls ``_tokens`` (one column), and only
   ``_tokens`` calls ``.astype(str)``.
@@ -70,11 +74,12 @@ def fitted_on_shape_errors(source: str, allowed: str | None = None) -> list[int]
     return lines
 
 
-def bare_float_gets(source: str, allowed: str | None = None) -> list[int]:
-    """Lines of the ``float(...)`` calls with a ``.get(...)`` call inside,
-    outside the function named ``allowed``."""
+def cast_gets(source: str, casts: tuple, allowed: str | None = None) -> list[int]:
+    """Lines of the calls to a builtin named in ``casts`` (``float(...)``,
+    say) with a ``.get(...)`` call inside, outside the function named
+    ``allowed``."""
     return [call.lineno for name, call in _calls(source, allowed)
-            if name == "float" and isinstance(call.func, ast.Name)
+            if name in casts and isinstance(call.func, ast.Name)
             and any(isinstance(part, ast.Call) and getattr(part.func, "attr", None) == "get"
                     for arg in call.args for part in ast.walk(arg))]
 
@@ -153,14 +158,25 @@ def test_only_check_width_says_was_fitted_on():
     assert fitted_on_shape_errors((SRC / "errors.py").read_text()) != []
 
 
-def test_float_hyperparameters_are_parsed_by_bounded_float():
+def _unparsed(casts: tuple, parser: str) -> dict[str, list[int]]:
+    """File name -> lines, under ``methods/``, of the ``casts`` calls that
+    wrap a ``.get(...)`` outside ``base.py``'s ``parser``."""
     found = {}
     for path in sorted((SRC / "methods").glob("*.py")):
-        allowed = "bounded_float" if path.name == "base.py" else None
-        if lines := bare_float_gets(path.read_text(), allowed):
+        allowed = parser if path.name == "base.py" else None
+        if lines := cast_gets(path.read_text(), casts, allowed):
             found[path.name] = lines
-    assert found == {}
-    assert bare_float_gets((SRC / "methods" / "base.py").read_text()) != []
+    # the rule's one parser is where the rule says it is
+    assert cast_gets((SRC / "methods" / "base.py").read_text(), casts) != []
+    return found
+
+
+def test_float_hyperparameters_are_parsed_by_bounded_float():
+    assert _unparsed(("float",), "bounded_float") == {}
+
+
+def test_int_and_bool_hyperparameters_are_parsed_by_positive_int():
+    assert _unparsed(("int", "bool"), "positive_int") == {}
 
 
 def test_only_the_tokenizer_makes_tokens():
@@ -229,8 +245,22 @@ def test_bare_float_gets_are_found():
         "            str(cfg.get('p')))\n"
         "        self._mean = float(y.mean())\n"
         "        self._d = np.float64(cfg.get('d'))\n")
-    assert bare_float_gets(source, "bounded_float") == [5, 6]
-    assert bare_float_gets(source) == [2, 5, 6]
+    assert cast_gets(source, ("float",), "bounded_float") == [5, 6]
+    assert cast_gets(source, ("float",)) == [2, 5, 6]
+
+
+def test_bare_int_and_bool_gets_are_found():
+    source = (
+        "def positive_int(cfg, key, default):\n"
+        "    return int(cfg.get(key, default))\n"
+        "class M:\n"
+        "    def _check_config(self):\n"
+        "        self._p = int(train_cfg.get('patience', 20))\n"
+        "        self._b = bool(cfg.get('bootstrap', True))\n"
+        "        self._n = int(size.max())\n"
+        "        self._f = float(cfg.get('f'))\n")
+    assert cast_gets(source, ("int", "bool"), "positive_int") == [5, 6]
+    assert cast_gets(source, ("int", "bool")) == [2, 5, 6]
 
 
 def test_token_calls_are_found():
