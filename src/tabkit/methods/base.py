@@ -1,12 +1,14 @@
 """The unified method contract: fit on train+val, predict anywhere.
 
 Every method owns a feature pipeline, fits it and its own parameters on the
-training part (validation is only consulted for early stopping), and reports
-its wall-clock training time. Fitted state never depends on test rows.
+training part (validation is only consulted for early stopping, and encoded
+only for a method that reads it), and reports its wall-clock training time.
+Fitted state never depends on test rows.
 """
 
 from __future__ import annotations
 
+import numbers
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -33,9 +35,23 @@ class MethodConfig:
     seed: int = 0
 
 
+def _number(value, key: str, integral: bool = False):
+    """``value`` if it is a real number, and integral when ``integral``;
+    ConfigError for anything else, a bool or a string included."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, numbers.Real)
+            or integral and not isinstance(value, numbers.Integral)
+            and not float(value).is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return value
+
+
 def positive_int(cfg: dict, key: str, default: int) -> int:
-    """``cfg[key]`` (or ``default``) as an int; ConfigError below 1."""
-    value = int(cfg.get(key, default))
+    """``cfg[key]`` (or ``default``), an integral number (a Python or numpy
+    integer, or a float with no fraction), as an int; ConfigError for any
+    other value or one below 1."""
+    value = int(_number(cfg.get(key, default), key, integral=True))
     if value < 1:
         raise ConfigError(f"{key} must be >= 1, got {value}")
     return value
@@ -43,9 +59,10 @@ def positive_int(cfg: dict, key: str, default: int) -> int:
 
 def bounded_float(cfg: dict, key: str, default: float, *, positive=False,
                   below=float("inf")) -> float:
-    """``cfg[key]`` (or ``default``) as a float; ConfigError unless it is
-    finite and in [0, below), or in (0, below) when ``positive``."""
-    value = float(cfg.get(key, default))
+    """``cfg[key]`` (or ``default``), a real number, as a float; ConfigError
+    unless it is finite and in [0, below), or in (0, below) when
+    ``positive``."""
+    value = float(_number(cfg.get(key, default), key))
     # nan fails every comparison, and inf is never below ``below``
     if not ((value > 0 if positive else value >= 0) and value < below):
         low = "(0" if positive else "[0"
@@ -109,7 +126,11 @@ class Method:
     ``config.seed``. A class that declares it ``False`` fits the same model
     on every seed, so ``report.run_seeds`` fits it once and records that
     outcome for each seed (unless the pipeline reads the seed). It is
-    ``True`` here, so a method that does not declare it fits once per seed."""
+    ``True`` here, so a method that does not declare it fits once per seed.
+
+    ``reads_val`` says whether ``_fit`` reads the val part. ``fit`` encodes
+    val only for a class that leaves it ``True``, as here, and hands the
+    others ``None`` for ``x_val`` and ``y_val``."""
 
     # which task kinds the method accepts
     task_types: tuple[TaskType, ...] = (
@@ -119,6 +140,7 @@ class Method:
     )
     is_deep = False
     reads_seed = True
+    reads_val = True
 
     def __init__(self, config: MethodConfig, info: DatasetInfo):
         if info.task not in self.task_types:
@@ -135,24 +157,40 @@ class Method:
         self._check_config()
 
     def fit(self, dataset: Dataset, info: DatasetInfo) -> float:
-        """Fit pipeline and model on train (+val for early stopping); returns
-        the training time in seconds. Test rows are never read.
+        """Fit pipeline and model on train (+val, for a method that reads
+        it); returns the training time in seconds. Test rows are never read.
 
         A memoized pipeline fit is charged the seconds its first fit took
-        (``FeaturePipeline.fit_seconds``), so the time does not depend on
-        which run came first; hit and miss read the clock equally often."""
+        (``FeaturePipeline.fit_seconds``), and its val the seconds the val's
+        first encoding took (``FeaturePipeline.val_seconds``), so the time
+        does not depend on which run came first; hit and miss read the clock
+        equally often."""
         start = _clock()
         x_train = self.pipeline.fit_transform_train(dataset, info)
-        x_val = self.pipeline.transform_part(dataset, "val")
-        y_train, y_val = dataset.part_labels("train"), dataset.part_labels("val")
         encoded = _clock()
-        pipeline_s = self.pipeline.fit_seconds(encoded - start)
+        seconds = self.pipeline.fit_seconds(encoded - start)
+        y_train = dataset.part_labels("train")
+        x_val = y_val = None
+        if self.reads_val:
+            x_val, val_seconds, encoded = self._encode_val(dataset, encoded)
+            seconds += val_seconds
+            y_val = dataset.part_labels("val")
         if self.is_regression:
             self._unit = target_exponent(y_train)
-            y_train, y_val = (np.ldexp(y, -self._unit) for y in (y_train, y_val))
+            y_train = np.ldexp(y_train, -self._unit)
+            if y_val is not None:
+                y_val = np.ldexp(y_val, -self._unit)
         self._fit(x_train, y_train, x_val, y_val)
         self._fitted = True
-        return pipeline_s + (_clock() - encoded)
+        return seconds + (_clock() - encoded)
+
+    def _encode_val(self, dataset: Dataset, start: float) -> tuple:
+        """``dataset``'s encoded val part, the seconds charged for it and the
+        clock once it is encoded: the first encoding of a memo entry's val
+        keeps the seconds since ``start``, whoever asks for it."""
+        x_val = self.pipeline.transform_part(dataset, "val")
+        end = _clock()
+        return x_val, self.pipeline.val_seconds(dataset, end - start), end
 
     def predict(self, num: np.ndarray, cat: np.ndarray) -> Prediction:
         self._require_fitted()
@@ -160,8 +198,11 @@ class Method:
 
     def predict_part(self, dataset: Dataset, part: str) -> Prediction:
         self._require_fitted()
-        return self._unmapped(
-            self._predict(self.pipeline.transform_part(dataset, part)))
+        if part == "val":
+            x = self._encode_val(dataset, _clock())[0]
+        else:
+            x = self.pipeline.transform_part(dataset, part)
+        return self._unmapped(self._predict(x))
 
     def fitted_state(self) -> bytes:
         """Serialized fitted parameters; equal bytes mean equal models."""

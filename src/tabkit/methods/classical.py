@@ -62,6 +62,7 @@ class DummyMethod(Method):
     training-mean label."""
 
     reads_seed = False
+    reads_val = False
 
     def _fit(self, x_train, y_train, x_val, y_val):
         if self.is_regression:
@@ -206,6 +207,7 @@ class KNNMethod(Method):
     """
 
     reads_seed = False
+    reads_val = False
 
     def _check_config(self):
         self._k = positive_int(self.config.model, "n_neighbors", 5)
@@ -238,33 +240,97 @@ class KNNMethod(Method):
         return self._x.size
 
 
+# the most floats a row block of NCM or naive Bayes holds (1 MiB): each class
+# is scored, and summed for the fit, one block of rows at a time
+_BLOCK_FLOATS = 1 << 17
+
+
+def _block_rows(n: int, d: int) -> int:
+    """Rows in a block of ``n`` rows of ``d`` columns: at most
+    ``_BLOCK_FLOATS // d``, but all ``n`` for fewer than two columns, which
+    numpy sums pairwise down a column rather than row after row."""
+    return max(1, _BLOCK_FLOATS // d if d > 1 else n)
+
+
+def _class_sums(x: np.ndarray, y: np.ndarray, class_count: int,
+                centers: np.ndarray | None = None) -> tuple:
+    """Each class's row count, and the sum over its rows of ``x`` (or of
+    ``(x - centers[c])²`` for class c), as numpy's axis-0 sum of the class's
+    rows gives it: added row after row from 0.0, so a block's rows are summed
+    behind the sum of the blocks before it. No class's rows are copied whole."""
+    n, d = x.shape
+    step = _block_rows(n, d)
+    counts = np.bincount(y, minlength=class_count)
+    sums = np.zeros((class_count, d))
+    seen = np.zeros(class_count, dtype=bool)
+    # the running sum, then one class's rows of a block, which are no more
+    # than the block's or the class's
+    buffer = np.empty((min(step, counts.max(initial=0)) + 1, d))
+    for start in range(0, n, step):
+        block, labels = x[start:start + step], y[start:start + step]
+        for c in range(class_count):
+            members = np.flatnonzero(labels == c)
+            if not len(members):
+                continue
+            lead = int(seen[c])
+            end = lead + len(members)
+            rows = buffer[lead:end]
+            # "clip" takes straight into ``rows``; "raise" would take into a
+            # temporary first (the indices are in range either way)
+            np.take(block, members, axis=0, out=rows, mode="clip")
+            if centers is not None:
+                np.subtract(rows, centers[c], out=rows)
+                np.square(rows, out=rows)
+            if lead:
+                buffer[0] = sums[c]
+            np.add.reduce(buffer[:end], axis=0, out=sums[c])
+            seen[c] = True
+    return counts, sums
+
+
+def _class_means(x: np.ndarray, y: np.ndarray, class_count: int) -> tuple:
+    """Each class's row count and mean row, zeros for a class with no rows."""
+    counts, sums = _class_sums(x, y, class_count)
+    present = counts > 0
+    sums[present] /= counts[present, None]
+    return counts, sums
+
+
+def _class_scores(x: np.ndarray, centers: np.ndarray, score) -> np.ndarray:
+    """The (rows x classes) scores of ``x``, one row block at a time: column
+    c of a block is ``score(c, squares)``, for ``squares`` the block's squared
+    differences from ``centers[c]`` in one block-sized temporary, which
+    ``score`` may overwrite."""
+    n, d = x.shape
+    step = _block_rows(n, d)
+    scores = np.empty((n, len(centers)))
+    squares = np.empty((min(step, n), d))
+    for start in range(0, n, step):
+        block = x[start:start + step]
+        temp = squares[:len(block)]
+        for c, center in enumerate(centers):
+            np.subtract(block, center, out=temp)
+            np.square(temp, out=temp)
+            scores[start:start + step, c] = score(c, temp)
+    return scores
+
+
 class NCMMethod(Method):
     """Nearest class mean; probabilities are a softmax over negated distances."""
 
     task_types = CLASSIFICATION_TASKS
     reads_seed = False
+    reads_val = False
 
     def _fit(self, x_train, y_train, x_val, y_val):
-        centroids = np.zeros((self.class_count, x_train.shape[1]))
-        # each class's rows are copied only for the mean, so one copy is
-        # alive at a time
-        for c in range(self.class_count):
-            members = y_train == c
-            if members.any():
-                centroids[c] = x_train[members].mean(axis=0)
-        self._centroids = centroids
+        self._centroids = _class_means(x_train, y_train, self.class_count)[1]
 
     def _predict(self, x) -> Prediction:
-        # one class at a time, in one (rows x features) temporary; a cell far
-        # from a centroid squares to inf, a distance the softmax takes
-        squares = np.empty(x.shape)
-        dist = np.empty((x.shape[0], self.class_count))
+        # a cell far from a centroid squares to inf, a distance the softmax
+        # takes
         with np.errstate(over="ignore"):
-            for c, centroid in enumerate(self._centroids):
-                np.subtract(x, centroid, out=squares)
-                np.square(squares, out=squares)
-                dist[:, c] = squares.sum(axis=1)
-        del squares
+            dist = _class_scores(x, self._centroids,
+                                 lambda c, squares: squares.sum(axis=1))
         return self._classify(_softmax(-np.sqrt(dist)))
 
     def _state(self):
@@ -279,34 +345,33 @@ class NaiveBayesMethod(Method):
 
     task_types = CLASSIFICATION_TASKS
     reads_seed = False
+    reads_val = False
     VAR_FLOOR = 1e-9
 
     def _fit(self, x_train, y_train, x_val, y_val):
-        d = x_train.shape[1]
-        self._means = np.zeros((self.class_count, d))
-        self._vars = np.full((self.class_count, d), self.VAR_FLOOR)
-        for c in range(self.class_count):
-            members = x_train[y_train == c]
-            if len(members):
-                self._means[c] = members.mean(axis=0)
-                self._vars[c] = np.maximum(members.var(axis=0), self.VAR_FLOOR)
+        classes = self.class_count
+        counts, self._means = _class_means(x_train, y_train, classes)
+        squares = _class_sums(x_train, y_train, classes, self._means)[1]
+        present = counts > 0
+        self._vars = np.full_like(self._means, self.VAR_FLOOR)
+        self._vars[present] = np.maximum(
+            squares[present] / counts[present, None], self.VAR_FLOOR)
         priors = _class_frequencies(y_train, self.class_count)
         self._log_priors = np.log(np.clip(priors, 1e-300, None))
 
     def _predict(self, x) -> Prediction:
-        # one class at a time, in one (rows x features) temporary; a cell far
-        # from a class mean gives a -inf log-likelihood, which the softmax takes
-        log_joint = np.empty((x.shape[0], self.class_count))
-        terms = np.empty(x.shape)
+        # a cell far from a class mean gives a -inf log-likelihood, which the
+        # softmax takes
+        log_norms = [np.log(2.0 * np.pi * var) for var in self._vars]
+
+        def log_joint(c, squares):
+            squares /= self._vars[c]
+            squares += log_norms[c]
+            return self._log_priors[c] + -0.5 * squares.sum(axis=1)
+
         with np.errstate(over="ignore"):
-            for c in range(self.class_count):
-                np.subtract(x, self._means[c], out=terms)
-                np.square(terms, out=terms)
-                terms /= self._vars[c]
-                terms += np.log(2.0 * np.pi * self._vars[c])
-                log_joint[:, c] = self._log_priors[c] + -0.5 * terms.sum(axis=1)
-        del terms
-        return self._classify(_softmax(log_joint))
+            return self._classify(_softmax(
+                _class_scores(x, self._means, log_joint)))
 
     def _state(self):
         return (self._means, self._vars, self._log_priors)
@@ -404,6 +469,7 @@ class LinearRegressionMethod(Method):
 
     task_types = (TaskType.REGRESSION,)
     reads_seed = False
+    reads_val = False
     L2 = 1e-6
 
     def _fit(self, x_train, y_train, x_val, y_val):
@@ -434,6 +500,7 @@ class _GradientDescentClassifier(Method):
 
     task_types = CLASSIFICATION_TASKS
     reads_seed = False
+    reads_val = False
     DEFAULT_L2 = 1e-4
 
     def _check_config(self):

@@ -403,6 +403,7 @@ class CARTMethod(Method):
     """Single greedy decision tree."""
 
     reads_seed = False
+    reads_val = False
 
     def _check_config(self):
         cfg = self.config.model
@@ -432,6 +433,8 @@ class CARTMethod(Method):
 
 class RandomForestMethod(Method):
     """Bagged trees with per-split feature subsampling; vote-fraction probs."""
+
+    reads_val = False
 
     def _check_config(self):
         cfg = self.config.model
@@ -491,6 +494,7 @@ class GBDTMethod(Method):
     """
 
     reads_seed = False
+    reads_val = False
 
     def _check_config(self):
         cfg = self.config.model

@@ -23,9 +23,10 @@ computed once per array object and kept until the array is collected, so a
 ``Dataset``'s arrays must not be modified in place after a fit; assigning a
 new array to an attribute is fine.
 A pipeline whose key matches takes the memoized stages and the read-only train
-matrix instead of fitting again, and the val matrix of the dataset it was
-fitted on is encoded once per entry. Only one entry is held; a fit with
-another key drops it before fitting.
+matrix instead of fitting again. The val matrix is encoded once per entry,
+when a method that reads val or a validation predict first asks for it, and
+only for a dataset whose key, taken when it asks, is the entry's. Only one
+entry is held; a fit with another key drops it before fitting.
 """
 
 from __future__ import annotations
@@ -71,13 +72,25 @@ class PipelineConfig:
 @dataclass(eq=False)
 class _Fit:
     """One memoized fit: its stages, its read-only train matrix, the val
-    matrix once a pipeline has asked for it, and the seconds the first
-    ``Method.fit`` served from it measured."""
+    matrix once a pipeline has asked for it, the seconds the first
+    ``Method.fit`` served from it measured encoding train, and those the
+    val's encoding measured."""
 
     stages: tuple
     train: np.ndarray
     val: np.ndarray | None = None
     seconds: float | None = None
+    val_seconds: float | None = None
+
+
+def _charged(entry: _Fit | None, name: str, measured: float) -> float:
+    """The seconds ``entry`` keeps in ``name``, which become ``measured`` if
+    it keeps none yet; ``measured`` when there is no entry."""
+    if entry is None:
+        return measured
+    if getattr(entry, name) is None:
+        setattr(entry, name, measured)
+    return getattr(entry, name)
 
 
 class _Memo:
@@ -217,7 +230,7 @@ class FeaturePipeline:
         # "none", or a cat_policy other than "ordinal")
         self._stages: tuple = (None,) * 5
         self._key: bytes | None = None
-        self._fitted_on = None  # weak reference to the dataset of the last fit
+        self._info: DatasetInfo | None = None  # of the last fit, for its key
 
     @property
     def is_fitted(self) -> bool:
@@ -231,7 +244,7 @@ class FeaturePipeline:
                                                  dataset, info))
         self._stages = fit.stages
         self._key = key
-        self._fitted_on = weakref.ref(dataset)
+        self._info = info
         return fit.train
 
     def fit_seconds(self, measured: float) -> float:
@@ -239,16 +252,27 @@ class FeaturePipeline:
         ``Method.fit`` served from its memo entry measured, so that a hit
         costs what the miss did. ``measured`` becomes that figure if the
         entry has none yet."""
-        entry = self._entry()
-        if entry is None:
-            return measured
-        if entry.seconds is None:
-            entry.seconds = measured
-        return entry.seconds
+        return _charged(self._entry(), "seconds", measured)
+
+    def val_seconds(self, dataset: Dataset, measured: float) -> float:
+        """The seconds charged for encoding ``dataset``'s val part: those
+        the memo entry's first val encoding measured, when the entry holds
+        this dataset's val; ``measured`` becomes that figure if the entry has
+        none yet."""
+        return _charged(self._val_entry(dataset), "val_seconds", measured)
 
     def _entry(self) -> _Fit | None:
         """The memo entry this pipeline was last fitted from, while held."""
         return _memo.value if _memo.key == self._key else None
+
+    def _val_entry(self, dataset: Dataset) -> _Fit | None:
+        """The memo entry, if its val part is ``dataset``'s: the entry is held
+        and ``dataset``'s key, its arrays as they are now, is the entry's."""
+        entry = self._entry()
+        if entry is not None and self._key == _fit_key(
+                self.config, self.seed, dataset, self._info):
+            return entry
+        return None
 
     def transform(self, num: np.ndarray, cat) -> np.ndarray:
         """Encode rows with inference semantics (no row identity), each
@@ -272,10 +296,10 @@ class FeaturePipeline:
         return out
 
     def transform_part(self, dataset: Dataset, part: str) -> np.ndarray:
-        """Encode one part of ``dataset``. The val part of the dataset this
-        pipeline was fitted on is encoded once per memo entry and read-only."""
-        entry = self._entry()
-        if part != "val" or entry is None or self._fitted_on() is not dataset:
+        """Encode one part of ``dataset``. The val part of a dataset whose key
+        is the memo entry's is encoded once per entry and read-only."""
+        entry = self._val_entry(dataset) if part == "val" else None
+        if entry is None:
             return self.transform(dataset.part_num(part), _part_codes(dataset, part))
         if entry.val is None:
             entry.val = _read_only(self.transform(

@@ -2,9 +2,11 @@
 
 A pipeline fit whose key (config, task, class count, dataset content and,
 under catboost, the seed) matches the memoized one takes its stages and its
-read-only train and val matrices. These tests check that a hit gives the
+read-only train matrix, and its val matrix once a method that reads val, or
+a validation predict, has encoded it. These tests check that a hit gives the
 same bytes as a fit with nothing memoized, that every input a fit reads
-makes a miss, and that a hit is charged the seconds its first fit took.
+makes a miss, that val is encoded only when read and then once per entry,
+and that a hit is charged the seconds its first fit took.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tabkit.methods.base as method_base
@@ -25,6 +27,7 @@ from tabkit.encode_num import NUM_POLICIES
 from tabkit.methods import MethodConfig, get_method, registered_methods
 from tabkit.pipeline import FeaturePipeline, PipelineConfig
 from tabkit.preprocess import CAT_NAN_POLICIES, NORMALIZATIONS, NUM_NAN_POLICIES
+from tabkit.tune import parse_space, tune_hyper_parameters
 
 from conftest import make_classification, make_regression
 
@@ -231,6 +234,111 @@ def test_time_is_equal_on_hit_and_miss_under_pinned_clock(monkeypatch):
     assert next(ticks, None) is None  # three clock reads per fit
 
 
+def val_reader(name):
+    """The method class of ``name`` with ``reads_val`` set: its fit is handed
+    the encoded val part, which it does not read."""
+    cls = get_method(name)
+    return type(f"ValReading{cls.__name__}", (cls,), {"reads_val": True})
+
+
+def test_reader_is_charged_alike_whoever_built_the_entry(monkeypatch):
+    # every fit encodes train in 5 ticks on a miss and half a tick on a hit,
+    # a reader encodes val in 2 ticks, and every fit takes 1 tick; a reader
+    # is charged train, val and fit, a non-reader train and fit
+    ticks = iter([0.0, 5.0, 6.0,                # ncm, miss
+                  10.0, 10.5, 12.5, 13.5,       # reader, hit: val encoded
+                  20.0, 20.5, 20.75, 21.75])    # reader, hit: val memoized
+    monkeypatch.setattr(method_base, "_clock", lambda: next(ticks))
+    dataset, info = TABLES["clf"]
+    reader = val_reader("ncm")
+    charged = [cls(MethodConfig(), info).fit(dataset, info)
+               for cls in (get_method("ncm"), reader, reader)]
+    assert next(ticks, None) is None  # four clock reads per reader's fit
+    pipeline_module._memo = pipeline_module._Memo()
+    ticks = iter([30.0, 35.0, 37.0, 38.0,       # reader, miss
+                  40.0, 40.5, 41.5])            # ncm, hit
+    charged += [cls(MethodConfig(), info).fit(dataset, info)
+                for cls in (reader, get_method("ncm"))]
+    assert charged == [6.0, 8.0, 8.0, 8.0, 6.0]
+    assert next(ticks, None) is None
+
+
+@pytest.fixture
+def val_encodings(monkeypatch):
+    """The memo entry's val matrix each time a pipeline encodes it."""
+    encoded = []
+    original = FeaturePipeline.transform_part
+
+    def counting(self, dataset, part):
+        entry = self._val_entry(dataset) if part == "val" else None
+        held = entry is not None and entry.val is not None
+        matrix = original(self, dataset, part)
+        if entry is not None and not held:
+            encoded.append(matrix)
+        return matrix
+
+    monkeypatch.setattr(FeaturePipeline, "transform_part", counting)
+    return encoded
+
+
+def test_non_readers_leave_val_unencoded(val_encodings):
+    for table in TABLES:
+        dataset, info = TABLES[table]
+        for name in registered_methods():
+            cls = get_method(name)
+            if cls.reads_val or info.task not in cls.task_types:
+                continue
+            fit_method(name, dataset, info, PipelineConfig())
+            assert pipeline_module._memo.value.val is None, name
+    assert val_encodings == []
+
+
+def test_a_reader_encodes_val_once_per_entry(val_encodings):
+    dataset, info = TABLES["clf"]
+    ncm = fit_method("ncm", dataset, info, PipelineConfig())
+    entry = pipeline_module._memo.value
+    for _ in range(2):
+        fit_method("mlp", dataset, info, PipelineConfig())
+        ncm.predict_part(dataset, "val")
+    assert pipeline_module._memo.value is entry
+    assert [id(matrix) for matrix in val_encodings] == [id(entry.val)]
+    # another entry encodes its own val, once
+    fit_method("mlp", dataset, info, PipelineConfig(cat_policy="binary"))
+    fit_method("mlp", dataset, info, PipelineConfig(cat_policy="binary"))
+    assert len(val_encodings) == 2
+
+
+def test_val_of_a_reassigned_array_is_encoded_fresh(val_encodings):
+    dataset, info = make_classification(n_rows=90, n_classes=3, seed=86)
+    ncm = fit_method("ncm", dataset, info, PipelineConfig())
+    entry, original = pipeline_module._memo.value, dataset.num
+    num = original.copy()
+    num[dataset.split["val"]] += 1.0
+    dataset.num = num
+    val = ncm.pipeline.transform_part(dataset, "val")
+    assert exact(val) == exact(ncm.pipeline.transform(
+        dataset.part_num("val"), dataset.part_cat("val")))
+    # the entry still holds no val, so a reader on the fitted arrays is
+    # handed theirs
+    assert entry.val is None and val_encodings == []
+    dataset.num = original
+    fit_method("mlp", dataset, info, PipelineConfig())
+    assert pipeline_module._memo.value is entry
+    assert exact(entry.val) == exact(ncm.pipeline.transform(
+        dataset.part_num("val"), dataset.part_cat("val")))
+
+
+def test_tuning_trials_encode_val_once_per_entry(val_encodings):
+    dataset, info = TABLES["clf"]
+    fit_method("knn", dataset, info, PipelineConfig())
+    assert val_encodings == []
+    space = parse_space({"knn": {"model": {"n_neighbors": ["int", 1, 9]},
+                                 "training": {}}})
+    result = tune_hyper_parameters("knn", space, dataset, info, n_trials=4)
+    assert all(trial.error is None for trial in result.trials)
+    assert len(val_encodings) == 1
+
+
 # ---- property: whatever the memo holds, a fit equals a cold fit ----------
 
 PIPELINE_CONFIGS = st.builds(
@@ -265,3 +373,25 @@ def test_fit_after_any_memo_equals_cold_fit(table, config, seed, primer,
     pipeline_module._memo = pipeline_module._Memo()
     encoded(dataset, info, primer, primer_seed)
     assert encoded(dataset, info, config, seed) == cold
+
+
+# ---- property: a method that reads no val fits as if it had been handed it
+
+VAL_FREE = [name for name in registered_methods()
+            if not get_method(name).reads_val]
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(VAL_FREE), config=PIPELINE_CONFIGS,
+       seed=st.integers(0, 1))
+def test_non_reader_fits_as_a_val_reader_does(name, config, seed):
+    dataset, info = table_for(name)
+    outcomes = []
+    for cls in (get_method(name), val_reader(name)):
+        pipeline_module._memo = pipeline_module._Memo()
+        overrides = SMALL.get(name, {})
+        method = cls(MethodConfig(model=dict(overrides.get("model", {})),
+                                  pipeline=config, seed=seed), info)
+        method.fit(dataset, info)
+        outcomes.append(outcome(method, dataset))
+    assert outcomes[0] == outcomes[1]

@@ -18,6 +18,7 @@ from tabkit.data import Dataset, DatasetInfo, TaskType
 from tabkit.encode_cat import CAT_POLICIES
 from tabkit.errors import ConfigError
 from tabkit.methods import MethodConfig, get_method, registered_methods
+from tabkit.methods.base import bounded_float, positive_int
 from tabkit.pipeline import FeaturePipeline, PipelineConfig
 from tabkit.preprocess import NORMALIZATIONS
 
@@ -133,6 +134,40 @@ def test_malformed_hyperparameters_fail_at_construction(name, model, training):
     _, info = table(TaskType.MULTICLASS)
     with pytest.raises((TypeError, ValueError)):
         get_method(name)(MethodConfig(model=model, training=training), info)
+
+
+@pytest.mark.parametrize("name,group,key,value,kind", [
+    # an int hyperparameter was truncated: 2.7 became 2, True 1, "3" 3, and
+    # 0.5 failed as "got 0"
+    *[("random_forest", "model", "n_trees", v, "an integer")
+      for v in (2.7, 0.5, True, np.True_, "3", None, np.nan, np.inf)],
+    ("cart", "model", "max_depth", "16", "an integer"),
+    ("knn", "model", "n_neighbors", np.float64(2.5), "an integer"),
+    ("mlp", "training", "patience", False, "an integer"),
+    ("mlp", "model", "d_layers", [8, 2.5], "an integer"),
+    # a float hyperparameter took True as 1.0 and "0.1" as 0.1
+    *[("gbdt", "model", "learning_rate", v, "a number")
+      for v in (True, "0.1", None)],
+    ("logreg", "model", "l2", np.False_, "a number"),
+    ("mlp", "model", "dropout", "0.1", "a number"),
+])
+def test_non_numbers_fail_at_construction(name, group, key, value, kind):
+    _, info = table(TaskType.MULTICLASS)
+    with pytest.raises(ConfigError, match=f"{key} must be {kind}, got"):
+        get_method(name)(MethodConfig(**{group: {key: value}}), info)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3),
+                                   3.0, np.float32(3.0)])
+def test_integers_and_integral_floats_parse_as_ints(value):
+    parsed = positive_int({"k": value}, "k", 1)
+    assert parsed == 3 and type(parsed) is int
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), 2.0, np.float32(2.0)])
+def test_real_numbers_parse_as_floats(value):
+    parsed = bounded_float({"x": value}, "x", 1.0)
+    assert parsed == 2.0 and type(parsed) is float
 
 
 @pytest.mark.parametrize("name,group,key,value", [

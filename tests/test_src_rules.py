@@ -1,4 +1,4 @@
-"""Six rules that ``src/tabkit`` keeps by having one place for each:
+"""Seven rules that ``src/tabkit`` keeps by having one place for each:
 
 - A method parses its hyperparameters once, in ``_check_config``: no ``_fit``
   or ``_predict`` under ``methods/`` reads ``self.config`` for anything but
@@ -21,6 +21,11 @@
   ``False`` (its own or inherited) reads ``.seed``, in its own body or a
   base's, short of ``Method``, whose constructor hands the seed to the
   pipeline.
+- Whether a method reads the val part is declared once, by its class's
+  ``reads_val``: no ``_fit`` of a class under ``methods/`` whose
+  ``reads_val`` is ``False`` (its own or inherited), or of one of its bases
+  short of ``Method``, names ``x_val`` or ``y_val``, which ``Method.fit``
+  hands such a class as ``None``.
 """
 
 import ast
@@ -99,22 +104,22 @@ def str_casts(source: str, allowed: str | None = None) -> list[int]:
                                               for arg in call.args))
 
 
-def _declared_reads_seed(cls: ast.ClassDef):
-    """The value a class body assigns to ``reads_seed``; None if it assigns
-    none, True if the value is not a literal."""
+def _declared(cls: ast.ClassDef, attr: str):
+    """The value a class body assigns to ``attr``; None if it assigns none,
+    True if the value is not a literal."""
     for stmt in cls.body:
         targets = (stmt.targets if isinstance(stmt, ast.Assign)
                    else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
-        if any(isinstance(t, ast.Name) and t.id == "reads_seed" for t in targets):
+        if any(isinstance(t, ast.Name) and t.id == attr for t in targets):
             value = stmt.value
             return value.value if isinstance(value, ast.Constant) else True
     return None
 
 
-def _seed_free_lineages(sources) -> dict[str, list[ast.ClassDef]]:
-    """Each class in ``sources`` (sources of one package) whose
-    ``reads_seed`` is False, by name, with the chain of it and its bases
-    defined there, nearest first; ``reads_seed`` is True by default."""
+def _lineages_where_false(sources, attr: str) -> dict[str, list[ast.ClassDef]]:
+    """Each class in ``sources`` (sources of one package) whose ``attr``
+    (``reads_seed``, say) is False, by name, with the chain of it and its
+    bases defined there, nearest first; the attribute is True by default."""
     classes = {node.name: node for source in sources
                for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.ClassDef)}
@@ -127,8 +132,16 @@ def _seed_free_lineages(sources) -> dict[str, list[ast.ClassDef]]:
 
     chains = {name: list(lineage(cls)) for name, cls in classes.items()}
     return {name: chain for name, chain in chains.items()
-            if next((value for value in map(_declared_reads_seed, chain)
+            if next((value for value in (_declared(cls, attr) for cls in chain)
                      if value is not None), True) is False}
+
+
+def _seed_free_lineages(sources) -> dict[str, list[ast.ClassDef]]:
+    return _lineages_where_false(sources, "reads_seed")
+
+
+def _val_free_lineages(sources) -> dict[str, list[ast.ClassDef]]:
+    return _lineages_where_false(sources, "reads_val")
 
 
 def seed_reads(sources) -> list[str]:
@@ -139,6 +152,19 @@ def seed_reads(sources) -> list[str]:
                   for cls in chain if cls.name != "Method"
                   for node in ast.walk(cls)
                   if isinstance(node, ast.Attribute) and node.attr == "seed")
+
+
+def val_reads(sources) -> list[str]:
+    """``Class:line`` of each ``x_val`` or ``y_val`` named in a ``_fit`` of a
+    class whose ``reads_val`` is False, or of a base other than ``Method``;
+    the parameters themselves are not names read."""
+    return sorted(f"{name}:{node.lineno}"
+                  for name, chain in _val_free_lineages(sources).items()
+                  for cls in chain if cls.name != "Method"
+                  for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_fit"
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Name) and node.id in ("x_val", "y_val"))
 
 
 def test_fit_and_predict_read_no_hyperparameters():
@@ -204,6 +230,18 @@ def test_seed_free_methods_read_no_seed():
     assert {cls.__name__ for cls in classes if not cls.reads_seed} == {
         cls.__name__ for cls in classes if cls.__name__ in seed_free}
     assert seed_free
+
+
+def test_val_free_methods_read_no_val():
+    sources = [path.read_text()
+               for path in sorted((SRC / "methods").glob("*.py"))]
+    assert val_reads(sources) == []
+    # the rule sees what each registered method declares
+    val_free = set(_val_free_lineages(sources))
+    classes = [get_method(name) for name in registered_methods()]
+    assert {cls.__name__ for cls in classes if not cls.reads_val} == {
+        cls.__name__ for cls in classes if cls.__name__ in val_free}
+    assert val_free
 
 
 def test_config_reads_are_found():
@@ -307,3 +345,35 @@ def test_seed_reads_are_found():
         "        return rng_of(self.config.seed)\n")
     assert seed_reads([source]) == ["Base:18", "Child:11", "Leaf:18"]
     assert set(_seed_free_lineages([source])) == {"Free", "Child", "Base", "Leaf"}
+
+
+def test_val_reads_are_found():
+    source = (
+        "class Method:\n"
+        "    reads_val = True\n"
+        "    def fit(self, x_val, y_val):\n"
+        "        self._fit(None, None, x_val, y_val)\n"
+        "class Free(Method):\n"
+        "    reads_val = False\n"
+        "    def _fit(self, x_train, y_train, x_val, y_val):\n"
+        "        return x_train\n"
+        "class Peeks(Free):\n"
+        "    def _fit(self, x_train, y_train, x_val, y_val):\n"
+        "        return len(y_val)\n"
+        "class Reader(Method):\n"
+        "    def _fit(self, x_train, y_train, x_val, y_val):\n"
+        "        return x_val\n"
+        "class Base(Method):\n"
+        "    reads_val: bool = False\n"
+        "    def _fit(self, x_train, y_train, x_val, y_val):\n"
+        "        self._x_val = x_val\n"
+        "    def _predict(self, x_val):\n"
+        "        return x_val\n"
+        "class Leaf(Base):\n"
+        "    pass\n"
+        "class Again(Base):\n"
+        "    reads_val = True\n"
+        "    def _fit(self, x_train, y_train, x_val, y_val):\n"
+        "        return x_val\n")
+    assert val_reads([source]) == ["Base:18", "Leaf:18", "Peeks:11"]
+    assert set(_val_free_lineages([source])) == {"Free", "Peeks", "Base", "Leaf"}
