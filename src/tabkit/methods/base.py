@@ -2,26 +2,24 @@
 
 Every method owns a feature pipeline, fits it and its own parameters on the
 training part (validation is only consulted for early stopping, and encoded
-only for a method that reads it), and reports its wall-clock training time.
-Fitted state never depends on test rows.
+only for a method that reads it), and reports its training time: the
+pipeline's seconds, which the pipeline measures, plus its own fit's. Fitted
+state never depends on test rows.
 """
 
 from __future__ import annotations
 
 import numbers
 import pickle
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import pipeline as pipeline_module
 from ..data import Dataset, DatasetInfo, TaskType
 from ..errors import ConfigError, FitError
 from ..pipeline import FeaturePipeline, PipelineConfig
 from ..splits import target_exponent
-
-# timing source for fit(); module-level so tests can substitute a fake clock
-_clock = time.perf_counter
 
 
 @dataclass
@@ -160,21 +158,19 @@ class Method:
         """Fit pipeline and model on train (+val, for a method that reads
         it); returns the training time in seconds. Test rows are never read.
 
-        A memoized pipeline fit is charged the seconds its first fit took
-        (``FeaturePipeline.fit_seconds``), and its val the seconds the val's
-        first encoding took (``FeaturePipeline.val_seconds``), so the time
-        does not depend on which run came first; hit and miss read the clock
-        equally often."""
-        start = _clock()
+        The time is the memo entry's pipeline seconds (its stage fit and,
+        for a method that reads val, its val's first encoding, both timed by
+        the pipeline whoever asked for them) plus this fit's own, timed on
+        ``pipeline._clock``; they are read before ``_fit``, which may fit
+        another pipeline and drop the entry."""
         x_train = self.pipeline.fit_transform_train(dataset, info)
-        encoded = _clock()
-        seconds = self.pipeline.fit_seconds(encoded - start)
         y_train = dataset.part_labels("train")
         x_val = y_val = None
         if self.reads_val:
-            x_val, val_seconds, encoded = self._encode_val(dataset, encoded)
-            seconds += val_seconds
+            x_val = self.pipeline.transform_part(dataset, "val")
             y_val = dataset.part_labels("val")
+        seconds = self.pipeline.seconds(self.reads_val)
+        start = pipeline_module._clock()
         if self.is_regression:
             self._unit = target_exponent(y_train)
             y_train = np.ldexp(y_train, -self._unit)
@@ -182,15 +178,7 @@ class Method:
                 y_val = np.ldexp(y_val, -self._unit)
         self._fit(x_train, y_train, x_val, y_val)
         self._fitted = True
-        return seconds + (_clock() - encoded)
-
-    def _encode_val(self, dataset: Dataset, start: float) -> tuple:
-        """``dataset``'s encoded val part, the seconds charged for it and the
-        clock once it is encoded: the first encoding of a memo entry's val
-        keeps the seconds since ``start``, whoever asks for it."""
-        x_val = self.pipeline.transform_part(dataset, "val")
-        end = _clock()
-        return x_val, self.pipeline.val_seconds(dataset, end - start), end
+        return seconds + (pipeline_module._clock() - start)
 
     def predict(self, num: np.ndarray, cat: np.ndarray) -> Prediction:
         self._require_fitted()
@@ -198,11 +186,8 @@ class Method:
 
     def predict_part(self, dataset: Dataset, part: str) -> Prediction:
         self._require_fitted()
-        if part == "val":
-            x = self._encode_val(dataset, _clock())[0]
-        else:
-            x = self.pipeline.transform_part(dataset, part)
-        return self._unmapped(self._predict(x))
+        return self._unmapped(self._predict(
+            self.pipeline.transform_part(dataset, part)))
 
     def fitted_state(self) -> bytes:
         """Serialized fitted parameters; equal bytes mean equal models."""

@@ -27,6 +27,10 @@ matrix instead of fitting again. The val matrix is encoded once per entry,
 when a method that reads val or a validation predict first asks for it, and
 only for a dataset whose key, taken when it asks, is the entry's. Only one
 entry is held; a fit with another key drops it before fitting.
+
+Each entry keeps the seconds its stages took to fit and its val took to first
+encode, timed on ``_clock`` (the one clock every reported second is read from)
+whoever asked, so a method charged from a hit pays what the miss took.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import io
 import pickle
+import time
 import weakref
 from dataclasses import dataclass
 
@@ -69,28 +74,22 @@ class PipelineConfig:
         return self.cat_policy == "catboost"
 
 
+# timing source for every reported second; module-level so tests can
+# substitute a fake clock
+_clock = time.perf_counter
+
+
 @dataclass(eq=False)
 class _Fit:
-    """One memoized fit: its stages, its read-only train matrix, the val
-    matrix once a pipeline has asked for it, the seconds the first
-    ``Method.fit`` served from it measured encoding train, and those the
-    val's encoding measured."""
+    """One memoized fit: its stages, its read-only train matrix and the
+    seconds fitting them took; the val matrix once a pipeline has asked for
+    it, and the seconds its first encoding took."""
 
     stages: tuple
     train: np.ndarray
+    seconds: float
     val: np.ndarray | None = None
-    seconds: float | None = None
-    val_seconds: float | None = None
-
-
-def _charged(entry: _Fit | None, name: str, measured: float) -> float:
-    """The seconds ``entry`` keeps in ``name``, which become ``measured`` if
-    it keeps none yet; ``measured`` when there is no entry."""
-    if entry is None:
-        return measured
-    if getattr(entry, name) is None:
-        setattr(entry, name, measured)
-    return getattr(entry, name)
+    val_seconds: float = 0.0
 
 
 class _Memo:
@@ -175,6 +174,7 @@ def _fit_stages(cfg: PipelineConfig, seed: int, dataset: Dataset,
     """Fit every stage on the train rows, with their read-only encoded
     matrix. The matrix is allocated once the categorical encoder knows its
     width, and each stage writes its block straight into it."""
+    start = _clock()
     num = dataset.part_num("train")
     cat = _part_codes(dataset, "train")
     labels = dataset.part_labels("train")
@@ -216,7 +216,7 @@ def _fit_stages(cfg: PipelineConfig, seed: int, dataset: Dataset,
     else:
         num_encoder.transform(num, out=out[:, :num_width])
     stages = (imputer, normalizer, num_encoder, cat_encoder, ordinal_scaler)
-    return _Fit(stages, _read_only(out))
+    return _Fit(stages, _read_only(out), _clock() - start)
 
 
 class FeaturePipeline:
@@ -247,19 +247,11 @@ class FeaturePipeline:
         self._info = info
         return fit.train
 
-    def fit_seconds(self, measured: float) -> float:
-        """The seconds charged for this pipeline's fit: those the first
-        ``Method.fit`` served from its memo entry measured, so that a hit
-        costs what the miss did. ``measured`` becomes that figure if the
-        entry has none yet."""
-        return _charged(self._entry(), "seconds", measured)
-
-    def val_seconds(self, dataset: Dataset, measured: float) -> float:
-        """The seconds charged for encoding ``dataset``'s val part: those
-        the memo entry's first val encoding measured, when the entry holds
-        this dataset's val; ``measured`` becomes that figure if the entry has
-        none yet."""
-        return _charged(self._val_entry(dataset), "val_seconds", measured)
+    def seconds(self, val: bool) -> float:
+        """The seconds the memo entry this pipeline was last fitted from took
+        to fit and, when ``val``, to first encode its val part."""
+        entry = self._entry()
+        return entry.seconds + (entry.val_seconds if val else 0.0)
 
     def _entry(self) -> _Fit | None:
         """The memo entry this pipeline was last fitted from, while held."""
@@ -297,13 +289,15 @@ class FeaturePipeline:
 
     def transform_part(self, dataset: Dataset, part: str) -> np.ndarray:
         """Encode one part of ``dataset``. The val part of a dataset whose key
-        is the memo entry's is encoded once per entry and read-only."""
+        is the memo entry's is encoded once per entry, timed, and read-only."""
         entry = self._val_entry(dataset) if part == "val" else None
         if entry is None:
             return self.transform(dataset.part_num(part), _part_codes(dataset, part))
         if entry.val is None:
+            start = _clock()
             entry.val = _read_only(self.transform(
                 dataset.part_num(part), _part_codes(dataset, part)))
+            entry.val_seconds = _clock() - start
         return entry.val
 
     def state(self) -> tuple:

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-import tabkit.methods.base as method_base
+import tabkit.pipeline as pipeline_module
 from tabkit.cli import main
 from tabkit.data import Dataset, TaskType, save_dataset
 from tabkit.encode_cat import fit_categorical_encoder
@@ -371,7 +371,7 @@ def test_criterion_6_cli_bit_identical_reruns(tmp_path, monkeypatch):
     reg, reg_info = make_regression(seed=60, n_rows=80)
     save_dataset(reg, reg_info, tmp_path / "data" / "demo_reg")
     ticker = itertools.count()
-    monkeypatch.setattr(method_base, "_clock", lambda: float(next(ticker)))
+    monkeypatch.setattr(pipeline_module, "_clock", lambda: float(next(ticker)))
 
     for name in registered_methods():
         method_cls = get_method(name)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tabkit.cli as cli
-import tabkit.methods.base as method_base
+import tabkit.pipeline as pipeline_module
 from tabkit.cli import get_args, main
 from tabkit.data import DatasetInfo, TaskType, save_dataset
 from tabkit.errors import FitError
@@ -202,7 +202,7 @@ class TestRuns:
         self, workspace, monkeypatch
     ):
         fake_time = iter(float(i) for i in range(10_000))
-        monkeypatch.setattr(method_base, "_clock", lambda: next(fake_time))
+        monkeypatch.setattr(pipeline_module, "_clock", lambda: next(fake_time))
         base = ["classical", "--model_type", "random_forest",
                 "--dataset", "demo", "--seed_num", "2"]
         assert main(base + ["--output_dir", "a"]) == 0
@@ -273,7 +273,7 @@ class TestRuns:
 
     def test_tune_writes_trial_log(self, workspace, monkeypatch, capsys):
         fake_time = iter(float(i) for i in range(10_000))
-        monkeypatch.setattr(method_base, "_clock", lambda: next(fake_time))
+        monkeypatch.setattr(pipeline_module, "_clock", lambda: next(fake_time))
         base = ["classical", "--model_type", "knn", "--dataset", "demo",
                 "--tune", "true", "--n_trials", "4"]
         assert main(base + ["--output_dir", "a"]) == 0

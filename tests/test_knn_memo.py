@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given
 
 import knn_oracle
-import tabkit.methods.base as method_base
 import tabkit.methods.classical as classical
+import tabkit.pipeline as pipeline_module
 from tabkit.cli import main
 from tabkit.data import save_dataset
 from tabkit.methods import MethodConfig, get_method
@@ -139,7 +139,7 @@ def test_tuned_cli_rerun_is_bit_identical_without_the_memo(
     outputs = []
     for memoized in (True, False):
         fake_time = iter(float(i) for i in range(10_000))
-        monkeypatch.setattr(method_base, "_clock", lambda: next(fake_time))
+        monkeypatch.setattr(pipeline_module, "_clock", lambda: next(fake_time))
         if not memoized:  # every predict searches
             monkeypatch.setattr(classical, "_memo_nearest",
                                 lambda x, train, k, block_rows:

@@ -6,7 +6,8 @@ read-only train matrix, and its val matrix once a method that reads val, or
 a validation predict, has encoded it. These tests check that a hit gives the
 same bytes as a fit with nothing memoized, that every input a fit reads
 makes a miss, that val is encoded only when read and then once per entry,
-and that a hit is charged the seconds its first fit took.
+and that a hit is charged the seconds its first fit took: the pipeline times
+its own stage fits and val encodings, whoever calls them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tabkit.methods.base as method_base
+import tabkit.methods as methods_module
 import tabkit.pipeline as pipeline_module
 from tabkit.data import Dataset, TaskType
 from tabkit.encode_cat import CAT_POLICIES
@@ -223,15 +224,15 @@ def test_val_of_another_dataset_is_encoded_fresh():
 
 
 def test_time_is_equal_on_hit_and_miss_under_pinned_clock(monkeypatch):
-    # the miss spends 5 ticks encoding, the hit half a tick; both fit the
-    # model in 1 tick, and both are charged the miss's 5
-    ticks = iter([0.0, 5.0, 6.0, 10.0, 10.5, 11.5])
-    monkeypatch.setattr(method_base, "_clock", lambda: next(ticks))
+    # the miss spends 5 ticks fitting the pipeline, which the hit does not
+    # fit; both fit the model in 1 tick, and both are charged the miss's 5
+    ticks = iter([0.0, 5.0, 6.0, 7.0, 10.0, 11.0])
+    monkeypatch.setattr(pipeline_module, "_clock", lambda: next(ticks))
     dataset, info = TABLES["clf"]
     miss = get_method("ncm")(MethodConfig(), info).fit(dataset, info)
     hit = get_method("ncm")(MethodConfig(), info).fit(dataset, info)
     assert miss == hit == 6.0
-    assert next(ticks, None) is None  # three clock reads per fit
+    assert next(ticks, None) is None  # four clock reads on a miss, two on a hit
 
 
 def val_reader(name):
@@ -242,25 +243,126 @@ def val_reader(name):
 
 
 def test_reader_is_charged_alike_whoever_built_the_entry(monkeypatch):
-    # every fit encodes train in 5 ticks on a miss and half a tick on a hit,
-    # a reader encodes val in 2 ticks, and every fit takes 1 tick; a reader
-    # is charged train, val and fit, a non-reader train and fit
-    ticks = iter([0.0, 5.0, 6.0,                # ncm, miss
-                  10.0, 10.5, 12.5, 13.5,       # reader, hit: val encoded
-                  20.0, 20.5, 20.75, 21.75])    # reader, hit: val memoized
-    monkeypatch.setattr(method_base, "_clock", lambda: next(ticks))
+    # a miss fits the pipeline in 5 ticks, the first val encoding of an entry
+    # takes 2 ticks, and every fit takes 1 tick; a reader is charged train,
+    # val and fit, a non-reader train and fit
+    ticks = iter([0.0, 5.0, 6.0, 7.0,           # ncm, miss
+                  10.0, 12.0, 13.0, 14.0,       # reader, hit: val encoded
+                  20.0, 21.0])                  # reader, hit: val memoized
+    monkeypatch.setattr(pipeline_module, "_clock", lambda: next(ticks))
     dataset, info = TABLES["clf"]
     reader = val_reader("ncm")
     charged = [cls(MethodConfig(), info).fit(dataset, info)
                for cls in (get_method("ncm"), reader, reader)]
-    assert next(ticks, None) is None  # four clock reads per reader's fit
+    assert next(ticks, None) is None
     pipeline_module._memo = pipeline_module._Memo()
-    ticks = iter([30.0, 35.0, 37.0, 38.0,       # reader, miss
-                  40.0, 40.5, 41.5])            # ncm, hit
+    ticks = iter([30.0, 35.0, 36.0, 38.0, 39.0, 40.0,   # reader, miss
+                  41.0, 42.0])                          # ncm, hit
     charged += [cls(MethodConfig(), info).fit(dataset, info)
                 for cls in (reader, get_method("ncm"))]
     assert charged == [6.0, 8.0, 8.0, 8.0, 6.0]
     assert next(ticks, None) is None
+
+
+def test_reader_is_charged_for_a_val_encoded_by_a_direct_call(monkeypatch):
+    # a miss fits the pipeline in 5 ticks, val takes 2 ticks however it is
+    # first encoded, and every fit takes 1 tick
+    ticks = iter([0.0, 5.0, 6.0, 7.0,           # ncm, miss
+                  10.0, 12.0,                   # a direct val encoding
+                  20.0, 21.0])                  # reader, hit: val memoized
+    monkeypatch.setattr(pipeline_module, "_clock", lambda: next(ticks))
+    dataset, info = TABLES["clf"]
+    reader = val_reader("ncm")
+    ncm = get_method("ncm")(MethodConfig(), info)
+    ncm.fit(dataset, info)
+    ncm.pipeline.transform_part(dataset, "val")
+    hit = reader(MethodConfig(), info).fit(dataset, info)
+    assert next(ticks, None) is None
+    pipeline_module._memo = pipeline_module._Memo()
+    ticks = iter([30.0, 35.0, 36.0, 38.0, 39.0, 40.0])  # reader, miss
+    miss = reader(MethodConfig(), info).fit(dataset, info)
+    assert hit == miss == 8.0
+    assert next(ticks, None) is None
+
+
+class WorkClock:
+    """A pinned clock that moves one tick on each read, so no two reads are
+    equal, and further by the work it is told of."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+    def costing(self, fn, ticks: float):
+        """``fn``, moving the clock ``ticks`` on each call."""
+        def costly(*args, **kwargs):
+            self.now += ticks
+            return fn(*args, **kwargs)
+        return costly
+
+
+# fitting the stages costs 100 ticks and a val encoding 10; each is timed by
+# two reads, and a method's own fit by two more with nothing between them
+STAGE_TICKS, VAL_TICKS = 100.0, 10.0
+NON_READER_CHARGE = (STAGE_TICKS + 1) + 1
+READER_CHARGE = (STAGE_TICKS + 1) + (VAL_TICKS + 1) + 1
+
+OPERATIONS = ("fit", "reader fit", "val transform", "val predict")
+
+
+@given(operations=st.lists(st.sampled_from(OPERATIONS), max_size=8))
+def test_charges_do_not_depend_on_the_order_of_operations(operations):
+    dataset, info = TABLES["clf"]
+    reader = val_reader("ncm")
+    charged = {get_method("ncm"): [], reader: []}
+    with pytest.MonkeyPatch.context() as patch:
+        clock = WorkClock()
+        patch.setattr(pipeline_module, "_clock", clock)
+        patch.setattr(pipeline_module, "_memo", pipeline_module._Memo())
+        patch.setattr(pipeline_module, "fit_imputer", clock.costing(
+            pipeline_module.fit_imputer, STAGE_TICKS))
+        patch.setattr(FeaturePipeline, "transform", clock.costing(
+            FeaturePipeline.transform, VAL_TICKS))
+        fitted = None
+        for operation in operations:
+            if operation.endswith("fit"):
+                cls = reader if operation == "reader fit" else get_method("ncm")
+                fitted = cls(MethodConfig(), info)
+                charged[cls].append(fitted.fit(dataset, info))
+            elif fitted is None:
+                continue
+            elif operation == "val transform":
+                fitted.pipeline.transform_part(dataset, "val")
+            else:
+                fitted.predict_part(dataset, "val")
+    assert set(charged[get_method("ncm")]) <= {NON_READER_CHARGE}
+    assert set(charged[reader]) <= {READER_CHARGE}
+
+
+class EvictingNCM(get_method("ncm")):
+    """NCM whose fit also fits a pipeline of another config, which drops the
+    memo entry its own fit came from."""
+
+    def _fit(self, x_train, y_train, x_val, y_val):
+        FeaturePipeline(PipelineConfig(cat_policy="binary")).fit_transform_train(
+            *TABLES["clf"])
+        super()._fit(x_train, y_train, x_val, y_val)
+
+
+def test_fit_that_drops_the_entry_is_charged_its_pipeline(monkeypatch):
+    # the pipeline fits in 5 ticks; the fit, which fits the other pipeline
+    # in 2 ticks, takes 4
+    ticks = iter([0.0, 5.0, 6.0, 7.0, 9.0, 10.0])
+    monkeypatch.setattr(pipeline_module, "_clock", lambda: next(ticks))
+    monkeypatch.setitem(methods_module._REGISTRY, "evicting_ncm", EvictingNCM)
+    dataset, info = TABLES["clf"]
+    method = get_method("evicting_ncm")(MethodConfig(), info)
+    assert method.fit(dataset, info) == 9.0
+    assert next(ticks, None) is None
+    assert pipeline_module._memo.key != method.pipeline._key
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Seven rules that ``src/tabkit`` keeps by having one place for each:
+"""Eight rules that ``src/tabkit`` keeps by having one place for each:
 
 - A method parses its hyperparameters once, in ``_check_config``: no ``_fit``
   or ``_predict`` under ``methods/`` reads ``self.config`` for anything but
@@ -26,6 +26,9 @@
   ``reads_val`` is ``False`` (its own or inherited), or of one of its bases
   short of ``Method``, names ``x_val`` or ``y_val``, which ``Method.fit``
   hands such a class as ``None``.
+- Every reported second is read from one clock, ``pipeline._clock``, which
+  tests can pin: ``src/`` defines ``_clock`` once, and ``time`` is imported
+  only by the module that defines it and read only in that definition.
 """
 
 import ast
@@ -167,6 +170,37 @@ def val_reads(sources) -> list[str]:
                   if isinstance(node, ast.Name) and node.id in ("x_val", "y_val"))
 
 
+def clock_definitions(source: str) -> list[int]:
+    """Lines of the module-level assignments to ``_clock``."""
+    return [stmt.lineno for stmt in ast.parse(source).body
+            if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_clock"
+                    for t in stmt.targets)]
+
+
+def clock_reads(source: str) -> list[int]:
+    """Lines that import ``time`` or name it, short of a module-level
+    ``_clock = time...`` and, in a module holding one, its ``import time``."""
+    tree = ast.parse(source)
+    definitions = [stmt for stmt in tree.body
+                   if stmt.lineno in clock_definitions(source)]
+    allowed = {id(node) for stmt in definitions for node in ast.walk(stmt)}
+    names, lines = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "time":
+                    names.add(alias.asname or "time")
+                    if not definitions:
+                        lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            lines.append(node.lineno)
+    lines += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id in names
+              and id(node) not in allowed]
+    return sorted(lines)
+
+
 def test_fit_and_predict_read_no_hyperparameters():
     found = {path.name: config_reads(path.read_text())
              for path in sorted((SRC / "methods").glob("*.py"))}
@@ -242,6 +276,17 @@ def test_val_free_methods_read_no_val():
     assert {cls.__name__ for cls in classes if not cls.reads_val} == {
         cls.__name__ for cls in classes if cls.__name__ in val_free}
     assert val_free
+
+
+def test_only_the_one_clock_reads_time():
+    found, definitions = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        name, source = str(path.relative_to(SRC)), path.read_text()
+        if lines := clock_reads(source):
+            found[name] = lines
+        definitions += [name] * len(clock_definitions(source))
+    assert found == {}
+    assert definitions == ["pipeline.py"]
 
 
 def test_config_reads_are_found():
@@ -377,3 +422,24 @@ def test_val_reads_are_found():
         "        return x_val\n")
     assert val_reads([source]) == ["Base:18", "Leaf:18", "Peeks:11"]
     assert set(_val_free_lineages([source])) == {"Free", "Peeks", "Base", "Leaf"}
+
+
+def test_clock_reads_are_found():
+    defining = (
+        "import time\n"
+        "_clock = time.perf_counter\n"
+        "def fit():\n"
+        "    start = _clock()\n"
+        "    return time.monotonic() - start\n")
+    assert clock_reads(defining) == [5]
+    assert clock_definitions(defining) == [2]
+    other = (
+        "import time as t\n"
+        "from time import perf_counter\n"
+        "from . import pipeline\n"
+        "def fit():\n"
+        "    return pipeline._clock() - t.time()\n"
+        "def _time(x):\n"
+        "    return x.time\n")
+    assert clock_reads(other) == [1, 2, 5]
+    assert clock_definitions(other) == []
