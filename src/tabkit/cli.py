@@ -180,7 +180,7 @@ def _run(command: str, args: argparse.Namespace, default_config: dict,
         model=model_config, training=training_config, pipeline=pipeline,
         dataset_name=args.dataset,
     )
-    # results.csv keeps no error text, so each failed seed's goes to stderr
+    # each failed seed's error text goes to stderr as well as to results.csv
     for record in records:
         if not record.ok:
             print(f"seed {record.seed}: {record.error}", file=sys.stderr)

@@ -143,7 +143,10 @@ def _parse_label(token: str, task: TaskType, class_count: int | None,
     return index
 
 
-def _read_csv_part(path: Path, info: DatasetInfo, class_count: int | None):
+def _read_csv_part(path: Path, info: DatasetInfo, class_count: int | None,
+                   pools: list[dict[str, str]]):
+    """One part's numerical rows, categorical rows and labels. Each categorical
+    cell is the one ``str`` its column's pool holds for that value."""
     if not path.is_file():
         raise LoadError(f"missing dataset file: {path}")
     n_num, n_cat = info.n_num_features, info.n_cat_features
@@ -176,7 +179,8 @@ def _read_csv_part(path: Path, info: DatasetInfo, class_count: int | None):
             except ValueError:  # parse again, for the first bad cell's message
                 num_rows.append([_parse_num_cell(cell, name, row_idx, j)
                                  for j, cell in enumerate(row[:n_num])])
-            cat_rows.append(row[n_num:n_num + n_cat])
+            cat_rows.append([pool.setdefault(cell, cell)
+                             for pool, cell in zip(pools, row[n_num:n_num + n_cat])])
             labels.append(_parse_label(row[-1], info.task, class_count, name, row_idx))
     num = np.asarray(num_rows, dtype=np.float64).reshape(len(labels), n_num)
     cat = np.array(cat_rows, dtype=object).reshape(len(labels), n_cat)
@@ -226,9 +230,12 @@ def load_dataset(path: str | Path, name: str) -> tuple[Dataset, DatasetInfo]:
         name=str(raw.get("name", name)),
     )
 
-    parts = {}
-    for part in PARTS:
-        parts[part] = _read_csv_part(root / f"{part}.csv", info, class_count)
+    # one pool per column, not per table, so no str is shared by two columns:
+    # pickle writes an object it has seen as a reference, so a fitted stage
+    # that kept cells of two columns would otherwise change fitted_state()
+    pools = [{} for _ in range(info.n_cat_features)]
+    parts = {part: _read_csv_part(root / f"{part}.csv", info, class_count, pools)
+             for part in PARTS}
 
     all_labels = [y for _, _, ys in parts.values() for y in ys]
     if task is TaskType.MULTICLASS:

@@ -9,6 +9,11 @@ only, early stopping on the validation metric, best weights restored.
 ``fitted_state()`` holds float32 parameters. Inputs are clipped to the float32
 range, and a test row whose logits still overflow is scored again in float64.
 The softmax, the validation score and ``Prediction`` stay float64.
+
+Memory follows the table: each training step casts only its batch to float32,
+and validation and test rows are scored ``SCORE_BLOCK`` rows at a time into a
+preallocated float64 array, so no float32 copy of a whole part is held, and
+no activation has more rows than one batch or block.
 """
 
 from __future__ import annotations
@@ -30,12 +35,28 @@ DEFAULT_WEIGHT_DECAY = 1e-5
 DEFAULT_MAX_EPOCH = 200
 DEFAULT_BATCH_SIZE = 256
 DEFAULT_PATIENCE = 20
+# Rows scored per forward pass. A multiple of 64, so that sgemm tiles each
+# block's rows as it tiles them in a pass over the whole part and the scores
+# keep their bytes; blocks of 85 rows moved them.
+SCORE_BLOCK = 256
 
 
 def _float32(x: np.ndarray) -> np.ndarray:
     """``x`` as float32, clipped first so that no finite cell becomes inf."""
     bound = np.finfo(np.float32).max
     return np.clip(x, -bound, bound, out=np.empty(x.shape, np.float32))
+
+
+def _scores(net: MLPNetwork, x: np.ndarray, wide: bool = False) -> np.ndarray:
+    """Evaluation-mode logits of ``x`` as float64, ``SCORE_BLOCK`` rows at a
+    time. Each block is cast to float32 and, with ``wide``, back to float64, so
+    the network runs in float64 on the float32 inputs."""
+    out = np.empty((len(x), net.weights[-1].shape[1]))
+    for start in range(0, len(x), SCORE_BLOCK):
+        block = _float32(x[start:start + SCORE_BLOCK])
+        out[start:start + SCORE_BLOCK] = net.logits(
+            block.astype(np.float64) if wide else block)
+    return out
 
 
 class MLPNetwork:
@@ -76,26 +97,31 @@ class MLPNetwork:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     def _forward(self, x, rng: np.random.Generator | None = None, keep=True):
-        """Each layer's input, each hidden layer's pre-activation and dropout
-        mask (None when dropout is off), and the output scores. Passing
+        """Each layer's input, each hidden layer's gate, and the output scores.
+
+        A gate is the 0/1 ReLU slope (``z > 0``) times the dropout mask when
+        dropout is on, so backprop multiplies by one array per layer. Passing
         ``rng`` enables inverted dropout on the hidden activations; with
-        ``keep`` false the pass holds only the current activation."""
-        inputs, pre_relu, masks = [], [], []
+        ``keep`` false the pass holds only the current activation. Bias,
+        ReLU and dropout are applied in place.
+        """
+        inputs, gates = [], []
         scale = self.dtype.type(1.0 / (1.0 - self.dropout))
         for i in range(self.n_hidden):
-            z = x @ self.weights[i] + self.biases[i]
-            out = np.maximum(z, 0.0)
-            mask = None
-            if rng is not None and self.dropout > 0.0:
-                mask = (rng.random(out.shape, dtype=self.dtype) >= self.dropout) * scale
-                out = out * mask
+            z = x @ self.weights[i]
+            z += self.biases[i]
+            np.maximum(z, 0.0, out=z)  # relu(z) > 0 exactly where z > 0
             if keep:
                 inputs.append(x)
-                pre_relu.append(z)
-                masks.append(mask)
-            x = out
+                gates.append(z > 0.0)
+            if rng is not None and self.dropout > 0.0:
+                mask = (rng.random(z.shape, dtype=self.dtype) >= self.dropout) * scale
+                z *= mask
+                if keep:
+                    gates[-1] = np.multiply(mask, gates[-1], out=mask)
+            x = z
         inputs.append(x)
-        return inputs, pre_relu, masks, x @ self.weights[-1] + self.biases[-1]
+        return inputs, gates, x @ self.weights[-1] + self.biases[-1]
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Evaluation-mode forward pass (dropout off)."""
@@ -109,7 +135,7 @@ class MLPNetwork:
         inverted dropout on the hidden activations.
         """
         n = x.shape[0]
-        inputs, pre_relu, masks, scores = self._forward(x, rng)
+        inputs, gates, scores = self._forward(x, rng)
 
         if self.classification:
             scores = scores.astype(np.float64, copy=False)
@@ -132,9 +158,8 @@ class MLPNetwork:
         grad_b[-1] = d_scores.sum(axis=0)
         upstream = d_scores @ self.weights[-1].T
         for i in range(self.n_hidden - 1, -1, -1):
-            if masks[i] is not None:
-                upstream = upstream * masks[i]
-            d_z = upstream * (pre_relu[i] > 0.0)
+            d_z = upstream  # a fresh product, so scaled in place
+            d_z *= gates[i]
             grad_w[i] = inputs[i].T @ d_z
             grad_b[i] = d_z.sum(axis=0)
             if i:
@@ -160,7 +185,6 @@ class MLPMethod(Method):
 
     def _fit(self, x_train, y_train, x_val, y_val):
         rng = np.random.default_rng(self.config.seed)
-        x_train, x_val = _float32(x_train), _float32(x_val)
 
         if self.is_regression:
             # learn on standardized targets; predictions are mapped back. The
@@ -198,7 +222,7 @@ class MLPMethod(Method):
             for start in range(0, n, self._batch_size):
                 batch = order[start:start + self._batch_size]
                 loss, grad_w, grad_b = net.loss_and_gradients(
-                    x_train[batch], y_fit[batch], rng=rng
+                    _float32(x_train[batch]), y_fit[batch], rng=rng
                 )
                 if not np.isfinite(loss):
                     raise DivergenceError(
@@ -224,7 +248,7 @@ class MLPMethod(Method):
             if not all(np.isfinite(m2).all() for m2 in moment2):
                 raise DivergenceError(
                     f"non-finite Adam moment at epoch {epoch}", epoch=epoch)
-            scores = net.logits(score_x).astype(np.float64)
+            scores = _scores(net, score_x)
             score = validation_score(
                 scores[:, 0] * self._y_std + self._y_mean if self.is_regression
                 else np.argmax(scores, axis=1), score_y, not self.is_regression)
@@ -244,12 +268,11 @@ class MLPMethod(Method):
         self.validation_score = float(np.ldexp(best_score, self._unit))
 
     def _predict(self, x) -> Prediction:
-        x = _float32(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = self._net.logits(x).astype(np.float64)
+            scores = _scores(self._net, x)
         # a row that overflows float32 is scored again in float64
         overflow = ~np.isfinite(scores).all(axis=1)
-        scores[overflow] = self._net.logits(x[overflow].astype(np.float64))
+        scores[overflow] = _scores(self._net, x[overflow], wide=True)
         if self.is_regression:
             return Prediction.regression(scores[:, 0] * self._y_std + self._y_mean)
         return self._classify(_softmax(scores))

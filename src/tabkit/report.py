@@ -205,7 +205,8 @@ def write_results_csv(path: str, records: list[RunRecord]) -> None:
     columns = _metric_columns(records)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["dataset", "method", "seed", *columns, "time_s", "size"])
+        writer.writerow(["dataset", "method", "seed", *columns, "error",
+                         "time_s", "size"])
         for r in records:
             metric_cells = [
                 _format_cell(r.metrics[c]) if r.ok and c in r.metrics.values
@@ -214,7 +215,8 @@ def write_results_csv(path: str, records: list[RunRecord]) -> None:
             ]
             writer.writerow([
                 r.dataset, r.method, r.seed, *metric_cells,
-                _format_cell(r.time_s), _format_cell(r.size),
+                _format_cell(r.error), _format_cell(r.time_s),
+                _format_cell(r.size),
             ])
 
 
@@ -223,11 +225,11 @@ def read_results_csv(path: str) -> list[RunRecord]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
-        metric_columns = header[3:-2]
+        metric_columns = header[3:-3]
         for row in reader:
             values = {
                 name: float(cell)
-                for name, cell in zip(metric_columns, row[3:-2])
+                for name, cell in zip(metric_columns, row[3:-3])
                 if cell != ""
             }
             records.append(RunRecord(
@@ -235,6 +237,7 @@ def read_results_csv(path: str) -> list[RunRecord]:
                 metrics=MetricSet(values) if values else None,
                 time_s=float(row[-2]) if row[-2] else None,
                 size=int(row[-1]) if row[-1] else None,
+                error=row[-3] or None,
             ))
     return records
 

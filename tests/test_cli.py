@@ -11,6 +11,7 @@ from tabkit.data import DatasetInfo, TaskType, save_dataset
 from tabkit.errors import FitError
 from tabkit.methods import MethodConfig, get_method, registered_methods
 from tabkit.methods.classical import KNNMethod
+from tabkit.report import read_results_csv
 
 from conftest import make_classification, make_regression
 
@@ -225,10 +226,18 @@ class TestRuns:
         err = capsys.readouterr().err
         assert "seed 0: non-finite training loss" in err
         assert "seed 1: non-finite training loss" in err
-        # the per-seed records are written before ranking gives up
+        # the per-seed records, error text included, are written before
+        # ranking gives up
         results = workspace / "out" / "results.csv"
-        assert results.read_text().splitlines() == [
-            "dataset,method,seed,time_s,size", "demo,mlp,0,,", "demo,mlp,1,,"]
+        lines = results.read_text().splitlines()
+        assert lines[0] == "dataset,method,seed,error,time_s,size"
+        records = read_results_csv(str(results))
+        assert [r.seed for r in records] == [0, 1]
+        for r in records:
+            assert r.error.startswith("non-finite training loss")
+            assert f"seed {r.seed}: {r.error}" in err
+            assert r.metrics is r.time_s is r.size is None
+            assert lines[1 + r.seed] == f"demo,mlp,{r.seed},{r.error},,"
         assert not (workspace / "out" / "ranks.csv").exists()
 
     def test_some_failed_seeds_reported(self, workspace, monkeypatch, capsys):

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from tabkit.data import Dataset, TaskType, load_dataset, save_dataset, split_holdout
+from tabkit.encode_cat import CAT_POLICIES
 from tabkit.errors import LoadError, ParseError, SchemaError
+from tabkit.methods import MethodConfig, get_method
+from tabkit.pipeline import PipelineConfig
+from tabkit.preprocess import CAT_NAN_POLICIES
 
 from conftest import make_classification, make_regression
 
@@ -158,6 +162,32 @@ def test_save_load_round_trip_bit_exact(tmp_path):
             np.testing.assert_array_equal(
                 loaded.part_labels(part), dataset.part_labels(part)
             )
+
+
+@pytest.mark.parametrize("cat_nan_policy", CAT_NAN_POLICIES)
+@pytest.mark.parametrize("cat_policy", CAT_POLICIES)
+def test_load_shares_one_cell_object_per_column_value(tmp_path, cat_policy,
+                                                      cat_nan_policy):
+    # the same tokens in every column, with missing cells
+    dataset, info = make_classification(seed=4, n_rows=90, n_cat=3, n_classes=3,
+                                        missing_rate=0.1)
+    save_dataset(dataset, info, tmp_path / "d")
+    loaded, loaded_info = load_dataset(tmp_path, "d")
+    for column in loaded.cat.T:
+        assert len({id(cell) for cell in column}) == len(set(column))
+    # every cell its own str, as a csv reader hands them out
+    fresh = np.array([[("x" + cell)[1:] for cell in row] for row in loaded.cat],
+                     dtype=object)
+    unshared = Dataset(num=loaded.num, cat=fresh, labels=loaded.labels,
+                       task=loaded.task, split=loaded.split)
+    config = MethodConfig(pipeline=PipelineConfig(cat_policy=cat_policy,
+                                                  cat_nan_policy=cat_nan_policy))
+    states = []
+    for table in (loaded, unshared):
+        method = get_method("knn")(config, loaded_info)
+        method.fit(table, loaded_info)
+        states.append(method.fitted_state())
+    assert states[0] == states[1]
 
 
 def test_split_holdout_partitions_train_rows():

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mlp_oracle import OracleMLPMethod
-from tabkit.data import TaskType
+from tabkit.data import DatasetInfo, TaskType
 from tabkit.errors import ConfigError, DivergenceError, FitError
 from tabkit.methods import MethodConfig
-from tabkit.methods.mlp import MLPMethod, MLPNetwork
+from tabkit.methods.mlp import SCORE_BLOCK, MLPMethod, MLPNetwork, _float32
 from tabkit.pipeline import PipelineConfig
 from tabkit.preprocess import NORMALIZATIONS
 from tabkit.report import run_seeds
@@ -326,6 +328,78 @@ def fit_outcome(cls, dataset, info, config):
 @given(mlp_runs())
 def test_fit_matches_oracle(run):
     assert fit_outcome(MLPMethod, *run) == fit_outcome(OracleMLPMethod, *run)
+
+
+@pytest.mark.parametrize("task", list(TaskType))
+def test_block_scoring_matches_oracle(task):
+    """Val and test parts of several blocks, neither a multiple of the block,
+    score as the oracle's whole-part passes do, bit for bit, and so does a
+    test row that overflows float32 in a later block."""
+    n_train, n_val, n_test, d = 300, 700, 1000, 6
+    assert n_val > 2 * SCORE_BLOCK and n_val % SCORE_BLOCK
+    assert n_test > 3 * SCORE_BLOCK and n_test % SCORE_BLOCK
+    rng = np.random.default_rng(31)
+    n = n_train + n_val + n_test
+    num = rng.normal(size=(n, d))
+    if task is TaskType.REGRESSION:
+        labels = num @ rng.normal(size=d) + rng.normal(size=n)
+    else:
+        labels = (num[:, 0] > 0) + (task is TaskType.MULTICLASS) * (num[:, 1] > 0)
+    hostile = SCORE_BLOCK + 344  # test row in the third block
+    num[n_train + n_val + hostile] = 1e308
+    dataset, info = dataset_from_arrays(num, labels, task, n_val=n_val,
+                                        n_test=n_test)
+    config = MethodConfig(model={"d_layers": [64, 48], "dropout": 0.2},
+                          training={"lr": 1e-2, "max_epoch": 3,
+                                    "batch_size": 128}, seed=1)
+    outcome = fit_outcome(MLPMethod, dataset, info, config)
+    assert outcome == fit_outcome(OracleMLPMethod, dataset, info, config)
+
+    method = MLPMethod(config, info)
+    method.fit(dataset, info)
+    x = method.pipeline.transform_part(dataset, "test")
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowed = ~np.isfinite(method._net.logits(_float32(x))).all(axis=1)
+    assert np.flatnonzero(overflowed).tolist() == [hostile]
+    pred = method.predict_part(dataset, "test")
+    assert np.isfinite(pred.values).all()
+
+
+@pytest.mark.parametrize("task", [TaskType.MULTICLASS, TaskType.REGRESSION])
+def test_fit_and_predict_memory_follow_the_table(task):
+    """Training holds one batch and scoring one block per layer: on a narrow
+    table with 20,000 val and test rows, no activation of the whole part under
+    the default 384-wide layers (about 31 MB each in float32) is held."""
+    rng = np.random.default_rng(32)
+    n_train, n_rows, d = 512, 20_000, 4
+    x_train, x_val, x_test = (rng.normal(size=(n, d))
+                              for n in (n_train, n_rows, n_rows))
+    if task is TaskType.REGRESSION:
+        y_train, y_val = rng.normal(size=n_train), rng.normal(size=n_rows)
+    else:
+        y_train, y_val = (rng.integers(0, 3, size=n) for n in (n_train, n_rows))
+    info = DatasetInfo(task=task, n_num_features=d, n_cat_features=0,
+                       class_count=None if task is TaskType.REGRESSION else 3,
+                       name="narrow")
+    method = MLPMethod(MethodConfig(training={"max_epoch": 2}), info)
+    tracemalloc.start()
+    try:
+        method._fit(x_train, y_train, x_val, y_val)
+        held, fit_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        prediction = method._predict(x_test)
+        predict_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    widest = max(method._d_layers)
+    block = SCORE_BLOCK * widest * 4  # one float32 activation of a block
+    params = method.model_size() * 4
+    # parameters, Adam's two moments, the best epoch's copy, gradients and
+    # update temporaries; a batch's activations and gates; the val scores
+    assert fit_peak <= 2 * x_val.nbytes + 10 * params + 8 * block
+    output = prediction.values.nbytes + (
+        0 if prediction.probabilities is None else prediction.probabilities.nbytes)
+    assert predict_peak <= 2 * x_test.nbytes + output + 4 * block
 
 
 @st.composite

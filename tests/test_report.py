@@ -337,19 +337,17 @@ class TestEmitReport:
         again = read_results_csv(paths["results"])
         assert again == records
 
-    def test_failed_rows_round_trip_without_error_text(self, tmp_path):
+    def test_failed_rows_round_trip_with_error_text(self, tmp_path):
         records = [
             clf_record("d1", "a", seed=0),
             RunRecord(dataset="d1", method="a", seed=1, metrics=None,
-                      time_s=None, size=None, error="boom"),
+                      time_s=None, size=None, error='boom, "quoted"\nsecond line'),
         ]
         table = rank_methods(records)
         paths = emit_report(table, records, str(tmp_path))
         again = read_results_csv(paths["results"])
-        assert again[0] == records[0]
-        assert again[1].metrics is None
-        assert again[1].time_s is None and again[1].size is None
-        assert (again[1].dataset, again[1].method, again[1].seed) == ("d1", "a", 1)
+        assert again == records
+        assert again[0].error is None  # an ok seed's empty cell
 
     def test_mixed_task_columns(self, tmp_path):
         records = [
