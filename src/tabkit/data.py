@@ -4,6 +4,7 @@ A dataset lives in one directory::
 
     <name>/
         info.json   - task_type, n_num_features, n_cat_features, [n_classes], [name]
+                      (the counts are JSON integers >= 0)
         train.csv
         val.csv     - may contain only the header row
         test.csv
@@ -212,9 +213,15 @@ def load_dataset(path: str | Path, name: str) -> tuple[Dataset, DatasetInfo]:
             f"{info_path}: task_type must be one of "
             f"{[t.value for t in TaskType]}, got {raw['task_type']!r}"
         ) from None
-    for key in ("n_num_features", "n_cat_features"):
-        if key not in raw:
+    for key in ("n_num_features", "n_cat_features", "n_classes"):
+        if key not in raw and key != "n_classes":
             raise SchemaError(f"{info_path}: missing key {key!r}")
+        value = raw.get(key)
+        # a bool is an int subclass, and no JSON float loads as an int
+        if not (type(value) is int and value >= 0
+                or value is None and key == "n_classes"):
+            raise SchemaError(
+                f"{info_path}: {key} must be an integer >= 0, got {value!r}")
 
     class_count = raw.get("n_classes")
     if task is TaskType.BINCLASS:
@@ -224,8 +231,8 @@ def load_dataset(path: str | Path, name: str) -> tuple[Dataset, DatasetInfo]:
             raise SchemaError(f"{info_path}: binclass requires n_classes = 2")
     info = DatasetInfo(
         task=task,
-        n_num_features=int(raw["n_num_features"]),
-        n_cat_features=int(raw["n_cat_features"]),
+        n_num_features=raw["n_num_features"],
+        n_cat_features=raw["n_cat_features"],
         class_count=class_count,
         name=str(raw.get("name", name)),
     )

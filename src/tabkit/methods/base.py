@@ -3,8 +3,8 @@
 Every method owns a feature pipeline, fits it and its own parameters on the
 training part (validation is only consulted for early stopping, and encoded
 only for a method that reads it), and reports its training time: the
-pipeline's seconds, which the pipeline measures, plus its own fit's. Fitted
-state never depends on test rows.
+pipeline's seconds, which the pipeline measures, plus its own fit's, its val
+encoding included. Fitted state never depends on test rows.
 """
 
 from __future__ import annotations
@@ -158,19 +158,17 @@ class Method:
         """Fit pipeline and model on train (+val, for a method that reads
         it); returns the training time in seconds. Test rows are never read.
 
-        The time is the memo entry's pipeline seconds (its stage fit and,
-        for a method that reads val, its val's first encoding, both timed by
-        the pipeline whoever asked for them) plus this fit's own, timed on
-        ``pipeline._clock``; they are read before ``_fit``, which may fit
-        another pipeline and drop the entry."""
+        The time is the pipeline's stage seconds, which the pipeline times
+        and a memo hit (only the fit is memoized) reports as the miss did,
+        plus this fit's own, timed on ``pipeline._clock``, which for a method
+        that reads val includes encoding it."""
         x_train = self.pipeline.fit_transform_train(dataset, info)
         y_train = dataset.part_labels("train")
+        start = pipeline_module._clock()
         x_val = y_val = None
         if self.reads_val:
             x_val = self.pipeline.transform_part(dataset, "val")
             y_val = dataset.part_labels("val")
-        seconds = self.pipeline.seconds(self.reads_val)
-        start = pipeline_module._clock()
         if self.is_regression:
             self._unit = target_exponent(y_train)
             y_train = np.ldexp(y_train, -self._unit)
@@ -178,7 +176,7 @@ class Method:
                 y_val = np.ldexp(y_val, -self._unit)
         self._fit(x_train, y_train, x_val, y_val)
         self._fitted = True
-        return seconds + (pipeline_module._clock() - start)
+        return self.pipeline.seconds + (pipeline_module._clock() - start)
 
     def predict(self, num: np.ndarray, cat: np.ndarray) -> Prediction:
         self._require_fitted()

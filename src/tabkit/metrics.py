@@ -143,14 +143,17 @@ def _regression_metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
 def compute_metrics(prediction: Prediction, truth, task: TaskType) -> MetricSet:
     """Score a prediction against the true labels.
 
-    Raises MetricError when a regression value or a probability is not
-    finite, or a probability row is off by more than 1e-6 from summing to 1.
+    Raises MetricError when there are no rows, when a regression value or a
+    probability is not finite, or when a probability row is off by more than
+    1e-6 from summing to 1.
     """
     truth = np.asarray(truth)
     if len(prediction.values) != len(truth):
         raise ValueError(
             f"{len(prediction.values)} predictions for {len(truth)} labels"
         )
+    if not len(truth):
+        raise MetricError("no rows to score")
     if not task.is_classification:
         if not np.isfinite(prediction.values).all():
             raise MetricError("predictions contain non-finite values")

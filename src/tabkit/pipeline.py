@@ -23,14 +23,13 @@ computed once per array object and kept until the array is collected, so a
 ``Dataset``'s arrays must not be modified in place after a fit; assigning a
 new array to an attribute is fine.
 A pipeline whose key matches takes the memoized stages and the read-only train
-matrix instead of fitting again. The val matrix is encoded once per entry,
-when a method that reads val or a validation predict first asks for it, and
-only for a dataset whose key, taken when it asks, is the entry's. Only one
-entry is held; a fit with another key drops it before fitting.
+matrix instead of fitting again. Only one entry is held; a fit with another
+key drops it before fitting. Val and test rows are not memoized: each
+``transform_part`` encodes its part afresh.
 
-Each entry keeps the seconds its stages took to fit and its val took to first
-encode, timed on ``_clock`` (the one clock every reported second is read from)
-whoever asked, so a method charged from a hit pays what the miss took.
+The entry keeps the seconds its stages took to fit, timed on ``_clock`` (the
+one clock every reported second is read from), and a pipeline fitted from it,
+on a hit as on the miss, reports them as its ``seconds``.
 """
 
 from __future__ import annotations
@@ -82,14 +81,11 @@ _clock = time.perf_counter
 @dataclass(eq=False)
 class _Fit:
     """One memoized fit: its stages, its read-only train matrix and the
-    seconds fitting them took; the val matrix once a pipeline has asked for
-    it, and the seconds its first encoding took."""
+    seconds fitting them took."""
 
     stages: tuple
     train: np.ndarray
     seconds: float
-    val: np.ndarray | None = None
-    val_seconds: float = 0.0
 
 
 class _Memo:
@@ -229,8 +225,7 @@ class FeaturePipeline:
         # scaler; a stage is None only when its policy is off (num_policy
         # "none", or a cat_policy other than "ordinal")
         self._stages: tuple = (None,) * 5
-        self._key: bytes | None = None
-        self._info: DatasetInfo | None = None  # of the last fit, for its key
+        self.seconds = 0.0  # what fitting the stages took, set by a fit
 
     @property
     def is_fitted(self) -> bool:
@@ -243,28 +238,8 @@ class FeaturePipeline:
         fit = _memo.get(key, lambda: _fit_stages(self.config, self.seed,
                                                  dataset, info))
         self._stages = fit.stages
-        self._key = key
-        self._info = info
+        self.seconds = fit.seconds
         return fit.train
-
-    def seconds(self, val: bool) -> float:
-        """The seconds the memo entry this pipeline was last fitted from took
-        to fit and, when ``val``, to first encode its val part."""
-        entry = self._entry()
-        return entry.seconds + (entry.val_seconds if val else 0.0)
-
-    def _entry(self) -> _Fit | None:
-        """The memo entry this pipeline was last fitted from, while held."""
-        return _memo.value if _memo.key == self._key else None
-
-    def _val_entry(self, dataset: Dataset) -> _Fit | None:
-        """The memo entry, if its val part is ``dataset``'s: the entry is held
-        and ``dataset``'s key, its arrays as they are now, is the entry's."""
-        entry = self._entry()
-        if entry is not None and self._key == _fit_key(
-                self.config, self.seed, dataset, self._info):
-            return entry
-        return None
 
     def transform(self, num: np.ndarray, cat) -> np.ndarray:
         """Encode rows with inference semantics (no row identity), each
@@ -288,17 +263,8 @@ class FeaturePipeline:
         return out
 
     def transform_part(self, dataset: Dataset, part: str) -> np.ndarray:
-        """Encode one part of ``dataset``. The val part of a dataset whose key
-        is the memo entry's is encoded once per entry, timed, and read-only."""
-        entry = self._val_entry(dataset) if part == "val" else None
-        if entry is None:
-            return self.transform(dataset.part_num(part), _part_codes(dataset, part))
-        if entry.val is None:
-            start = _clock()
-            entry.val = _read_only(self.transform(
-                dataset.part_num(part), _part_codes(dataset, part)))
-            entry.val_seconds = _clock() - start
-        return entry.val
+        """Encode one part of ``dataset``."""
+        return self.transform(dataset.part_num(part), _part_codes(dataset, part))
 
     def state(self) -> tuple:
         """The fitted stages, all that a transform reads, for equality checks."""

@@ -240,6 +240,17 @@ class TestRuns:
             assert lines[1 + r.seed] == f"demo,mlp,{r.seed},{r.error},,"
         assert not (workspace / "out" / "ranks.csv").exists()
 
+    def test_empty_test_part_fails_every_seed(self, workspace, capsys):
+        test_csv = workspace / "data" / "demo" / "test.csv"
+        test_csv.write_text(test_csv.read_text().splitlines()[0] + "\n")
+        code = main(["classical", "--model_type", "dummy", "--dataset", "demo",
+                     "--seed_num", "2", "--output_dir", "out"])
+        assert code == 1
+        assert "seed 0: no rows to score" in capsys.readouterr().err
+        records = read_results_csv(str(workspace / "out" / "results.csv"))
+        assert [r.error for r in records] == ["no rows to score"] * 2
+        assert not (workspace / "out" / "ranks.csv").exists()
+
     def test_some_failed_seeds_reported(self, workspace, monkeypatch, capsys):
         fit = KNNMethod._fit
 

@@ -141,6 +141,20 @@ def test_load_rejects_unknown_task(tmp_path):
         load_dataset(tmp_path, "demo")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_classes", "3"), ("n_classes", 3.0), ("n_classes", True),
+    ("n_num_features", 2.5), ("n_num_features", -1),
+    ("n_num_features", None), ("n_cat_features", True),
+])
+def test_load_rejects_a_count_that_is_not_an_integer(tmp_path, key, value):
+    info = {"task_type": "multiclass", "n_num_features": 2,
+            "n_cat_features": 1, "n_classes": 3, key: value}
+    _write_dataset(tmp_path, "demo", info, HEADER + "1,2,a,2\n", HEADER,
+                   HEADER + "1,2,a,0\n")
+    with pytest.raises(SchemaError, match=f"{key} must be an integer >= 0"):
+        load_dataset(tmp_path, "demo")
+
+
 def test_save_load_round_trip_bit_exact(tmp_path):
     # odd values exercise repr round-tripping; missing cells survive too
     for maker, kwargs in [

@@ -4,7 +4,8 @@ The most recent search is held with its key (a digest of the query and
 training matrices) and the indices of the largest k searched on them. A
 request for no more neighbors takes the first k columns. These tests check
 that such a prefix is exactly the smaller search, that a warm predict gives
-the bytes of a cold one, and that every change to the matrices is a miss.
+the bytes of a cold one, that tuning trials share searches, and that every
+change to the matrices is a miss.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from tabkit.cli import main
 from tabkit.data import save_dataset
 from tabkit.methods import MethodConfig, get_method
 from tabkit.pipeline import _Memo, _array_digest
+from tabkit.tune import parse_space, tune_hyper_parameters
 
 from conftest import make_classification, make_regression
 from test_knn_search import searches
@@ -73,6 +75,21 @@ def test_warm_predict_equals_cold(make, searched, monkeypatch):
             assert a.values.tobytes() == b.values.tobytes()
             if a.probabilities is not None:
                 assert a.probabilities.tobytes() == b.probabilities.tobytes()
+
+
+def test_tuning_trials_share_searches(searched):
+    # each trial encodes val afresh, but equal matrices have equal digests, so
+    # a trial searches only when its k is the largest so far
+    dataset, info = make_classification(seed=6, n_rows=200)
+    space = parse_space({"knn": {"model": {"n_neighbors": ["int", 1, 40]},
+                                 "training": {}}})
+    result = tune_hyper_parameters("knn", space, dataset, info, n_trials=12)
+    assert all(trial.error is None for trial in result.trials)
+    ks = [trial.assignment["model"].get("n_neighbors", 5)
+          for trial in sorted(result.trials, key=lambda trial: trial.trial)]
+    largest = [k for i, k in enumerate(ks) if k > max(ks[:i], default=0)]
+    assert searched == largest
+    assert len(largest) < len(ks)
 
 
 def test_larger_k_searches_again_and_smaller_does_not(searched):

@@ -2,12 +2,12 @@
 
 A pipeline fit whose key (config, task, class count, dataset content and,
 under catboost, the seed) matches the memoized one takes its stages and its
-read-only train matrix, and its val matrix once a method that reads val, or
-a validation predict, has encoded it. These tests check that a hit gives the
-same bytes as a fit with nothing memoized, that every input a fit reads
-makes a miss, that val is encoded only when read and then once per entry,
-and that a hit is charged the seconds its first fit took: the pipeline times
-its own stage fits and val encodings, whoever calls them.
+read-only train matrix; val and test rows are encoded afresh. These tests
+check that a hit gives the same bytes as a fit with nothing memoized, that
+every input a fit reads makes a miss, that val is encoded only for a method
+that reads it, and that a hit is charged the seconds its first fit took: the
+pipeline times its own stage fits, and a method its own fit, val encoding
+included.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from tabkit.encode_num import NUM_POLICIES
 from tabkit.methods import MethodConfig, get_method, registered_methods
 from tabkit.pipeline import FeaturePipeline, PipelineConfig
 from tabkit.preprocess import CAT_NAN_POLICIES, NORMALIZATIONS, NUM_NAN_POLICIES
-from tabkit.tune import parse_space, tune_hyper_parameters
 
 from conftest import make_classification, make_regression
 
@@ -200,25 +199,23 @@ def test_memoized_matrices_are_read_only():
     dataset, info = TABLES["clf"]
     for _ in range(2):  # the miss, then the hit
         pipeline, train = fit_pipeline(dataset, info)
-        val = pipeline.transform_part(dataset, "val")
-        for matrix in (train, val):
-            assert not matrix.flags.writeable
-            with pytest.raises(ValueError):
-                matrix[0, 0] = 1.0
-    test = pipeline.transform_part(dataset, "test")
-    assert test.flags.writeable
-    assert pipeline.transform_part(dataset, "test") is not test
+        assert not train.flags.writeable
+        with pytest.raises(ValueError):
+            train[0, 0] = 1.0
+    # val and test are encoded afresh on each call
+    for part in ("val", "test"):
+        matrix = pipeline.transform_part(dataset, part)
+        assert matrix.flags.writeable
+        assert pipeline.transform_part(dataset, part) is not matrix
 
 
 def test_val_of_another_dataset_is_encoded_fresh():
     dataset, info = TABLES["clf"]
     pipeline, _ = fit_pipeline(dataset, info)
-    memoized = pipeline.transform_part(dataset, "val")
     split = dict(dataset.split)
     split["val"] = split["test"]
     other = replace(dataset, split=split)
     val = pipeline.transform_part(other, "val")
-    assert val is not memoized
     assert exact(val) == exact(pipeline.transform(
         other.part_num("val"), other.part_cat("val")))
 
@@ -243,12 +240,11 @@ def val_reader(name):
 
 
 def test_reader_is_charged_alike_whoever_built_the_entry(monkeypatch):
-    # a miss fits the pipeline in 5 ticks, the first val encoding of an entry
-    # takes 2 ticks, and every fit takes 1 tick; a reader is charged train,
-    # val and fit, a non-reader train and fit
+    # a miss fits the pipeline in 5 ticks; a non-reader's fit takes 1 tick
+    # and a reader's 3, its val encoding included, on a hit as on a miss
     ticks = iter([0.0, 5.0, 6.0, 7.0,           # ncm, miss
-                  10.0, 12.0, 13.0, 14.0,       # reader, hit: val encoded
-                  20.0, 21.0])                  # reader, hit: val memoized
+                  10.0, 13.0,                   # reader, hit
+                  20.0, 23.0])                  # reader, hit
     monkeypatch.setattr(pipeline_module, "_clock", lambda: next(ticks))
     dataset, info = TABLES["clf"]
     reader = val_reader("ncm")
@@ -256,8 +252,8 @@ def test_reader_is_charged_alike_whoever_built_the_entry(monkeypatch):
                for cls in (get_method("ncm"), reader, reader)]
     assert next(ticks, None) is None
     pipeline_module._memo = pipeline_module._Memo()
-    ticks = iter([30.0, 35.0, 36.0, 38.0, 39.0, 40.0,   # reader, miss
-                  41.0, 42.0])                          # ncm, hit
+    ticks = iter([30.0, 35.0, 36.0, 39.0,       # reader, miss
+                  41.0, 42.0])                  # ncm, hit
     charged += [cls(MethodConfig(), info).fit(dataset, info)
                 for cls in (reader, get_method("ncm"))]
     assert charged == [6.0, 8.0, 8.0, 8.0, 6.0]
@@ -265,11 +261,10 @@ def test_reader_is_charged_alike_whoever_built_the_entry(monkeypatch):
 
 
 def test_reader_is_charged_for_a_val_encoded_by_a_direct_call(monkeypatch):
-    # a miss fits the pipeline in 5 ticks, val takes 2 ticks however it is
-    # first encoded, and every fit takes 1 tick
+    # a val encoded by a direct call reads no clock and is charged to no one;
+    # a reader's fit still encodes and pays for its own
     ticks = iter([0.0, 5.0, 6.0, 7.0,           # ncm, miss
-                  10.0, 12.0,                   # a direct val encoding
-                  20.0, 21.0])                  # reader, hit: val memoized
+                  20.0, 23.0])                  # reader, hit
     monkeypatch.setattr(pipeline_module, "_clock", lambda: next(ticks))
     dataset, info = TABLES["clf"]
     reader = val_reader("ncm")
@@ -279,7 +274,7 @@ def test_reader_is_charged_for_a_val_encoded_by_a_direct_call(monkeypatch):
     hit = reader(MethodConfig(), info).fit(dataset, info)
     assert next(ticks, None) is None
     pipeline_module._memo = pipeline_module._Memo()
-    ticks = iter([30.0, 35.0, 36.0, 38.0, 39.0, 40.0])  # reader, miss
+    ticks = iter([30.0, 35.0, 36.0, 39.0])      # reader, miss
     miss = reader(MethodConfig(), info).fit(dataset, info)
     assert hit == miss == 8.0
     assert next(ticks, None) is None
@@ -304,11 +299,12 @@ class WorkClock:
         return costly
 
 
-# fitting the stages costs 100 ticks and a val encoding 10; each is timed by
-# two reads, and a method's own fit by two more with nothing between them
+# fitting the stages costs 100 ticks and a val encoding 10; the stage fit is
+# timed by two reads, and a method's own fit, a reader's val encoding
+# included, by two more
 STAGE_TICKS, VAL_TICKS = 100.0, 10.0
 NON_READER_CHARGE = (STAGE_TICKS + 1) + 1
-READER_CHARGE = (STAGE_TICKS + 1) + (VAL_TICKS + 1) + 1
+READER_CHARGE = (STAGE_TICKS + 1) + (VAL_TICKS + 1)
 
 OPERATIONS = ("fit", "reader fit", "val transform", "val predict")
 
@@ -362,20 +358,18 @@ def test_fit_that_drops_the_entry_is_charged_its_pipeline(monkeypatch):
     method = get_method("evicting_ncm")(MethodConfig(), info)
     assert method.fit(dataset, info) == 9.0
     assert next(ticks, None) is None
-    assert pipeline_module._memo.key != method.pipeline._key
+    assert pipeline_module._memo.value.stages is not method.pipeline.state()
 
 
 @pytest.fixture
 def val_encodings(monkeypatch):
-    """The memo entry's val matrix each time a pipeline encodes it."""
+    """Each val part a pipeline encodes."""
     encoded = []
     original = FeaturePipeline.transform_part
 
     def counting(self, dataset, part):
-        entry = self._val_entry(dataset) if part == "val" else None
-        held = entry is not None and entry.val is not None
         matrix = original(self, dataset, part)
-        if entry is not None and not held:
+        if part == "val":
             encoded.append(matrix)
         return matrix
 
@@ -391,54 +385,20 @@ def test_non_readers_leave_val_unencoded(val_encodings):
             if cls.reads_val or info.task not in cls.task_types:
                 continue
             fit_method(name, dataset, info, PipelineConfig())
-            assert pipeline_module._memo.value.val is None, name
     assert val_encodings == []
+    fit_method("mlp", *TABLES["clf"], PipelineConfig())
+    assert len(val_encodings) == 1
 
 
-def test_a_reader_encodes_val_once_per_entry(val_encodings):
-    dataset, info = TABLES["clf"]
-    ncm = fit_method("ncm", dataset, info, PipelineConfig())
-    entry = pipeline_module._memo.value
-    for _ in range(2):
-        fit_method("mlp", dataset, info, PipelineConfig())
-        ncm.predict_part(dataset, "val")
-    assert pipeline_module._memo.value is entry
-    assert [id(matrix) for matrix in val_encodings] == [id(entry.val)]
-    # another entry encodes its own val, once
-    fit_method("mlp", dataset, info, PipelineConfig(cat_policy="binary"))
-    fit_method("mlp", dataset, info, PipelineConfig(cat_policy="binary"))
-    assert len(val_encodings) == 2
-
-
-def test_val_of_a_reassigned_array_is_encoded_fresh(val_encodings):
+def test_val_of_a_reassigned_array_is_encoded_fresh():
     dataset, info = make_classification(n_rows=90, n_classes=3, seed=86)
     ncm = fit_method("ncm", dataset, info, PipelineConfig())
-    entry, original = pipeline_module._memo.value, dataset.num
-    num = original.copy()
+    num = dataset.num.copy()
     num[dataset.split["val"]] += 1.0
     dataset.num = num
     val = ncm.pipeline.transform_part(dataset, "val")
     assert exact(val) == exact(ncm.pipeline.transform(
         dataset.part_num("val"), dataset.part_cat("val")))
-    # the entry still holds no val, so a reader on the fitted arrays is
-    # handed theirs
-    assert entry.val is None and val_encodings == []
-    dataset.num = original
-    fit_method("mlp", dataset, info, PipelineConfig())
-    assert pipeline_module._memo.value is entry
-    assert exact(entry.val) == exact(ncm.pipeline.transform(
-        dataset.part_num("val"), dataset.part_cat("val")))
-
-
-def test_tuning_trials_encode_val_once_per_entry(val_encodings):
-    dataset, info = TABLES["clf"]
-    fit_method("knn", dataset, info, PipelineConfig())
-    assert val_encodings == []
-    space = parse_space({"knn": {"model": {"n_neighbors": ["int", 1, 9]},
-                                 "training": {}}})
-    result = tune_hyper_parameters("knn", space, dataset, info, n_trials=4)
-    assert all(trial.error is None for trial in result.trials)
-    assert len(val_encodings) == 1
 
 
 # ---- property: whatever the memo holds, a fit equals a cold fit ----------

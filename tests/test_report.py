@@ -113,6 +113,18 @@ class TestRunSeeds:
         assert all(r.error == "predictions contain non-finite values"
                    for r in records)
 
+    @pytest.mark.parametrize("make", [make_classification, make_regression])
+    def test_empty_test_part_fails_the_seed(self, make):
+        dataset, info = make(seed=7)
+        split = dict(dataset.split)
+        split["train"] = np.sort(np.concatenate([split["train"],
+                                                 split["test"]]))
+        split["test"] = split["test"][:0]
+        records = run_seeds("dummy", replace(dataset, split=split), info,
+                            seed_num=2)
+        assert [r.error for r in records] == ["no rows to score"] * 2
+        assert all(r.metrics is None for r in records)
+
     def test_bad_hyperparameter_is_recorded_per_seed(self):
         dataset, info = make_classification(seed=5)
         records = run_seeds("random_forest", dataset, info, seed_num=2,
